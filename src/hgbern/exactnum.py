@@ -6,6 +6,13 @@ kept in lowest terms with a positive denominator); this module adds the
 products and coefficient families every closed form consumes, and the
 composition/partition enumerators the explicit summation routes run over.
 
+:class:`CommonDenominator` holds a run of rationals as integer numerators
+over one shared denominator.  The O(n^2) kernels (``cauchy_product`` here,
+the recurrence in :mod:`hbnum`, the determinant in :mod:`hessenberg`) use it
+to evaluate each inner sum as a plain integer dot product and to reduce once
+per entry, rather than once per multiply-add as ``Fraction`` arithmetic
+would (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).
+
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
 
@@ -16,6 +23,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -30,6 +38,7 @@ __all__ = [
     "enumerate_compositions",
     "PartitionVector",
     "enumerate_partition_vectors",
+    "CommonDenominator",
     "cauchy_product",
 ]
 
@@ -213,17 +222,51 @@ def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
     yield from rec(1, m, [])
 
 
-def cauchy_product(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
+class CommonDenominator:
+    """Rationals held as integer numerators over one shared denominator.
+
+    ``nums[i] / den`` is the i-th value and ``den`` is the lcm of the values'
+    denominators.  Appending a value whose denominator does not divide
+    ``den`` multiplies every numerator by the missing factor once.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: Sequence[Fraction | int]):
+        # pairwise: math.lcm(*generator) builds its argument tuple by
+        # resizing, and each such call strands one more small tuple on the
+        # interpreter's per-size free lists, so memory grows call by call
+        den = 1
+        for v in values:
+            den = math.lcm(den, v.denominator)
+        self.den = den
+        self.nums = [v.numerator * (den // v.denominator) for v in values]
+
+    def append(self, value: Fraction | int) -> None:
+        q = value.denominator
+        grow = q // math.gcd(q, self.den)
+        if grow != 1:
+            self.nums = [x * grow for x in self.nums]
+            self.den *= grow
+        self.nums.append(value.numerator * (self.den // q))
+
+
+def cauchy_product(
+    xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]
+) -> list[Fraction]:
     """Prefix of the Cauchy product of two coefficient sequences.
 
     Entry e is ``sum(xs[i] * ys[e-i])``; the result is truncated to the
-    shorter input, matching truncated power-series multiplication.
+    shorter input, matching truncated power-series multiplication.  Each
+    input is brought onto its lcm denominator, so entry e is one integer
+    convolution sum over the product of the two, reduced once.
     """
     limit = min(len(xs), len(ys))
-    out = []
-    for e in range(limit):
-        acc = Fraction(0)
-        for i in range(e + 1):
-            acc += xs[i] * ys[e - i]
-        out.append(acc)
-    return out
+    x = CommonDenominator(xs[:limit])
+    y = CommonDenominator(ys[:limit])
+    den = x.den * y.den
+    y_reversed = y.nums[::-1]
+    return [
+        Fraction(sum(map(mul, x.nums, y_reversed[limit - 1 - e :])), den)
+        for e in range(limit)
+    ]

@@ -3,9 +3,17 @@
 ``hb(N, n)`` is n! times the x^n coefficient of the reciprocal of the
 confluent hypergeometric function 1F1(1; N+1; x); ``hb_higher(N, r, n)`` is
 the analogue for the r-th power of that reciprocal.  Both satisfy linear
-recurrences that cost O(n^2) exact rational operations, which makes this
-module the reference oracle: every alternative route in :mod:`altforms`,
+recurrences that cost O(n^2) exact operations, which makes this module the
+reference oracle: every alternative route in :mod:`altforms`,
 :mod:`hessenberg` and :mod:`contfrac` is verified against these values.
+
+Each new value is one integer dot product over a common denominator (the
+row's running lcm, times the weights' lcm for r >= 2), reduced once into a
+``Fraction``.  For r >= 2 the r-fold weight row is rebuilt, by r - 1 Cauchy
+products, by every call that has to compute a value; a ``table`` of order
+r >= 2 pays that once per cache miss.  ``recurrence_residual`` re-evaluates
+the relations with one ``Fraction`` operation per term, as a check on that
+integer inner loop (for r >= 2 it reads the same weight row).
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -13,14 +21,24 @@ At N = 1 the numbers reduce to the classical Bernoulli numbers
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
+from operator import add, mul
 from pathlib import Path
 
-from .exactnum import binom, cauchy_product, format_rational, parse_rational, rising
+from .exactnum import (
+    CommonDenominator,
+    binom,
+    cauchy_product,
+    format_rational,
+    parse_rational,
+    rising,
+)
 
 __all__ = [
     "CacheError",
@@ -138,10 +156,20 @@ class MemoStore:
         return len(loaded)
 
     def save(self) -> None:
+        """Write every entry, sorted by key; the file is replaced atomically."""
         if self.path is None:
             raise CacheError("store has no backing file")
-        lines = [f"{k.N} {k.r} {k.n} {format_rational(v)}\n" for k, v in self.items()]
-        self.path.write_text("".join(lines), encoding="utf-8")
+        # write a sibling file, then rename it over the old one, so a crash
+        # mid-save leaves the previous cache intact
+        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for k, v in self.items():
+                    fh.write(f"{k.N} {k.r} {k.n} {format_rational(v)}\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def audit(
         self,
@@ -186,33 +214,48 @@ def _weight_row(N: int, r: int, upto: int) -> list[Fraction]:
 
 
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
-    """Values for indices 0..n of the (N, r) family, consulting and filling `store`."""
+    """Values for indices 0..n of the (N, r) family, consulting and filling `store`.
+
+    From the first value that must be computed on, the row is also kept over
+    its running common denominator (and the weights over theirs), so each new
+    value is one integer dot product reduced once into a ``Fraction``.
+    """
     store = store if store is not None else _DEFAULT_STORE
     row: list[Fraction] = []
-    weights: list[Fraction] | None = None
+    known: CommonDenominator | None = None
+    binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
+    weights: CommonDenominator | None = None
     for m in range(n + 1):
         key = HBKey(N, r, m)
-        cached = store.get(key)
-        if cached is not None:
-            row.append(cached)
-            continue
-        if m == 0:
-            value = Fraction(1)
-        elif r == 1:
-            # sum_{k <= m} binom(N+m, k) B_{N,k} = 0, solved for the top term
-            acc = Fraction(0)
-            for k in range(m):
-                acc += binom(N + m, k) * row[k]
-            value = -acc / binom(N + m, m)
-        else:
-            if weights is None:
-                weights = _weight_row(N, r, n)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += row[k] * weights[m - k] / factorial(k)
-            value = -factorial(m) * acc
-        store.put(key, value)
+        value = store.get(key)
+        if value is None:
+            if m == 0:
+                value = Fraction(1)
+            else:
+                if known is None:
+                    known = CommonDenominator(row)
+                if r == 1:
+                    # sum_{k <= m} binom(N+m, k) B_{N,k} = 0, solved for the top term
+                    if len(binoms) == m:  # index m-1's row: step it by Pascal's rule
+                        binoms = [1, *map(add, binoms[1:], binoms)]
+                        binoms.append(binoms[-1] * (N + 1) // m)
+                    else:
+                        binoms = [comb(N + m, k) for k in range(m + 1)]
+                    acc = sum(map(mul, known.nums, binoms))
+                    value = Fraction(-acc, known.den * binoms[m])
+                else:
+                    # sum_{k <= m} (m!/k!) w_{m-k} B_k = 0 with w_0 = 1, solved
+                    # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
+                    # and m!/k! = falling(m, m-k), the running product m(m-1)...
+                    if weights is None:
+                        weights = CommonDenominator(_weight_row(N, r, n))
+                    falls = accumulate(range(m, 0, -1), mul)
+                    terms = map(mul, map(mul, reversed(known.nums), falls), weights.nums[1:])
+                    value = Fraction(-sum(terms), known.den * weights.den)
+            store.put(key, value)
         row.append(value)
+        if known is not None:
+            known.append(value)
     return row
 
 
@@ -264,11 +307,15 @@ def hb_series(N: int, r: int, order: int, store: MemoStore | None = None) -> Ser
 
 
 def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
-    """Left side of the defining linear relation at index n; zero by construction.
+    """Left side of the defining linear relation at index n; zero for correct values.
 
     For r = 1 this is sum_{m<=n} binom(N+n, m) B_{N,m}.  For r >= 2 the
     analogous composition-weighted sum is returned rescaled by n! (N!)^r,
-    which preserves vanishing while keeping huge N factorial-free.
+    which preserves vanishing while keeping huge N factorial-free.  The sum
+    is taken term by term in ``Fraction`` arithmetic, independently of the
+    common-denominator inner loop that computes the row, so a zero here
+    checks that loop rather than restating it (for r >= 2 both read the
+    same weight row).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

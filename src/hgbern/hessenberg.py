@@ -7,10 +7,13 @@ superdiagonal.  Its determinant obeys the first-row expansion
 
     D_m = sum_{l=1..m} (-a0)^(l-1) a_l D_{m-l},   D_0 = 1,
 
-which keeps evaluation exact and O(m^2).  ``trudi_expand`` recomputes the
-same determinant as a partition sum (Trudi's formula; a0 = 1 is Brioschi's
-case), and ``inversion_pair_check`` verifies the duality under which a
-sequence and its determinant transform swap roles.
+which keeps evaluation exact and O(m^2).  The signed entries
+(-a0)^(l-1) a_l share one denominator and D_0..D_{k-1} another (their
+running lcm), so each D_k is one integer dot product reduced once into a
+``Fraction``.  ``trudi_expand`` recomputes the same determinant as a
+partition sum (Trudi's formula; a0 = 1 is Brioschi's case), and
+``inversion_pair_check`` verifies the duality under which a sequence and its
+determinant transform swap roles.
 
 ``hb_det`` / ``hb_higher_det`` specialize the entries to recover the
 hypergeometric Bernoulli numbers by a determinant route.
@@ -21,9 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Sequence
 
-from .exactnum import cauchy_product, enumerate_partition_vectors, multinomial, rising
+from .exactnum import (
+    CommonDenominator,
+    cauchy_product,
+    enumerate_partition_vectors,
+    multinomial,
+    rising,
+)
 
 __all__ = [
     "ToeplitzHessenbergSpec",
@@ -66,15 +76,19 @@ class ToeplitzHessenbergSpec:
 
 def toeplitz_hessenberg_det(spec: ToeplitzHessenbergSpec) -> Fraction:
     """Determinant via the first-row expansion recursion (empty matrix gives 1)."""
-    d = [Fraction(1)]
+    signed = []
+    power = Fraction(1)
+    for a in spec.entries:
+        signed.append(power * a)
+        power *= -spec.a0
+    c = CommonDenominator(signed)
+    d = CommonDenominator([1])  # D_0..D_{k-1}
+    det = Fraction(1)
     for k in range(1, spec.dimension + 1):
-        acc = Fraction(0)
-        sign = Fraction(1)
-        for l in range(1, k + 1):
-            acc += sign * spec.entries[l - 1] * d[k - l]
-            sign *= -spec.a0
-        d.append(acc)
-    return d[-1]
+        # sum_{l=1..k} c_l D_{k-l}: reversed(d.nums) runs D_{k-1} down to D_0
+        det = Fraction(sum(map(mul, c.nums, reversed(d.nums))), c.den * d.den)
+        d.append(det)
+    return det
 
 
 def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:

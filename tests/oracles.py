@@ -78,3 +78,25 @@ def weak_composition_weight_sum(N: int, n: int, k: int) -> Fraction:
             term *= Fraction(1, denom)
         total += term
     return total
+
+
+def naive_cauchy_product(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
+    """Truncated Cauchy product with one Fraction operation per multiply-add."""
+    out = []
+    for e in range(min(len(xs), len(ys))):
+        acc = Fraction(0)
+        for i in range(e + 1):
+            acc += Fraction(xs[i]) * Fraction(ys[e - i])
+        out.append(acc)
+    return out
+
+
+def naive_toeplitz_hessenberg_det(a0: Fraction, entries: Sequence[Fraction]) -> Fraction:
+    """D_m = sum_{l<=m} (-a0)^(l-1) a_l D_{m-l}, D_0 = 1, one Fraction per term."""
+    d = [Fraction(1)]
+    for k in range(1, len(entries) + 1):
+        acc = Fraction(0)
+        for l in range(1, k + 1):
+            acc += (-Fraction(a0)) ** (l - 1) * Fraction(entries[l - 1]) * d[k - l]
+        d.append(acc)
+    return d[-1]

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hgbern.exactnum import (
+    CommonDenominator,
     CompositionSpec,
     PartitionVector,
     binom,
@@ -19,7 +20,7 @@ from hgbern.exactnum import (
     rising,
     stirling1_unsigned,
 )
-from oracles import brute_compositions, partition_count
+from oracles import brute_compositions, naive_cauchy_product, partition_count
 
 
 def test_binom_conventions():
@@ -197,3 +198,31 @@ def test_cauchy_product_matches_double_sum(xs, ys):
         assert got[e] == sum(
             (xs[i] * ys[e - i] for i in range(e + 1)), Fraction(0)
         )
+
+
+rationals = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))
+
+
+@given(st.lists(rationals, max_size=12), st.lists(rationals, max_size=12))
+def test_cauchy_product_matches_naive_fraction_loop(xs, ys):
+    got = cauchy_product(xs, ys)
+    assert got == naive_cauchy_product(xs, ys)
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_cauchy_product_reduces_each_entry():
+    # the common denominator is 6 * 6; every entry must still be in lowest terms
+    got = cauchy_product([Fraction(1, 2), Fraction(1, 3), 1], [Fraction(1, 3), Fraction(1, 2)])
+    assert got == [Fraction(1, 6), Fraction(13, 36)]
+    assert [(v.numerator, v.denominator) for v in got] == [(1, 6), (13, 36)]
+    assert cauchy_product([], [Fraction(1, 2)]) == []
+
+
+@given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10))
+def test_common_denominator_holds_values_over_their_lcm(head, tail):
+    held = CommonDenominator(head)
+    for v in tail:
+        held.append(v)
+    values = head + tail
+    assert held.den == lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(x, held.den) for x in held.nums] == values

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from hgbern import hbnum
 from hgbern.exactnum import binom
 from hgbern.hbnum import (
     CacheError,
@@ -82,6 +83,37 @@ def test_higher_order_relation_vanishes():
     assert recurrence_residual(3, 2, 5) == 0
 
 
+def test_residual_checks_the_integer_recurrence_deep():
+    # recurrence_residual keeps a per-term Fraction loop, independent of the
+    # common-denominator inner loop that produced the row
+    for N in range(1, 6):
+        for r in range(1, 4):
+            store = MemoStore()
+            hb_higher(N, r, 60, store)
+            for n in range(1, 61):
+                assert recurrence_residual(N, r, n, store) == 0, (N, r, n)
+
+
+def test_residual_vanishes_at_huge_parameter():
+    N = 1 + 5**48
+    for r in (1, 2):
+        store = MemoStore()
+        for n in range(1, 7):
+            assert recurrence_residual(N, r, n, store) == 0, (r, n)
+
+
+def test_row_resumes_across_a_sparse_cache():
+    # values cached out of order force the row to rebuild its common
+    # denominator and binomials mid-row; the result must not change
+    for r in (1, 2, 3):
+        fresh = [hb_higher(3, r, m, MemoStore()) for m in range(25)]
+        store = MemoStore()
+        for m in (4, 5, 11, 17, 18, 23):
+            store.put(HBKey(3, r, m), fresh[m])
+        assert [hb_higher(3, r, m, store) for m in range(25)] == fresh
+        assert len(store) == 25
+
+
 def test_higher_order_values():
     assert hb_higher(1, 2, 1) == -1
     assert hb_higher(2, 3, 0) == 1
@@ -153,6 +185,48 @@ def test_memostore_round_trip(tmp_path):
     assert count == len(store)
     assert reloaded.get(HBKey(2, 2, 8)) == hb_higher(2, 2, 8)
     assert reloaded.items() == store.items()
+
+
+def test_memostore_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    store = MemoStore(path)
+    hb(2, 6, store)
+    store.save()
+    before = path.read_bytes()
+
+    hb(3, 6, store)
+    calls = []
+
+    def failing_format(value):
+        calls.append(value)
+        if len(calls) == 9:
+            raise RuntimeError("disk full")
+        return f"{value.numerator}/{value.denominator}"
+
+    monkeypatch.setattr(hbnum, "format_rational", failing_format)
+    with pytest.raises(RuntimeError):
+        store.save()
+    assert len(calls) == 9
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    # the file is only ever swapped whole: a save cut off before the rename
+    # leaves the old bytes too
+    monkeypatch.undo()
+
+    def failing_replace(src, dst):
+        raise OSError("killed before rename")
+
+    monkeypatch.setattr(hbnum.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        store.save()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    monkeypatch.undo()
+    store.save()
+    assert MemoStore(path).load(rng=Random(0)) == len(store) == 14
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
 
 def test_memostore_duplicate_keys_must_agree(tmp_path):

@@ -3,6 +3,8 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hgbern.altforms import mr, mr_table
 from hgbern.hbnum import classical, hb, hb_higher
@@ -15,7 +17,7 @@ from hgbern.hessenberg import (
     toeplitz_hessenberg_det,
     trudi_expand,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, naive_toeplitz_hessenberg_det
 
 
 def random_spec(rng: Random, m: int, a0_one: bool = False) -> ToeplitzHessenbergSpec:
@@ -55,6 +57,31 @@ def test_determinant_matches_cofactor_oracle():
         for _ in range(10):
             spec = random_spec(rng, m)
             assert toeplitz_hessenberg_det(spec) == cofactor_det(spec.matrix())
+
+
+rationals = st.one_of(st.integers(-1000, 1000), st.fractions(max_denominator=1000))
+# zero, negative and non-unit superdiagonals as well as the unit one
+superdiagonals = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(-3, 7)]), rationals)
+
+
+@given(superdiagonals, st.lists(rationals, max_size=12))
+def test_determinant_matches_naive_fraction_recursion(a0, entries):
+    spec = ToeplitzHessenbergSpec(a0, tuple(entries))
+    det = toeplitz_hessenberg_det(spec)
+    assert type(det) is Fraction
+    assert det == naive_toeplitz_hessenberg_det(a0, entries)
+
+
+def test_empty_determinant_is_one():
+    for a0 in (0, 1, -2, Fraction(5, 3)):
+        det = toeplitz_hessenberg_det(ToeplitzHessenbergSpec(a0, ()))
+        assert det == 1 and type(det) is Fraction
+
+
+def test_zero_superdiagonal_gives_product_of_diagonal():
+    # a0 = 0 makes the matrix lower triangular with a1 on the diagonal
+    spec = ToeplitzHessenbergSpec(0, (Fraction(-2, 3), Fraction(7), Fraction(1, 5)))
+    assert toeplitz_hessenberg_det(spec) == Fraction(-8, 27)
 
 
 def test_trudi_expand_simple_cases():
