@@ -10,7 +10,6 @@ All arithmetic is exact rational; there is no floating point anywhere.
 """
 
 from .altforms import (
-    MrTable,
     RoutePreconditionError,
     hb_descent_nested,
     hb_descent_step,
@@ -20,7 +19,6 @@ from .altforms import (
     hb_higher_explicit,
     hb_trudi,
     mr,
-    mr_table,
     reciprocal_binom_inverse,
     recover_mr_det,
 )
@@ -64,7 +62,6 @@ from .hbnum import (
     MemoStore,
     Series,
     classical,
-    default_store,
     hb,
     hb_higher,
     hb_series,

@@ -8,11 +8,13 @@ the recurrence oracle is the package's core consistency check.
 
 The composition-sum routes enumerate their index sets literally and are
 exponential in n; they are verification tools, not bulk-table producers.
+``mr`` evaluates the convolution weights by that literal enumeration, so the
+Trudi and order-r explicit routes share no weight row with the oracle
+(:func:`hbnum.weight_row` builds the row by Cauchy products instead).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -31,9 +33,7 @@ from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det
 
 __all__ = [
     "RoutePreconditionError",
-    "MrTable",
     "mr",
-    "mr_table",
     "hb_explicit_comp",
     "hb_explicit_binom",
     "reciprocal_binom_inverse",
@@ -48,26 +48,6 @@ __all__ = [
 
 class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
-
-
-@dataclass(frozen=True)
-class MrTable:
-    """Convolution weights for one (N, r): ``values[e]`` sums
-    (N!)^r / ((N+i_1)! ... (N+i_r)!) over nonnegative r-part compositions of e."""
-
-    N: int
-    r: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 1:
-            raise ValueError("weight tables start with value 1 at e = 0")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.values[e]
 
 
 def mr(N: int, r: int, e: int) -> Fraction:
@@ -89,19 +69,6 @@ def mr(N: int, r: int, e: int) -> Fraction:
                 term *= recip[i]
         total += term
     return total
-
-
-def mr_table(N: int, r: int, max_e: int) -> MrTable:
-    """The weights of ``mr`` for e = 0..max_e, via iterated Cauchy products."""
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
-    if max_e < 0:
-        raise ValueError("max_e must be >= 0")
-    base = [Fraction(1, rising(N + 1, j)) for j in range(max_e + 1)]
-    row = base
-    for _ in range(r - 1):
-        row = cauchy_product(row, base)
-    return MrTable(N, r, tuple(row))
 
 
 def hb_explicit_comp(N: int, n: int) -> Fraction:

@@ -5,6 +5,11 @@ tables), ``verify`` (cross-route agreement sweeps), ``congruence`` (p-adic
 checks), ``convergents`` (continued-fraction convergents and their defect),
 and ``cache-audit`` (full recomputation of a cache file).
 
+``ROUTES`` declares each route once, with its domain; that declaration gives
+both the precondition error of ``compute --route`` and the routes a
+``verify`` sweep compares at each grid point.  A sweep prints one
+``MISMATCH`` line per failing comparison.
+
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
 error, 3 route precondition violation.
 
@@ -21,17 +26,17 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import inf
+from typing import Callable
 
-from . import altforms, congruence, contfrac, hbnum
+from . import altforms, congruence, contfrac, hbnum, hessenberg
 from .altforms import RoutePreconditionError
 from .congruence import CongruenceVerdict, HypothesisViolation
 from .exactnum import format_rational
 from .hbnum import CacheError, HBKey, MemoStore
-from .hessenberg import hb_higher_det
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,75 +44,52 @@ EXIT_USAGE = 2
 EXIT_ROUTE = 3
 
 
-def _require(route: str, ok: bool, why: str) -> None:
-    if not ok:
-        raise RoutePreconditionError(f"route {route!r} {why}")
+@dataclass(frozen=True)
+class Route:
+    """One route to B_{N,n}^(r) with its domain, declared once.
 
+    ``compute`` looks its target up through the module at call time, so a
+    module-level rebinding (a tracer or a test double) reaches every call.
+    """
 
-def _route_recurrence(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    return hbnum.hb_higher(N, r, n, store)
+    compute: Callable[[int, int, int, MemoStore], Fraction]
+    r_one_only: bool = False
+    min_N: int = 0
+    min_n: int = 0
 
-
-def _route_comp(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("comp", r == 1, "requires r = 1")
-    _require("comp", n >= 1, "requires n >= 1")
-    return altforms.hb_explicit_comp(N, n)
-
-
-def _route_binom(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("binom", r == 1, "requires r = 1")
-    _require("binom", n >= 1, "requires n >= 1")
-    return altforms.hb_explicit_binom(N, n)
-
-
-def _route_trudi(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("trudi", n >= 1, "requires n >= 1")
-    return altforms.hb_trudi(N, r, n)
-
-
-def _route_det(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("det", n >= 1, "requires n >= 1")
-    return hb_higher_det(N, r, n)
-
-
-def _route_descent(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("descent", r == 1, "requires r = 1")
-    _require("descent", N >= 2, "requires N >= 2")
-    _require("descent", n >= 1, "requires n >= 1")
-    return altforms.hb_descent_step(N, n, store)
-
-
-def _route_descent_nested(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    _require("descent-nested", r == 1, "requires r = 1")
-    _require("descent-nested", N >= 2, "requires N >= 2")
-    _require("descent-nested", n >= 1, "requires n >= 1")
-    return altforms.hb_descent_nested(N, n, store)
-
-
-def _route_convolution(N: int, r: int, n: int, store: MemoStore) -> Fraction:
-    return altforms.hb_higher_convolution(N, r, n, store)
+    def violation(self, N: int, r: int, n: int) -> str | None:
+        """Why (N, r, n) is outside the domain, checked in the order r, N, n."""
+        if self.r_one_only and r != 1:
+            return "requires r = 1"
+        if N < self.min_N:
+            return f"requires N >= {self.min_N}"
+        if n < self.min_n:
+            return f"requires n >= {self.min_n}"
+        return None
 
 
 ROUTES = {
-    "recurrence": _route_recurrence,
-    "comp": _route_comp,
-    "binom": _route_binom,
-    "trudi": _route_trudi,
-    "det": _route_det,
-    "descent": _route_descent,
-    "descent-nested": _route_descent_nested,
-    "convolution": _route_convolution,
+    "recurrence": Route(lambda N, r, n, store: hbnum.hb_higher(N, r, n, store)),
+    "comp": Route(
+        lambda N, r, n, store: altforms.hb_explicit_comp(N, n), r_one_only=True, min_n=1
+    ),
+    "binom": Route(
+        lambda N, r, n, store: altforms.hb_explicit_binom(N, n), r_one_only=True, min_n=1
+    ),
+    "trudi": Route(lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1),
+    "det": Route(lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n), min_n=1),
+    "descent": Route(
+        lambda N, r, n, store: altforms.hb_descent_step(N, n, store),
+        r_one_only=True, min_N=2, min_n=1,
+    ),
+    "descent-nested": Route(
+        lambda N, r, n, store: altforms.hb_descent_nested(N, n, store),
+        r_one_only=True, min_N=2, min_n=1,
+    ),
+    "convolution": Route(
+        lambda N, r, n, store: altforms.hb_higher_convolution(N, r, n, store)
+    ),
 }
-
-
-def _applicable(route: str, N: int, r: int, n: int) -> bool:
-    if route in ("comp", "binom", "descent", "descent-nested") and r != 1:
-        return False
-    if route in ("descent", "descent-nested") and N < 2:
-        return False
-    if route not in ("recurrence", "convolution") and n < 1:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -118,8 +100,6 @@ class SweepConfig:
     r_values: tuple[int, ...]
     big_n_values: tuple[int, ...]
     routes: tuple[str, ...]
-    parallelism: int = 1
-    cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.r_values or not self.big_n_values:
@@ -129,53 +109,49 @@ class SweepConfig:
         unknown = [r for r in self.routes if r not in ROUTES]
         if unknown:
             raise ValueError(f"unknown routes: {', '.join(unknown)}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        repeated = sorted({r for r in self.routes if self.routes.count(r) > 1})
+        if repeated:
+            raise ValueError(f"routes listed more than once: {', '.join(repeated)}")
+        if not any(len(self.applicable(*point)) >= 2 for point in self.points()):
+            raise ValueError("no grid point has two applicable routes: nothing to compare")
+
+    def points(self) -> list[tuple[int, int, int]]:
+        """Grid points in (N, r, n) order."""
+        return list(product(self.big_n_values, self.r_values, self.n_values))
+
+    def applicable(self, N: int, r: int, n: int) -> list[str]:
+        """The selected routes whose domain holds (N, r, n), in selection order."""
+        return [name for name in self.routes if ROUTES[name].violation(N, r, n) is None]
 
 
 def run_sweep(config: SweepConfig, store: MemoStore) -> tuple[int, str]:
     """Evaluate every selected route on every grid point and compare.
 
-    Returns (exit_code, report).  Grid points are compared in deterministic
-    (N, r, n) order regardless of parallelism.
+    At each point the first applicable route is the reference.  Returns
+    (exit_code, report); a failing report has one ``MISMATCH`` line per
+    disagreeing route, in (N, r, n) order.
     """
-    points = [
-        (N, r, n)
-        for N in config.big_n_values
-        for r in config.r_values
-        for n in config.n_values
-    ]
-
-    def evaluate(point: tuple[int, int, int]) -> dict[str, Fraction]:
-        N, r, n = point
-        return {
-            route: ROUTES[route](N, r, n, store)
-            for route in config.routes
-            if _applicable(route, N, r, n)
-        }
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(point) for point in points]
-
+    points = config.points()
     comparisons = 0
-    for (N, r, n), values in zip(points, results):
+    mismatches = []
+    for N, r, n in points:
+        values = {
+            name: ROUTES[name].compute(N, r, n, store)
+            for name in config.applicable(N, r, n)
+        }
         if len(values) < 2:
             continue
-        names = list(values)
-        ref_name = names[0]
-        ref = values[ref_name]
-        for name in names[1:]:
+        (ref_name, ref), *others = values.items()
+        for name, value in others:
             comparisons += 1
-            if values[name] != ref:
-                report = (
+            if value != ref:
+                mismatches.append(
                     f"MISMATCH at N={N} r={r} n={n}: "
                     f"{ref_name} = {format_rational(ref)}, "
-                    f"{name} = {format_rational(values[name])}"
+                    f"{name} = {format_rational(value)}"
                 )
-                return EXIT_VERIFY, report
+    if mismatches:
+        return EXIT_VERIFY, "\n".join(mismatches)
     report = (
         f"OK: routes {','.join(config.routes)} agree on "
         f"{len(points)} grid points ({comparisons} comparisons)"
@@ -194,6 +170,16 @@ def _parse_range(text: str) -> tuple[int, ...]:
         return (int(text),)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected INT or LO..HI, got {text!r}") from None
+
+
+def _digit_count(text: str) -> int:
+    try:
+        digits = int(text)
+        if digits < 0:
+            raise ValueError
+        return digits
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer K >= 0, got {text!r}") from None
 
 
 def _decimal_string(value: Fraction, digits: int) -> str:
@@ -224,7 +210,11 @@ def _save_if_backed(store: MemoStore) -> None:
 def cmd_compute(args: argparse.Namespace) -> int:
     store = _make_store(args)
     key = HBKey(args.N, args.r, args.n)
-    value = ROUTES[args.route](key.N, key.r, key.n, store)
+    route = ROUTES[args.route]
+    why = route.violation(key.N, key.r, key.n)
+    if why is not None:
+        raise RoutePreconditionError(f"route {args.route!r} {why}")
+    value = route.compute(key.N, key.r, key.n, store)
     line = format_rational(value)
     if args.decimal is not None:
         line += f" ≈ {_decimal_string(value, args.decimal)}"
@@ -265,8 +255,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         r_values=args.r,
         big_n_values=args.N,
         routes=routes,
-        parallelism=args.parallel,
-        cache_path=getattr(args, "cache", None),
     )
     store = _make_store(args)
     if args.inject_fault:
@@ -398,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="index n >= 0")
     p.add_argument("-r", type=int, default=1, help="order r >= 1 (default 1)")
     p.add_argument("--route", choices=sorted(ROUTES), default="recurrence")
-    p.add_argument("--decimal", type=int, metavar="K", help="also print K decimal digits")
+    p.add_argument(
+        "--decimal", type=_digit_count, metavar="K", help="also print K >= 0 decimal digits"
+    )
     p.add_argument("--cache", help="cache file path")
     p.set_defaults(func=cmd_compute)
 
@@ -420,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence,comp,binom,trudi,det,descent,descent-nested,convolution",
         help="comma-separated route names (at least two)",
     )
-    p.add_argument("--parallel", type=int, default=1, help="worker threads")
     p.add_argument("--cache", help="cache file path")
     p.add_argument(
         "--inject-fault",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -111,31 +110,20 @@ def multinomial(parts: Sequence[int]) -> int:
     return out
 
 
-_STIRLING_ROWS: list[list[int]] = [[1]]  # row n holds values for k = 0..n
-_STIRLING_LOCK = threading.Lock()  # growth must not interleave across threads
-
-
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (n-permutations with k cycles).
 
-    Built from the triangular recurrence ``s(n+1, k) = s(n, k-1) + n s(n, k)``
-    with ``s(0, 0) = 1``; the row table is cached across calls.
+    Built row by row from the triangular recurrence
+    ``s(m+1, j) = s(m, j-1) + m s(m, j)`` with ``s(0, 0) = 1``.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    if len(_STIRLING_ROWS) <= n:
-        with _STIRLING_LOCK:
-            while len(_STIRLING_ROWS) <= n:
-                m = len(_STIRLING_ROWS) - 1
-                prev = _STIRLING_ROWS[-1]
-                row = []
-                for j in range(m + 2):
-                    val = prev[j - 1] if 1 <= j <= m + 1 else 0
-                    if j <= m:
-                        val += m * prev[j]
-                    row.append(val)
-                _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][k] if k <= n else 0
+    if k > n:
+        return 0
+    row = [1]  # s(m, j) for j = 0..m
+    for m in range(n):
+        row = [left + m * here for left, here in zip([0, *row], [*row, 0])]
+    return row[k]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ reference oracle: every alternative route in :mod:`altforms`,
 
 Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
-``Fraction``.  For r >= 2 the r-fold weight row is rebuilt, by r - 1 Cauchy
-products, by every call that has to compute a value; a ``table`` of order
-r >= 2 pays that once per cache miss.  ``recurrence_residual`` re-evaluates
-the relations with one ``Fraction`` operation per term, as a check on that
-integer inner loop (for r >= 2 it reads the same weight row).
+``Fraction``.  For r >= 2 the recurrence weights come from ``weight_row``, the
+package's one copy of the r-fold weight row (r - 1 Cauchy products), which
+the determinant route in :mod:`hessenberg` reads too; it is rebuilt by every
+call that has to compute a value, so a ``table`` of order r >= 2 pays that
+once per cache miss.  ``recurrence_residual`` re-evaluates the relations with
+one ``Fraction`` operation per term, as a check on that integer inner loop
+(for r >= 2 it reads the same weight row).
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -45,7 +46,7 @@ __all__ = [
     "HBKey",
     "Series",
     "MemoStore",
-    "default_store",
+    "weight_row",
     "hb",
     "classical",
     "signed_variant",
@@ -96,15 +97,11 @@ class MemoStore:
 
     File records are whitespace-separated lines ``N r n num/den`` in any
     order; duplicate keys must carry identical values or loading fails.
-    Reads are plain dict lookups and need no lock; writes are serialized,
-    and since values are immutable Fractions a concurrent reader always
-    sees either the old or the new complete entry.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._values: dict[HBKey, Fraction] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -116,8 +113,7 @@ class MemoStore:
         return self._values.get(key)
 
     def put(self, key: HBKey, value: Fraction) -> None:
-        with self._lock:
-            self._values[key] = value
+        self._values[key] = value
 
     def items(self) -> list[tuple[HBKey, Fraction]]:
         return sorted(self._values.items())
@@ -150,8 +146,7 @@ class MemoStore:
                         "with conflicting values"
                     )
                 loaded[key] = value
-        with self._lock:
-            self._values.update(loaded)
+        self._values.update(loaded)
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
         return len(loaded)
 
@@ -194,16 +189,11 @@ class MemoStore:
         return chosen
 
 
-_DEFAULT_STORE = MemoStore()
+_DEFAULT_STORE = MemoStore()  # used when no explicit store is passed
 
 
-def default_store() -> MemoStore:
-    """The module-wide in-memory store used when no explicit store is passed."""
-    return _DEFAULT_STORE
-
-
-def _weight_row(N: int, r: int, upto: int) -> list[Fraction]:
-    """Recurrence weights: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
+def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
+    """Weights for e = 0..upto: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
     over nonnegative r-part compositions of e, computed as an r-fold Cauchy
     power of 1/((N+1)...(N+j)) so huge N stays factorial-free."""
     base = [Fraction(1, rising(N + 1, j)) for j in range(upto + 1)]
@@ -248,7 +238,7 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                     # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
                     # and m!/k! = falling(m, m-k), the running product m(m-1)...
                     if weights is None:
-                        weights = CommonDenominator(_weight_row(N, r, n))
+                        weights = CommonDenominator(weight_row(N, r, n))
                     falls = accumulate(range(m, 0, -1), mul)
                     terms = map(mul, map(mul, reversed(known.nums), falls), weights.nums[1:])
                     value = Fraction(-sum(terms), known.den * weights.den)
@@ -325,7 +315,7 @@ def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) 
         for m in range(n + 1):
             acc += binom(N + n, m) * row[m]
         return acc
-    weights = _weight_row(N, r, n)
+    weights = weight_row(N, r, n)
     acc = Fraction(0)
     for m in range(n + 1):
         acc += row[m] * weights[n - m] / factorial(m)

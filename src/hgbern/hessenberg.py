@@ -15,8 +15,9 @@ partition sum (Trudi's formula; a0 = 1 is Brioschi's case), and
 ``inversion_pair_check`` verifies the duality under which a sequence and its
 determinant transform swap roles.
 
-``hb_det`` / ``hb_higher_det`` specialize the entries to recover the
-hypergeometric Bernoulli numbers by a determinant route.
+``hb_higher_det`` specializes the entries to the r-fold weight row of
+:func:`hbnum.weight_row` to recover the hypergeometric Bernoulli numbers by a
+determinant route; ``hb_det`` is its r = 1 case.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from math import factorial
 from operator import mul
 from typing import Sequence
 
-from .exactnum import (
-    CommonDenominator,
-    cauchy_product,
-    enumerate_partition_vectors,
-    multinomial,
-    rising,
-)
+from .exactnum import CommonDenominator, enumerate_partition_vectors, multinomial
+from .hbnum import weight_row
 
 __all__ = [
     "ToeplitzHessenbergSpec",
@@ -110,31 +106,17 @@ def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:
     return total
 
 
-def _entry_row(N: int, r: int, upto: int) -> list[Fraction]:
-    """Toeplitz entries for the order-r determinant: the r-fold Cauchy power
-    of 1/((N+1)...(N+j))."""
-    base = [Fraction(1, rising(N + 1, j)) for j in range(upto + 1)]
-    row = base
-    for _ in range(r - 1):
-        row = cauchy_product(row, base)
-    return row
-
-
 def hb_det(N: int, n: int) -> Fraction:
     """Hypergeometric Bernoulli number as (-1)^n n! times the determinant with
     entries a_l = 1/((N+1)...(N+l)) and unit superdiagonal."""
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
-    entries = tuple(Fraction(1, rising(N + 1, l)) for l in range(1, n + 1))
-    det = toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), entries))
-    return (-1) ** n * factorial(n) * det
+    return hb_higher_det(N, 1, n)
 
 
 def hb_higher_det(N: int, r: int, n: int) -> Fraction:
     """Order-r determinant route; the entries become the r-fold convolution weights."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
-    row = _entry_row(N, r, n)
+    row = weight_row(N, r, n)
     det = toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(row[1:])))
     return (-1) ** n * factorial(n) * det
 

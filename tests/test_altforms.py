@@ -13,12 +13,11 @@ from hgbern.altforms import (
     hb_higher_explicit,
     hb_trudi,
     mr,
-    mr_table,
     reciprocal_binom_inverse,
     recover_mr_det,
 )
 from hgbern.exactnum import binom, rising
-from hgbern.hbnum import classical, hb, hb_higher
+from hgbern.hbnum import classical, hb, hb_higher, weight_row
 from oracles import weak_composition_weight_sum
 
 
@@ -30,11 +29,11 @@ def test_mr_values():
             assert mr(N, 1, e) == Fraction(1, rising(N + 1, e))
 
 
-def test_mr_table_matches_literal_enumeration():
+def test_weight_row_matches_literal_enumeration():
     for N in (1, 2, 4):
         for r in (1, 2, 3):
-            table = mr_table(N, r, 8)
-            assert table[0] == 1
+            table = weight_row(N, r, 8)
+            assert len(table) == 9 and table[0] == 1
             for e in range(9):
                 assert table[e] == mr(N, r, e)
 

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from hgbern import cli
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, SweepConfig, main
 from hgbern.exactnum import parse_rational
 from hgbern.hbnum import hb_higher
@@ -41,6 +43,14 @@ def test_compute_decimal_display(capsys):
     assert out.strip().startswith("-1/270 ≈ -0.003703")
 
 
+@pytest.mark.parametrize("digits", ["-2", "x"])
+def test_compute_decimal_rejects_bad_digit_count(digits, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-N", "2", "-n", "4", "--decimal", digits])
+    assert exc.value.code == EXIT_USAGE
+    assert "expected an integer K >= 0" in capsys.readouterr().err
+
+
 def test_compute_exit_codes(capsys):
     code, _, err = run(capsys, "compute", "-N", "0", "-n", "3")
     assert code == EXIT_USAGE and "N must be >= 1" in err
@@ -48,6 +58,15 @@ def test_compute_exit_codes(capsys):
     assert code == EXIT_ROUTE and "requires N >= 2" in err
     code, _, err = run(capsys, "compute", "-N", "2", "-n", "3", "-r", "2", "--route", "comp")
     assert code == EXIT_ROUTE and "requires r = 1" in err
+    # the domain is checked in the order r, N, n
+    code, _, err = run(
+        capsys, "compute", "-N", "1", "-n", "0", "-r", "2", "--route", "descent"
+    )
+    assert code == EXIT_ROUTE and err == "error: route 'descent' requires r = 1\n"
+    code, _, err = run(capsys, "compute", "-N", "1", "-n", "0", "--route", "descent-nested")
+    assert code == EXIT_ROUTE and err == "error: route 'descent-nested' requires N >= 2\n"
+    code, _, err = run(capsys, "compute", "-N", "1", "-n", "0", "--route", "det")
+    assert code == EXIT_ROUTE and err == "error: route 'det' requires n >= 1\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -104,12 +123,6 @@ def test_verify_small_sweep(capsys):
     assert code == EXIT_OK and out.startswith("OK:")
 
 
-def test_verify_parallel_matches_serial(capsys):
-    serial = run(capsys, "verify", "-N", "1..2", "-r", "1", "-n", "0..5")
-    parallel = run(capsys, "verify", "-N", "1..2", "-r", "1", "-n", "0..5", "--parallel", "4")
-    assert serial == parallel
-
-
 def test_verify_determinant_route_deep(capsys):
     # the two O(n^2) routes support a deeper sweep than the exponential ones
     code, out, _ = run(
@@ -141,6 +154,49 @@ def test_verify_locates_injected_fault(capsys):
     assert "MISMATCH at N=2 r=1 n=3" in out
 
 
+def test_verify_reports_every_mismatch(capsys):
+    # a corrupted cache entry feeds the reference route and the routes that
+    # read the store, so several comparisons fail; each gets its own line
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "-N", "2", "-r", "1", "-n", "0..4", "--routes", "recurrence,comp,descent",
+        "--inject-fault", "2,1,3",
+    )
+    assert code == EXIT_VERIFY
+    lines = out.splitlines()
+    assert len(lines) > 1 and all(line.startswith("MISMATCH at N=2 r=1 n=") for line in lines)
+    assert lines[0] == "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, comp = 1/90"
+
+
+@pytest.mark.parametrize("route", sorted(cli.ROUTES))
+def test_verify_names_the_faulty_route_and_point(route, capsys, monkeypatch):
+    entry = cli.ROUTES[route]
+
+    def faulty(N, r, n, store):
+        value = entry.compute(N, r, n, store)
+        return value + 1 if (N, r, n) == (2, 1, 3) else value
+
+    monkeypatch.setitem(cli.ROUTES, route, dataclasses.replace(entry, compute=faulty))
+    code, out, _ = run(capsys, "verify", "-N", "1..3", "-r", "1", "-n", "0..5")
+    assert code == EXIT_VERIFY
+    lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+    assert lines
+    for line in lines:
+        point, _, sides = line.partition(": ")
+        assert point == "MISMATCH at N=2 r=1 n=3"
+        assert route in [side.split(" = ")[0] for side in sides.split(", ")]
+
+
+def test_verify_rejects_vacuous_sweeps(capsys):
+    code, out, err = run(capsys, "verify", "--routes", "det,det")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: routes listed more than once: det\n"
+    code, out, err = run(capsys, "verify", "-N", "1", "-r", "2", "--routes", "comp,descent")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: no grid point has two applicable routes: nothing to compare\n"
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig((), (1,), (1,), ("recurrence", "det"))
@@ -148,6 +204,11 @@ def test_sweep_config_validation():
         SweepConfig((1,), (1,), (1,), ("recurrence",))
     with pytest.raises(ValueError):
         SweepConfig((1,), (1,), (1,), ("recurrence", "nonsense"))
+    with pytest.raises(ValueError, match="more than once"):
+        SweepConfig((1,), (1,), (1,), ("recurrence", "det", "recurrence"))
+    # n = 0 leaves det outside its domain, so nothing is compared
+    with pytest.raises(ValueError, match="two applicable routes"):
+        SweepConfig((0,), (1,), (1, 2), ("recurrence", "det"))
 
 
 def test_congruence_hb_kummer(capsys):
