@@ -11,13 +11,22 @@ exponential in n; they are verification tools, not bulk-table producers.
 ``mr`` evaluates the convolution weights by that literal enumeration, so the
 Trudi and order-r explicit routes share no weight row with the oracle
 (:func:`hbnum.weight_row` builds the row by Cauchy products instead).
+
+The witnesses ``mr``, ``hb_explicit_comp``, ``hb_trudi`` and
+``hb_descent_nested`` still visit every composition, partition vector and
+chain, but each term is a product of plain ints over one denominator known
+per call: the terms are summed as integers, grouped by part count or chain
+length, and each group is reduced once into a ``Fraction``.  The common
+denominators are computed here with ``math.lcm``, not with the oracle's
+helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm, prod
 
 from .exactnum import (
     CompositionSpec,
@@ -50,41 +59,46 @@ class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
 
 
+def _reciprocal_rising_numerators(N: int, n: int) -> tuple[int, list[int]]:
+    """``(D, c)`` with ``D = (N+1)...(N+n)`` and ``c[i] / D = 1/((N+1)...(N+i))``
+    for ``i <= n``: every shorter rising product divides ``D``."""
+    den = rising(N + 1, n)
+    return den, [den // rising(N + 1, i) for i in range(n + 1)]
+
+
 def mr(N: int, r: int, e: int) -> Fraction:
     """Convolution weight by literal enumeration of its composition sum.
 
     Every factor (N!)/(N+i)! is evaluated as 1/((N+1)...(N+i)) so the sum
-    stays factorial-free.
+    stays factorial-free.  Over D = (N+1)...(N+e) each factor is the integer
+    c[i] / D, so every composition adds an integer product over D^r.
     """
     if N < 1 or r < 1:
         raise ValueError("N and r must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    recip = [Fraction(1, rising(N + 1, i)) for i in range(e + 1)]
-    total = Fraction(0)
+    den, scaled = _reciprocal_rising_numerators(N, e)
+    total = 0
     for comp in enumerate_compositions(CompositionSpec(e, r, 0)):
-        term = Fraction(1)
-        for i in comp:
-            if i:
-                term *= recip[i]
-        total += term
-    return total
+        total += prod(map(scaled.__getitem__, comp))
+    return Fraction(total, den**r)
 
 
 def hb_explicit_comp(N: int, n: int) -> Fraction:
     """Explicit route: n! sum over positive compositions i_1+...+i_k = n of
-    (-1)^k / prod_j ((N+1)...(N+i_j))."""
+    (-1)^k / prod_j ((N+1)...(N+i_j)).
+
+    The k-part terms are integer products over D^k, D = (N+1)...(N+n); they
+    are summed as integers and reduced once per k."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    recip = [Fraction(1, rising(N + 1, i)) for i in range(n + 1)]
+    den, scaled = _reciprocal_rising_numerators(N, n)
     total = Fraction(0)
     for k in range(1, n + 1):
-        sign = (-1) ** k
+        group = 0
         for comp in enumerate_compositions(CompositionSpec(n, k, 1)):
-            term = Fraction(sign)
-            for i in comp:
-                term *= recip[i]
-            total += term
+            group += prod(map(scaled.__getitem__, comp))
+        total += Fraction((-1) ** k * group, den**k)
     return factorial(n) * total
 
 
@@ -188,38 +202,62 @@ def hb_descent_step(N: int, n: int, store: MemoStore | None = None) -> Fraction:
 
 def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fraction:
     """Fully unrolled descent: expresses the value through parameter N-1 only,
-    summing over strictly decreasing index chains n = i_0 > i_1 > ... > i_m >= 1."""
+    summing over strictly decreasing index chains n = i_0 > i_1 > ... > i_m >= 1.
+
+    A chain's term is prev[i_m] times one factor per link; over the common
+    denominators of the parameter-(N-1) values and of the N/(N+i) both are
+    integers, so each chain is an integer product and the chains of one
+    length m are summed as integers and reduced once."""
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
     prev = [hb(N - 1, i, store) for i in range(n + 1)]
+    # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
+    # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
+    P = reduce(lcm, (v.denominator for v in prev), 1)
+    p = [v.numerator * (P // v.denominator) for v in prev]
+    L = reduce(lcm, range(N + 1, N + n), 1)
+    f = [
+        [0, *(p[a - b + 1] * binom(a, a - b + 1) * N * (L // (N + b)) for b in range(1, a))]
+        for a in range(n + 1)
+    ]
     total = Fraction(0)
     for m in range(n):
-        for chain in combinations(range(1, n), m):
-            idx = (n,) + tuple(reversed(chain))
-            term = prev[idx[m]]
-            for k in range(1, m + 1):
-                step = idx[k - 1] - idx[k] + 1
-                term *= prev[step] * binom(idx[k - 1], step) * Fraction(N, N + idx[k])
-            total += term
+        group = 0
+        for chain in combinations(range(n - 1, 0, -1), m):
+            term, a = 1, n
+            for b in chain:
+                term *= f[a][b]
+                a = b
+            group += term * p[a]
+        total += Fraction(group, P ** (m + 1) * L**m)
     return Fraction(N, N + n) * total
 
 
 def hb_trudi(N: int, r: int, n: int) -> Fraction:
     """Partition-sum route: n! sum over multiplicity vectors of n of
     multinomial(t) (-1)^{sum t} prod_i weight(i)^{t_i}, with the weights
-    evaluated by their literal composition sums."""
+    evaluated by their literal composition sums.
+
+    Over the lcm W of the weights' denominators a vector with k parts is an
+    integer over W^k; the vectors are summed as integers per k."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
     weights = [mr(N, r, e) for e in range(n + 1)]
-    total = Fraction(0)
+    # weights[i] = w[i] / W; a term with k parts lies over W^k
+    W = reduce(lcm, (v.denominator for v in weights), 1)
+    w = [v.numerator * (W // v.denominator) for v in weights]
+    groups = [0] * (n + 1)
     for vec in enumerate_partition_vectors(n):
-        term = Fraction(multinomial(vec.multiplicities) * (-1) ** vec.part_count)
+        term = multinomial(vec.multiplicities)
         for i, t in enumerate(vec.multiplicities, start=1):
             if t:
-                term *= weights[i] ** t
-        total += term
+                term *= w[i] ** t
+        groups[vec.part_count] += term
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += Fraction((-1) ** k * groups[k], W**k)
     return factorial(n) * total
 
 

@@ -7,7 +7,9 @@ and ``cache-audit`` (full recomputation of a cache file).
 
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a
-``verify`` sweep compares at each grid point.  A sweep prints one
+``verify`` sweep compares at each grid point.  The exponential witnesses
+``comp``, ``trudi`` and ``descent-nested`` declare a largest n as part of
+their domain.  A sweep prints one
 ``MISMATCH`` line per failing comparison.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
@@ -50,12 +52,15 @@ class Route:
 
     ``compute`` looks its target up through the module at call time, so a
     module-level rebinding (a tracer or a test double) reaches every call.
+    ``max_n`` bounds an exponential route at the n where one call takes
+    about ten seconds (see README), so it refuses what it cannot finish.
     """
 
     compute: Callable[[int, int, int, MemoStore], Fraction]
     r_one_only: bool = False
     min_N: int = 0
     min_n: int = 0
+    max_n: int | None = None
 
     def violation(self, N: int, r: int, n: int) -> str | None:
         """Why (N, r, n) is outside the domain, checked in the order r, N, n."""
@@ -65,18 +70,21 @@ class Route:
             return f"requires N >= {self.min_N}"
         if n < self.min_n:
             return f"requires n >= {self.min_n}"
+        if self.max_n is not None and n > self.max_n:
+            return f"requires n <= {self.max_n}"
         return None
 
 
 ROUTES = {
     "recurrence": Route(lambda N, r, n, store: hbnum.hb_higher(N, r, n, store)),
     "comp": Route(
-        lambda N, r, n, store: altforms.hb_explicit_comp(N, n), r_one_only=True, min_n=1
+        lambda N, r, n, store: altforms.hb_explicit_comp(N, n),
+        r_one_only=True, min_n=1, max_n=22,
     ),
     "binom": Route(
         lambda N, r, n, store: altforms.hb_explicit_binom(N, n), r_one_only=True, min_n=1
     ),
-    "trudi": Route(lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1),
+    "trudi": Route(lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1, max_n=52),
     "det": Route(lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n), min_n=1),
     "descent": Route(
         lambda N, r, n, store: altforms.hb_descent_step(N, n, store),
@@ -84,7 +92,7 @@ ROUTES = {
     ),
     "descent-nested": Route(
         lambda N, r, n, store: altforms.hb_descent_nested(N, n, store),
-        r_one_only=True, min_N=2, min_n=1,
+        r_one_only=True, min_N=2, min_n=1, max_n=22,
     ),
     "convolution": Route(
         lambda N, r, n, store: altforms.hb_higher_convolution(N, r, n, store)

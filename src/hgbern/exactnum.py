@@ -22,7 +22,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import combinations, combinations_with_replacement
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -152,18 +153,26 @@ class CompositionSpec:
 
 
 def enumerate_compositions(spec: CompositionSpec) -> Iterator[tuple[int, ...]]:
-    """Yield the compositions of ``spec`` in lexicographic order."""
+    """Yield the compositions of ``spec`` in lexicographic order.
 
-    def rec(remaining: int, parts_left: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if parts_left == 1:
-            if remaining >= spec.min_part:
-                yield prefix + (remaining,)
-            return
-        hi = remaining - spec.min_part * (parts_left - 1)
-        for head in range(spec.min_part, hi + 1):
-            yield from rec(remaining - head, parts_left - 1, prefix + (head,))
-
-    yield from rec(spec.total, spec.parts, ())
+    Stars and bars: the partial sums ``c_1 <= ... <= c_{parts-1}`` of a
+    composition determine it, and they run through ``combinations`` (strictly
+    increasing, parts >= 1) or ``combinations_with_replacement`` (weakly
+    increasing, parts >= 0) in lexicographic order, which the map from
+    partial sums to parts preserves.
+    """
+    total = spec.total
+    if total < spec.min_part * spec.parts:
+        return
+    if spec.min_part:
+        cuts_seq = combinations(range(1, total), spec.parts - 1)
+    else:
+        cuts_seq = combinations_with_replacement(range(total + 1), spec.parts - 1)
+    head, tail = (0,), (total,)
+    for cuts in cuts_seq:
+        # (*...,) sizes the tuple exactly; tuple(map(...)) would resize a
+        # 10-slot tuple, stranding one per item on the per-size free lists
+        yield (*map(sub, cuts + tail, head + cuts),)
 
 
 @dataclass(frozen=True)
@@ -196,18 +205,24 @@ def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
     """Yield every multiplicity vector of weight m, lexicographically by (t_1, t_2, ...)."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    yield from _partition_vectors(m, 1, m, [])
 
-    def rec(part: int, remaining: int, acc: list[int]) -> Iterator[PartitionVector]:
-        if part > m:
-            if remaining == 0:
-                yield PartitionVector(tuple(acc))
-            return
-        for t in range(remaining // part + 1):
-            acc.append(t)
-            yield from rec(part + 1, remaining - part * t, acc)
-            acc.pop()
 
-    yield from rec(1, m, [])
+def _partition_vectors(
+    m: int, part: int, remaining: int, acc: list[int]
+) -> Iterator[PartitionVector]:
+    """Completions of the multiplicities ``acc`` of parts 1..part-1, with
+    ``remaining`` left for parts part..m.  (A module-level function: a nested
+    recursive one would be a reference cycle left to the garbage collector.)"""
+    if remaining == 0:
+        yield PartitionVector((*acc, *(0,) * (m + 1 - part)))
+        return
+    if remaining < part:
+        return  # parts of size >= part cannot add up to remaining
+    for t in range(remaining // part + 1):
+        acc.append(t)
+        yield from _partition_vectors(m, part + 1, remaining - part * t, acc)
+        acc.pop()
 
 
 class CommonDenominator:

@@ -51,7 +51,9 @@ class ToeplitzHessenbergSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a0", Fraction(self.a0))
-        object.__setattr__(self, "entries", tuple(Fraction(a) for a in self.entries))
+        # from a list, so the tuple is sized once: tuple(generator) resizes a
+        # 10-slot tuple and strands one per call on the per-size free lists
+        object.__setattr__(self, "entries", tuple([Fraction(a) for a in self.entries]))
 
     @property
     def dimension(self) -> int:

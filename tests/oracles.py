@@ -3,13 +3,17 @@
 Everything here is deliberately written without touching the package's own
 algorithms: determinants by Laplace expansion, composition sets by filtered
 cartesian products, partition counts by coin-style DP, classical Bernoulli
-numbers by the Akiyama-Tanigawa scheme.  Slow on purpose; keep sizes small.
+numbers by the Akiyama-Tanigawa scheme.  The ``naive_*`` references of the
+witness routes multiply one ``Fraction`` per factor over index sets built
+here (cut-point bitmasks, filtered products), not by the package's
+enumerators.  Slow on purpose; keep sizes small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb, factorial
 from typing import Sequence
 
 
@@ -100,3 +104,74 @@ def naive_toeplitz_hessenberg_det(a0: Fraction, entries: Sequence[Fraction]) -> 
             acc += (-Fraction(a0)) ** (l - 1) * Fraction(entries[l - 1]) * d[k - l]
         d.append(acc)
     return d[-1]
+
+
+def _reciprocal_rising(N: int, n: int) -> list[Fraction]:
+    """1/((N+1)...(N+i)) for i = 0..n, one Fraction each."""
+    out = [Fraction(1)]
+    for i in range(1, n + 1):
+        out.append(out[-1] / (N + i))
+    return out
+
+
+def naive_mr(N: int, r: int, e: int) -> Fraction:
+    """Convolution weight: sum over weak r-part compositions of e of
+    prod 1/((N+1)...(N+i_j)), one Fraction operation per factor."""
+    recip = _reciprocal_rising(N, e)
+    total = Fraction(0)
+    for comp in brute_compositions(e, r, 0):
+        term = Fraction(1)
+        for i in comp:
+            term *= recip[i]
+        total += term
+    return total
+
+
+def naive_hb_explicit_comp(N: int, n: int) -> Fraction:
+    """n! sum over positive compositions of n of (-1)^k / prod ((N+1)...(N+i_j)),
+    one Fraction operation per factor."""
+    recip = _reciprocal_rising(N, n)
+    total = Fraction(0)
+    # bit j of mask set: a part ends after the (j+1)-th unit
+    for mask in range(2 ** (n - 1)):
+        cuts = [0] + [j + 1 for j in range(n - 1) if mask >> j & 1] + [n]
+        term = Fraction((-1) ** (len(cuts) - 1))
+        for lo, hi in zip(cuts, cuts[1:]):
+            term *= recip[hi - lo]
+        total += term
+    return factorial(n) * total
+
+
+def naive_hb_trudi(N: int, r: int, n: int) -> Fraction:
+    """n! sum over multiplicity vectors t of n of multinomial(t) (-1)^{sum t}
+    prod naive_mr(N, r, i)^{t_i}, one Fraction operation per factor."""
+    weights = [naive_mr(N, r, e) for e in range(n + 1)]
+    total = Fraction(0)
+    for vec in product(*(range(n // i + 1) for i in range(1, n + 1))):
+        if sum(i * t for i, t in enumerate(vec, start=1)) != n:
+            continue
+        multinomial = factorial(sum(vec))
+        for t in vec:
+            multinomial //= factorial(t)
+        term = Fraction((-1) ** sum(vec) * multinomial)
+        for i, t in enumerate(vec, start=1):
+            term *= weights[i] ** t
+        total += term
+    return factorial(n) * total
+
+
+def naive_hb_descent_nested(prev: Sequence[Fraction], N: int, n: int) -> Fraction:
+    """Unrolled descent from the parameter-(N-1) values prev[0..n]: sum over
+    chains n = i_0 > i_1 > ... > i_m >= 1 of prev[i_m] prod_k prev[s_k]
+    binom(i_{k-1}, s_k) N/(N+i_k), s_k = i_{k-1} - i_k + 1, times N/(N+n);
+    one Fraction operation per factor."""
+    total = Fraction(0)
+    for m in range(n):
+        for chain in combinations(range(1, n), m):
+            idx = (n,) + tuple(reversed(chain))
+            term = Fraction(prev[idx[m]])
+            for k in range(1, m + 1):
+                step = idx[k - 1] - idx[k] + 1
+                term *= prev[step] * comb(idx[k - 1], step) * Fraction(N, N + idx[k])
+            total += term
+    return Fraction(N, N + n) * total

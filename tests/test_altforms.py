@@ -18,7 +18,13 @@ from hgbern.altforms import (
 )
 from hgbern.exactnum import binom, rising
 from hgbern.hbnum import classical, hb, hb_higher, weight_row
-from oracles import weak_composition_weight_sum
+from oracles import (
+    naive_hb_descent_nested,
+    naive_hb_explicit_comp,
+    naive_hb_trudi,
+    naive_mr,
+    weak_composition_weight_sum,
+)
 
 
 def test_mr_values():
@@ -164,3 +170,47 @@ def test_validation():
         hb_trudi(1, 1, 0)
     with pytest.raises(ValueError):
         hb_higher_explicit(1, 1, 0)
+
+
+# The witness routes sum integer numerators over one denominator per call and
+# build one Fraction per group; the naive references multiply Fractions term
+# by term over the same index sets.
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 4))
+def test_mr_matches_per_term_fraction_loop(N):
+    for r in (1, 2, 3):
+        for e in range(11):
+            assert mr(N, r, e) == naive_mr(N, r, e)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 4))
+def test_explicit_comp_matches_per_term_fraction_loop(N):
+    for n in range(1, 11):
+        assert hb_explicit_comp(N, n) == naive_hb_explicit_comp(N, n)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 4))
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_trudi_matches_per_term_fraction_loop(N, r):
+    for n in range(1, 11):
+        assert hb_trudi(N, r, n) == naive_hb_trudi(N, r, n)
+
+
+@pytest.mark.parametrize("N", (2, 3, 4))
+def test_descent_nested_matches_per_term_fraction_loop(N):
+    prev = [hb(N - 1, i) for i in range(11)]
+    for n in range(1, 11):
+        assert hb_descent_nested(N, n) == naive_hb_descent_nested(prev, N, n)
+
+
+def test_witness_routes_at_n_one():
+    # one composition, one partition vector, one chain: the bare first weight
+    for N in range(1, 6):
+        assert hb_explicit_comp(N, 1) == Fraction(-1, N + 1) == naive_hb_explicit_comp(N, 1)
+        for r in (1, 2, 3):
+            assert hb_trudi(N, r, 1) == -mr(N, r, 1) == naive_hb_trudi(N, r, 1)
+            assert mr(N, r, 1) == Fraction(r, N + 1)
+        if N >= 2:
+            prev = [hb(N - 1, i) for i in range(2)]
+            assert hb_descent_nested(N, 1) == hb(N, 1) == naive_hb_descent_nested(prev, N, 1)

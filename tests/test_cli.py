@@ -67,6 +67,13 @@ def test_compute_exit_codes(capsys):
     assert code == EXIT_ROUTE and err == "error: route 'descent-nested' requires N >= 2\n"
     code, _, err = run(capsys, "compute", "-N", "1", "-n", "0", "--route", "det")
     assert code == EXIT_ROUTE and err == "error: route 'det' requires n >= 1\n"
+    # the exponential witnesses refuse n beyond their measured limits
+    code, _, err = run(capsys, "compute", "-N", "2", "-n", "23", "--route", "comp")
+    assert code == EXIT_ROUTE and err == "error: route 'comp' requires n <= 22\n"
+    code, _, err = run(capsys, "compute", "-N", "2", "-n", "23", "--route", "descent-nested")
+    assert code == EXIT_ROUTE and err == "error: route 'descent-nested' requires n <= 22\n"
+    code, _, err = run(capsys, "compute", "-N", "1", "-n", "53", "-r", "2", "--route", "trudi")
+    assert code == EXIT_ROUTE and err == "error: route 'trudi' requires n <= 52\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -209,6 +216,15 @@ def test_sweep_config_validation():
     # n = 0 leaves det outside its domain, so nothing is compared
     with pytest.raises(ValueError, match="two applicable routes"):
         SweepConfig((0,), (1,), (1, 2), ("recurrence", "det"))
+
+
+def test_sweep_skips_exponential_routes_beyond_their_limits():
+    config = SweepConfig((22, 23), (1,), (2,), ("recurrence", "comp", "descent-nested"))
+    assert config.applicable(2, 1, 22) == ["recurrence", "comp", "descent-nested"]
+    assert config.applicable(2, 1, 23) == ["recurrence"]
+    config = SweepConfig((52, 53), (3,), (5,), ("recurrence", "trudi"))
+    assert config.applicable(5, 3, 52) == ["recurrence", "trudi"]
+    assert config.applicable(5, 3, 53) == ["recurrence"]
 
 
 def test_congruence_hb_kummer(capsys):
