@@ -12,13 +12,11 @@ exponential in n; they are verification tools, not bulk-table producers.
 Trudi and order-r explicit routes share no weight row with the oracle
 (:func:`hbnum.weight_row` builds the row by Cauchy products instead).
 
-The witnesses ``mr``, ``hb_explicit_comp``, ``hb_trudi`` and
-``hb_descent_nested`` still visit every composition, partition vector and
-chain, but each term is a product of plain ints over one denominator known
-per call: the terms are summed as integers, grouped by part count or chain
-length, and each group is reduced once into a ``Fraction``.  The common
-denominators are computed here with ``math.lcm``, not with the oracle's
-helpers.
+Every composition, partition, chain and convolution sum is computed in
+integers: its terms are integer numerators over one common denominator (an
+lcm computed here with ``math.lcm``, not with the oracle's helpers), summed
+per group -- part count, chain length or convolution power -- and each group
+is reduced once into a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,19 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .exactnum import (
     CompositionSpec,
     binom,
     cauchy_product,
     enumerate_compositions,
-    enumerate_partition_vectors,
-    multinomial,
     rising,
 )
 from .hbnum import MemoStore, hb, hb_higher
-from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det
+from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
     "RoutePreconditionError",
@@ -59,11 +55,16 @@ class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
 
 
-def _reciprocal_rising_numerators(N: int, n: int) -> tuple[int, list[int]]:
-    """``(D, c)`` with ``D = (N+1)...(N+n)`` and ``c[i] / D = 1/((N+1)...(N+i))``
-    for ``i <= n``: every shorter rising product divides ``D``."""
-    den = rising(N + 1, n)
-    return den, [den // rising(N + 1, i) for i in range(n + 1)]
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    """``(L, nums)`` with ``values[i] = nums[i] / L``, L the lcm of the denominators."""
+    L = reduce(lcm, (v.denominator for v in values), 1)
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
+    """``c[m] = sum_j binom(m, j) a[m-j] b[j]`` for ``m < len(a)``: the
+    multinomial sum over compositions, grouped by the last part j."""
+    return [sum(comb(m, j) * a[m - j] * b[j] for j in range(m + 1)) for m in range(len(a))]
 
 
 def mr(N: int, r: int, e: int) -> Fraction:
@@ -77,7 +78,8 @@ def mr(N: int, r: int, e: int) -> Fraction:
         raise ValueError("N and r must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    den, scaled = _reciprocal_rising_numerators(N, e)
+    den = rising(N + 1, e)
+    scaled = [den // rising(N + 1, i) for i in range(e + 1)]
     total = 0
     for comp in enumerate_compositions(CompositionSpec(e, r, 0)):
         total += prod(map(scaled.__getitem__, comp))
@@ -86,20 +88,10 @@ def mr(N: int, r: int, e: int) -> Fraction:
 
 def hb_explicit_comp(N: int, n: int) -> Fraction:
     """Explicit route: n! sum over positive compositions i_1+...+i_k = n of
-    (-1)^k / prod_j ((N+1)...(N+i_j)).
-
-    The k-part terms are integer products over D^k, D = (N+1)...(N+n); they
-    are summed as integers and reduced once per k."""
+    (-1)^k / prod_j ((N+1)...(N+i_j)), the order-r explicit route at r = 1."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    den, scaled = _reciprocal_rising_numerators(N, n)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        group = 0
-        for comp in enumerate_compositions(CompositionSpec(n, k, 1)):
-            group += prod(map(scaled.__getitem__, comp))
-        total += Fraction((-1) ** k * group, den**k)
-    return factorial(n) * total
+    return hb_higher_explicit(N, 1, n)
 
 
 def hb_explicit_binom(N: int, n: int) -> Fraction:
@@ -132,55 +124,53 @@ def reciprocal_binom_inverse(N: int, n: int, store: MemoStore | None = None) -> 
     which collapses to 1 / binom(N+n, N)."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    values = [hb(N, i, store) for i in range(n + 1)]
+    P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
+    p[0] = 0  # positive parts only
+    power = p  # k-fold convolution, over P^k
     total = Fraction(0)
     for k in range(1, n + 1):
-        sign = (-1) ** k
-        for comp in enumerate_compositions(CompositionSpec(n, k, 1)):
-            term = Fraction(sign * multinomial(comp))
-            for i in comp:
-                term *= values[i]
-            total += term
+        if k > 1:
+            power = _binomial_convolution(power, p)
+        total += Fraction((-1) ** k * power[n], P**k)
     return total
 
 
 def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
     """Order-r explicit route: n! sum_k (-1)^k over positive compositions of n
     of products of convolution weights, each weight evaluated by its literal
-    composition sum (see ``mr``)."""
+    composition sum (see ``mr``).
+
+    Over the lcm W of the weights' denominators a k-part product is an
+    integer over W^k; the products are summed as integers and reduced once
+    per k."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
-    weights = [mr(N, r, e) for e in range(n + 1)]
+    W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
     total = Fraction(0)
     for k in range(1, n + 1):
-        sign = (-1) ** k
+        group = 0
         for comp in enumerate_compositions(CompositionSpec(n, k, 1)):
-            term = Fraction(sign)
-            for e in comp:
-                term *= weights[e]
-            total += term
+            group += prod(map(w.__getitem__, comp))
+        total += Fraction((-1) ** k * group, W**k)
     return factorial(n) * total
 
 
 def hb_higher_convolution(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
     """Order-r value as the multinomial convolution of r copies of the base
-    sequence: sum over n_1+...+n_r = n of multinomial(n_i) B_{N,n_1}...B_{N,n_r}."""
+    sequence: sum over n_1+...+n_r = n of multinomial(n_i) B_{N,n_1}...B_{N,n_r},
+    taken as r-1 binomial convolutions of the values' numerators over their
+    lcm P, so the result is one integer over P^r."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = [hb(N, i, store) for i in range(n + 1)]
-    if r == 1:
-        return values[n]
-    total = Fraction(0)
-    for comp in enumerate_compositions(CompositionSpec(n, r, 0)):
-        term = Fraction(multinomial(comp))
-        for i in comp:
-            term *= values[i]
-        total += term
-    return total
+    P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
+    power = p
+    for _ in range(r - 1):
+        power = _binomial_convolution(power, p)
+    return Fraction(power[n], P**r)
 
 
 def hb_descent_step(N: int, n: int, store: MemoStore | None = None) -> Fraction:
@@ -212,11 +202,9 @@ def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fractio
         raise RoutePreconditionError("descent requires N >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    prev = [hb(N - 1, i, store) for i in range(n + 1)]
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
     # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
-    P = reduce(lcm, (v.denominator for v in prev), 1)
-    p = [v.numerator * (P // v.denominator) for v in prev]
+    P, p = _over_lcm([hb(N - 1, i, store) for i in range(n + 1)])
     L = reduce(lcm, range(N + 1, N + n), 1)
     f = [
         [0, *(p[a - b + 1] * binom(a, a - b + 1) * N * (L // (N + b)) for b in range(1, a))]
@@ -240,25 +228,13 @@ def hb_trudi(N: int, r: int, n: int) -> Fraction:
     multinomial(t) (-1)^{sum t} prod_i weight(i)^{t_i}, with the weights
     evaluated by their literal composition sums.
 
-    Over the lcm W of the weights' denominators a vector with k parts is an
-    integer over W^k; the vectors are summed as integers per k."""
+    That is (-1)^n n! times Trudi's expansion (:func:`trudi_expand`) of the
+    Toeplitz-Hessenberg determinant with unit superdiagonal and entries
+    weight(1..n)."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
-    weights = [mr(N, r, e) for e in range(n + 1)]
-    # weights[i] = w[i] / W; a term with k parts lies over W^k
-    W = reduce(lcm, (v.denominator for v in weights), 1)
-    w = [v.numerator * (W // v.denominator) for v in weights]
-    groups = [0] * (n + 1)
-    for vec in enumerate_partition_vectors(n):
-        term = multinomial(vec.multiplicities)
-        for i, t in enumerate(vec.multiplicities, start=1):
-            if t:
-                term *= w[i] ** t
-        groups[vec.part_count] += term
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction((-1) ** k * groups[k], W**k)
-    return factorial(n) * total
+    weights = [mr(N, r, e) for e in range(1, n + 1)]
+    return (-1) ** n * factorial(n) * trudi_expand(ToeplitzHessenbergSpec(Fraction(1), weights))
 
 
 def recover_mr_det(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:

@@ -8,8 +8,8 @@ and ``cache-audit`` (full recomputation of a cache file).
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a
 ``verify`` sweep compares at each grid point.  The exponential witnesses
-``comp``, ``trudi`` and ``descent-nested`` declare a largest n as part of
-their domain.  A sweep prints one
+``comp``, ``trudi`` and ``descent-nested`` declare a largest n, given r, as
+part of their domain.  A sweep prints one
 ``MISMATCH`` line per failing comparison.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import inf
+from math import comb, inf
 from typing import Callable
 
 from . import altforms, congruence, contfrac, hbnum, hessenberg
@@ -52,7 +52,7 @@ class Route:
 
     ``compute`` looks its target up through the module at call time, so a
     module-level rebinding (a tracer or a test double) reaches every call.
-    ``max_n`` bounds an exponential route at the n where one call takes
+    ``max_n(r)`` bounds an exponential route at the n where one call takes
     about ten seconds (see README), so it refuses what it cannot finish.
     """
 
@@ -60,7 +60,7 @@ class Route:
     r_one_only: bool = False
     min_N: int = 0
     min_n: int = 0
-    max_n: int | None = None
+    max_n: Callable[[int], int] | None = None
 
     def violation(self, N: int, r: int, n: int) -> str | None:
         """Why (N, r, n) is outside the domain, checked in the order r, N, n."""
@@ -70,21 +70,39 @@ class Route:
             return f"requires N >= {self.min_N}"
         if n < self.min_n:
             return f"requires n >= {self.min_n}"
-        if self.max_n is not None and n > self.max_n:
-            return f"requires n <= {self.max_n}"
+        if self.max_n is not None and n > (limit := self.max_n(r)):
+            return f"requires n <= {limit}"
         return None
+
+
+@functools.cache
+def _trudi_max_n(r: int) -> int:
+    """Largest n <= 52 whose trudi work stays within 5e6 steps: the
+    C(n+r, r) - 1 compositions behind its weights, plus its p(n) partition
+    vectors at 16 steps each.  A step is about 2 us at N = 5 (see README)."""
+    partitions = [1] + [0] * 52  # p(0)..p(52) by coin counting
+    for part in range(1, 53):
+        for total in range(part, 53):
+            partitions[total] += partitions[total - part]
+    r = max(r, 1)  # the route itself rejects r < 1
+    n = 52
+    while n > 0 and comb(n + r, r) + 16 * partitions[n] > 5_000_000:
+        n -= 1
+    return n
 
 
 ROUTES = {
     "recurrence": Route(lambda N, r, n, store: hbnum.hb_higher(N, r, n, store)),
     "comp": Route(
         lambda N, r, n, store: altforms.hb_explicit_comp(N, n),
-        r_one_only=True, min_n=1, max_n=22,
+        r_one_only=True, min_n=1, max_n=lambda r: 22,
     ),
     "binom": Route(
         lambda N, r, n, store: altforms.hb_explicit_binom(N, n), r_one_only=True, min_n=1
     ),
-    "trudi": Route(lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1, max_n=52),
+    "trudi": Route(
+        lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1, max_n=_trudi_max_n
+    ),
     "det": Route(lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n), min_n=1),
     "descent": Route(
         lambda N, r, n, store: altforms.hb_descent_step(N, n, store),
@@ -92,7 +110,7 @@ ROUTES = {
     ),
     "descent-nested": Route(
         lambda N, r, n, store: altforms.hb_descent_nested(N, n, store),
-        r_one_only=True, min_N=2, min_n=1, max_n=22,
+        r_one_only=True, min_N=2, min_n=1, max_n=lambda r: 22,
     ),
     "convolution": Route(
         lambda N, r, n, store: altforms.hb_higher_convolution(N, r, n, store)
@@ -202,9 +220,12 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+def _cache_path(args: argparse.Namespace) -> str | None:
+    return getattr(args, "cache", None) or os.environ.get("HGBERN_CACHE")
+
+
 def _make_store(args: argparse.Namespace) -> MemoStore:
-    path = getattr(args, "cache", None) or os.environ.get("HGBERN_CACHE")
-    store = MemoStore(path)
+    store = MemoStore(_cache_path(args))
     if store.path is not None and store.path.exists():
         store.load()
     return store
@@ -360,7 +381,7 @@ def cmd_convergents(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_audit(args: argparse.Namespace) -> int:
-    path = getattr(args, "cache", None) or os.environ.get("HGBERN_CACHE")
+    path = _cache_path(args)
     if not path:
         raise ValueError("cache-audit needs --cache PATH or HGBERN_CACHE")
     store = MemoStore(path)

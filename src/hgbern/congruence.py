@@ -175,18 +175,9 @@ def congruent(a: Fraction | int, b: Fraction | int, p: int, k: PadicVal) -> Cong
     return CongruenceVerdict(diff_ord >= k, p, k, diff_ord, lhs_res, rhs_res)
 
 
-def kummer_classical(
-    p: int, m: int, n: int, nu: int, store: MemoStore | None = None
-) -> CongruenceVerdict:
-    """Kummer's congruence for the classical Bernoulli numbers:
-
-        (1 - p^{m-1}) B_m / m  ≡  (1 - p^{n-1}) B_n / n   (mod p^{nu+1})
-
-    for positive even m, n with m ≡ n (mod (p-1) p^nu) and m, n not
-    divisible by p-1."""
-    _require_prime(p)
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+def _require_kummer_indices(p: int, m: int, n: int, nu: int) -> None:
+    """Kummer's index hypotheses: m and n positive even, neither divisible by
+    p-1, and m ≡ n (mod (p-1) p^nu)."""
     for name, v in (("m", m), ("n", n)):
         if v < 1 or v % 2 != 0:
             raise HypothesisViolation(f"hypothesis {name} positive even violated: {name} = {v}")
@@ -199,6 +190,30 @@ def kummer_classical(
         raise HypothesisViolation(
             f"hypothesis m ≡ n (mod (p-1)p^nu) violated: {m} ≢ {n} (mod {step})"
         )
+
+
+def _require_threshold(p: int, N: int, need: int) -> None:
+    """ord_p(N-1) >= need, with ord_p(0) = inf at N = 1."""
+    have: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
+    if have < need:
+        raise HypothesisViolation(
+            f"hypothesis ord_{p}(N-1) >= {need} violated: ord_{p}(N-1) = {have}"
+        )
+
+
+def kummer_classical(
+    p: int, m: int, n: int, nu: int, store: MemoStore | None = None
+) -> CongruenceVerdict:
+    """Kummer's congruence for the classical Bernoulli numbers:
+
+        (1 - p^{m-1}) B_m / m  ≡  (1 - p^{n-1}) B_n / n   (mod p^{nu+1})
+
+    for positive even m, n with m ≡ n (mod (p-1) p^nu) and m, n not
+    divisible by p-1."""
+    _require_prime(p)
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    _require_kummer_indices(p, m, n, nu)
     lhs = (1 - p ** (m - 1)) * classical(m, store) / m
     rhs = (1 - p ** (n - 1)) * classical(n, store) / n
     return congruent(lhs, rhs, p, nu + 1)
@@ -268,12 +283,7 @@ def hb_kummer_corollary(
         raise HypothesisViolation(
             f"hypothesis n ≢ 0 (mod p-1) violated: {n} ≡ 0 (mod {p - 1})"
         )
-    need = ord_threshold(p, n, nu)
-    have: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
-    if have < need:
-        raise HypothesisViolation(
-            f"hypothesis ord_{p}(N-1) >= {need} violated: ord_{p}(N-1) = {have}"
-        )
+    _require_threshold(p, N, ord_threshold(p, n, nu))
     return congruent(hb(N, n, store) / n, classical(n, store) / n, p, nu + 1)
 
 
@@ -293,24 +303,8 @@ def hb_kummer_pair(
         raise ValueError("nu must be >= 0")
     if m < n:
         raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
-    for name, v in (("m", m), ("n", n)):
-        if v < 1 or v % 2 != 0:
-            raise HypothesisViolation(f"hypothesis {name} positive even violated: {name} = {v}")
-        if v % (p - 1) == 0:
-            raise HypothesisViolation(
-                f"hypothesis {name} ≢ 0 (mod p-1) violated: {v} ≡ 0 (mod {p - 1})"
-            )
-    step = (p - 1) * p**nu
-    if (m - n) % step != 0:
-        raise HypothesisViolation(
-            f"hypothesis m ≡ n (mod (p-1)p^nu) violated: {m} ≢ {n} (mod {step})"
-        )
-    need = ord_threshold(p, n, nu, m=m)
-    have: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
-    if have < need:
-        raise HypothesisViolation(
-            f"hypothesis ord_{p}(N-1) >= {need} violated: ord_{p}(N-1) = {have}"
-        )
+    _require_kummer_indices(p, m, n, nu)
+    _require_threshold(p, N, ord_threshold(p, n, nu, m=m))
     lhs = (1 - p ** (m - 1)) * hb(N, m, store) / m
     rhs = (1 - p ** (n - 1)) * hb(N, n, store) / n
     return congruent(lhs, rhs, p, nu + 1)

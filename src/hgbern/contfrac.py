@@ -186,31 +186,34 @@ def _prod(N: int, lo: int, hi: int) -> int:
     return rising(N + lo, hi - lo + 1) if hi >= lo else 1
 
 
+def _p_coefficient(N: int, m: int, odd: int, j: int) -> int:
+    """x^j coefficient of P_{2m-odd}: (-1)^j binom(m, j) prod_{l=1..2m-j-odd} (N+l)."""
+    return (-1) ** j * binom(m, j) * _prod(N, 1, 2 * m - j - odd)
+
+
+def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
+    """x^j coefficient of Q_{2m-odd}:
+
+        sum_{k<=j} (-1)^(j-k) falling(t, k) binom(m-k-1, j-k) prod_{l=k+1..t} (N+l)
+
+    with t = 2m-j-odd."""
+    top = 2 * m - j - odd
+    return sum(
+        (-1) ** (j - k) * falling(top, k) * binom(m - k - 1, j - k) * _prod(N, k + 1, top)
+        for k in range(j + 1)
+    )
+
+
 def convergent_closed(N: int, n: int) -> ConvergentPair:
     """Convergent from the closed coefficient formulas; identical to
     ``convergent_rec`` for every index."""
     _validate(N, n)
     if n == 0:
         return ConvergentPair(0, Poly([1]), Poly([1]), N)
-    even = n % 2 == 0
-    m = n // 2 if even else (n + 1) // 2
-
-    def top(j: int) -> int:
-        return 2 * m - j if even else 2 * m - j - 1
-
-    p_coeffs = [(-1) ** j * binom(m, j) * _prod(N, 1, top(j)) for j in range(m + 1)]
-
-    q_coeffs = []
-    for j in range((m if even else m - 1) + 1):
-        acc = 0
-        for k in range(j + 1):
-            acc += (
-                (-1) ** (j - k)
-                * falling(top(j), k)
-                * binom(m - k - 1, j - k)
-                * _prod(N, k + 1, top(j))
-            )
-        q_coeffs.append(acc)
+    odd = n % 2
+    m = (n + odd) // 2
+    p_coeffs = [_p_coefficient(N, m, odd, j) for j in range(m + 1)]
+    q_coeffs = [_q_coefficient(N, m, odd, j) for j in range(m - odd + 1)]
     return ConvergentPair(n, Poly(p_coeffs), Poly(q_coeffs), N)
 
 
@@ -229,6 +232,24 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     return Series(tuple(coeffs), order)
 
 
+def _identity(
+    N: int, n: int, h: int, odd: int, store: MemoStore | None
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the x^h coefficient of Q_{2n-odd} S = P_{2n-odd}: the left
+    side sums Q's coefficients against the series of the parameter-N numbers,
+    the right side is P's coefficient."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    lhs = Fraction(0)
+    for j in range(min(h, n) + 1):
+        lhs += _q_coefficient(N, n, odd, j) * hb(N, h - j, store) / factorial(h - j)
+    return lhs, Fraction(_p_coefficient(N, n, odd, h))  # binom(n, h) = 0 for h > n
+
+
 def identity_even(
     N: int, n: int, h: int, store: MemoStore | None = None
 ) -> tuple[Fraction, Fraction]:
@@ -239,26 +260,7 @@ def identity_even(
     The two sides agree for 0 <= h <= 2n (the approximation order of the
     index-2n convergent); larger h is computable but not an identity.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    lhs = Fraction(0)
-    for j in range(min(h, n) + 1):
-        bpart = hb(N, h - j, store) / factorial(h - j)
-        weight = 0
-        for k in range(j + 1):
-            weight += (
-                (-1) ** (j - k)
-                * falling(2 * n - j, k)
-                * binom(n - k - 1, j - k)
-                * _prod(N, k + 1, 2 * n - j)
-            )
-        lhs += weight * bpart
-    rhs = Fraction((-1) ** h * binom(n, h) * _prod(N, 1, 2 * n - h)) if h <= n else Fraction(0)
-    return lhs, rhs
+    return _identity(N, n, h, 0, store)
 
 
 def identity_odd(
@@ -271,28 +273,7 @@ def identity_odd(
     convergent approximates one order less, and at h = 2n the sides
     genuinely differ in general (e.g. N=3, n=2, h=4 gives -1/105 vs 0).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    lhs = Fraction(0)
-    for j in range(min(h, n) + 1):
-        bpart = hb(N, h - j, store) / factorial(h - j)
-        weight = 0
-        for k in range(j + 1):
-            weight += (
-                (-1) ** (j - k)
-                * falling(2 * n - j - 1, k)
-                * binom(n - k - 1, j - k)
-                * _prod(N, k + 1, 2 * n - j - 1)
-            )
-        lhs += weight * bpart
-    rhs = (
-        Fraction((-1) ** h * binom(n, h) * _prod(N, 1, 2 * n - h - 1)) if h <= n else Fraction(0)
-    )
-    return lhs, rhs
+    return _identity(N, n, h, 1, store)
 
 
 CLASSICAL_VARIANTS = ("even", "odd", "even-reduced", "odd-reduced")
@@ -318,26 +299,15 @@ def classical_identity(
     B = lambda i: hb(1, i, store)  # noqa: E731 - local shorthand
 
     if variant == "even" or variant == "odd":
-        shift = 1 if variant == "even" else 0
-        # factorial (2n - h + shift)! must exist
-        if h < 0 or h > 2 * n + shift:
-            raise ValueError(f"variant {variant!r} needs 0 <= h <= {2 * n + shift}")
-        lhs = Fraction(0)
-        for j in range(min(h, n) + 1):
-            bpart = B(h - j) / factorial(h - j)
-            for k in range(j + 1):
-                lhs += (
-                    Fraction(
-                        (-1) ** (j - k)
-                        * falling(2 * n - j - 1 + shift, k)
-                        * binom(n - k - 1, j - k)
-                        * factorial(2 * n - j + shift),
-                        factorial(k + 1) * factorial(2 * n - h + shift),
-                    )
-                    * bpart
-                )
-        rhs = Fraction((-1) ** h * binom(n, h)) if h <= n else Fraction(0)
-        return lhs, rhs
+        odd = int(variant == "odd")
+        # factorial (2n - h + 1 - odd)! must exist
+        if h < 0 or h > 2 * n + 1 - odd:
+            raise ValueError(f"variant {variant!r} needs 0 <= h <= {2 * n + 1 - odd}")
+        # at N = 1 each product prod_{l=k+1..t} (1+l) is (t+1)!/(k+1)!, so
+        # dividing by the largest of the (t+1)! leaves factorial ratios
+        lhs, rhs = _identity(1, n, h, odd, store)
+        scale = factorial(2 * n - h + 1 - odd)
+        return lhs / scale, rhs / scale
 
     if variant == "even-reduced":
         if h < 1 or h > 2 * n + 1:

@@ -11,7 +11,8 @@ which keeps evaluation exact and O(m^2).  The signed entries
 (-a0)^(l-1) a_l share one denominator and D_0..D_{k-1} another (their
 running lcm), so each D_k is one integer dot product reduced once into a
 ``Fraction``.  ``trudi_expand`` recomputes the same determinant as a
-partition sum (Trudi's formula; a0 = 1 is Brioschi's case), and
+partition sum (Trudi's formula; a0 = 1 is Brioschi's case), in integers over
+the entries' lcm; it is the sum behind the ``trudi`` route.
 ``inversion_pair_check`` verifies the duality under which a sequence and its
 determinant transform swap roles.
 
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
@@ -94,17 +96,27 @@ def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:
 
         sum_{t_1 + 2 t_2 + ... + m t_m = m}
             multinomial(t) (-a0)^(m - sum t) a_1^{t_1} ... a_m^{t_m}.
+
+    Over the lcm W of the entries' denominators a vector with k parts is an
+    integer over W^k; the vectors are summed as integers per k, and each
+    group, times (-a0)^(m-k), is reduced once into a ``Fraction``.
     """
     m = spec.dimension
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    total = Fraction(0)
+    W = reduce(lcm, (a.denominator for a in spec.entries), 1)
+    w = [a.numerator * (W // a.denominator) for a in spec.entries]
+    groups = [0] * (m + 1)
     for vec in enumerate_partition_vectors(m):
-        term = Fraction(multinomial(vec.multiplicities)) * (-spec.a0) ** (m - vec.part_count)
-        for i, t in enumerate(vec.multiplicities, start=1):
+        term = multinomial(vec.multiplicities)
+        for wi, t in zip(w, vec.multiplicities):
             if t:
-                term *= spec.entries[i - 1] ** t
-        total += term
+                term *= wi**t
+        groups[vec.part_count] += term
+    a, d = -spec.a0.numerator, spec.a0.denominator  # -a0 = a / d
+    total = Fraction(0)
+    for k in range(1, m + 1):
+        total += Fraction(groups[k] * a ** (m - k), W**k * d ** (m - k))
     return total
 
 

@@ -127,19 +127,71 @@ def naive_mr(N: int, r: int, e: int) -> Fraction:
     return total
 
 
+def _positive_compositions(n: int) -> list[list[int]]:
+    """Every composition of n >= 1 into positive parts, from cut-point bitmasks."""
+    out = []
+    # bit j of mask set: a part ends after the (j+1)-th unit
+    for mask in range(2 ** (n - 1)):
+        cuts = [0] + [j + 1 for j in range(n - 1) if mask >> j & 1] + [n]
+        out.append([hi - lo for lo, hi in zip(cuts, cuts[1:])])
+    return out
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    out = factorial(sum(parts))
+    for t in parts:
+        out //= factorial(t)
+    return out
+
+
 def naive_hb_explicit_comp(N: int, n: int) -> Fraction:
     """n! sum over positive compositions of n of (-1)^k / prod ((N+1)...(N+i_j)),
     one Fraction operation per factor."""
     recip = _reciprocal_rising(N, n)
     total = Fraction(0)
-    # bit j of mask set: a part ends after the (j+1)-th unit
-    for mask in range(2 ** (n - 1)):
-        cuts = [0] + [j + 1 for j in range(n - 1) if mask >> j & 1] + [n]
-        term = Fraction((-1) ** (len(cuts) - 1))
-        for lo, hi in zip(cuts, cuts[1:]):
-            term *= recip[hi - lo]
+    for comp in _positive_compositions(n):
+        term = Fraction((-1) ** len(comp))
+        for i in comp:
+            term *= recip[i]
         total += term
     return factorial(n) * total
+
+
+def naive_hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
+    """n! sum over positive compositions of n of (-1)^k prod naive_mr(N, r, i_j),
+    one Fraction operation per factor."""
+    weights = [naive_mr(N, r, e) for e in range(n + 1)]
+    total = Fraction(0)
+    for comp in _positive_compositions(n):
+        term = Fraction((-1) ** len(comp))
+        for e in comp:
+            term *= weights[e]
+        total += term
+    return factorial(n) * total
+
+
+def naive_hb_higher_convolution(values: Sequence[Fraction], r: int, n: int) -> Fraction:
+    """sum over weak r-part compositions of n of multinomial(i) prod values[i_j],
+    one Fraction operation per factor."""
+    total = Fraction(0)
+    for comp in brute_compositions(n, r, 0):
+        term = Fraction(_multinomial(comp))
+        for i in comp:
+            term *= values[i]
+        total += term
+    return total
+
+
+def naive_reciprocal_binom_inverse(values: Sequence[Fraction], n: int) -> Fraction:
+    """sum over positive compositions of n of (-1)^k multinomial(i) prod
+    values[i_j], one Fraction operation per factor."""
+    total = Fraction(0)
+    for comp in _positive_compositions(n):
+        term = Fraction((-1) ** len(comp) * _multinomial(comp))
+        for i in comp:
+            term *= values[i]
+        total += term
+    return total
 
 
 def naive_hb_trudi(N: int, r: int, n: int) -> Fraction:
@@ -150,10 +202,7 @@ def naive_hb_trudi(N: int, r: int, n: int) -> Fraction:
     for vec in product(*(range(n // i + 1) for i in range(1, n + 1))):
         if sum(i * t for i, t in enumerate(vec, start=1)) != n:
             continue
-        multinomial = factorial(sum(vec))
-        for t in vec:
-            multinomial //= factorial(t)
-        term = Fraction((-1) ** sum(vec) * multinomial)
+        term = Fraction((-1) ** sum(vec) * _multinomial(vec))
         for i, t in enumerate(vec, start=1):
             term *= weights[i] ** t
         total += term

@@ -76,6 +76,26 @@ def test_compute_exit_codes(capsys):
     assert code == EXIT_ROUTE and err == "error: route 'trudi' requires n <= 52\n"
 
 
+@pytest.mark.parametrize(
+    "r, n, limit", [(3, 53, 52), (4, 53, 52), (5, 48, 47), (10, 20, 15), (10**7, 1, 0)]
+)
+def test_trudi_limit_falls_with_r(r, n, limit, capsys):
+    # each weight mr(N, r, e) enumerates C(e+r-1, r-1) compositions
+    code, out, err = run(
+        capsys, "compute", "-N", "1", "-n", str(n), "-r", str(r), "--route", "trudi"
+    )
+    assert code == EXIT_ROUTE and out == ""
+    assert err == f"error: route 'trudi' requires n <= {limit}\n"
+
+
+def test_trudi_limit_leaves_r_below_one_to_the_route(capsys):
+    for r in ("0", "-60"):
+        code, _, err = run(
+            capsys, "verify", "-N", "1", "-r", r, "-n", "3", "--routes", "recurrence,trudi"
+        )
+        assert code == EXIT_USAGE and err == "error: r must be >= 1\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "table", "-N", "1..2", "-n", "0..5", "--format", "json")
     second = run(capsys, "table", "-N", "1..2", "-n", "0..5", "--format", "json")
@@ -222,6 +242,9 @@ def test_sweep_skips_exponential_routes_beyond_their_limits():
     config = SweepConfig((22, 23), (1,), (2,), ("recurrence", "comp", "descent-nested"))
     assert config.applicable(2, 1, 22) == ["recurrence", "comp", "descent-nested"]
     assert config.applicable(2, 1, 23) == ["recurrence"]
+    config = SweepConfig((15, 16), (10,), (1,), ("recurrence", "trudi", "convolution"))
+    assert config.applicable(1, 10, 15) == ["recurrence", "trudi", "convolution"]
+    assert config.applicable(1, 10, 16) == ["recurrence", "convolution"]
     config = SweepConfig((52, 53), (3,), (5,), ("recurrence", "trudi"))
     assert config.applicable(5, 3, 52) == ["recurrence", "trudi"]
     assert config.applicable(5, 3, 53) == ["recurrence"]

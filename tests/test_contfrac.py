@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -164,6 +164,21 @@ def test_classical_identity_ranges():
         for h in range(1, 2 * n + 1):
             lhs, rhs = classical_identity("odd-reduced", n, h)
             assert lhs == rhs, ("odd-reduced", n, h)
+
+
+def test_classical_identities_are_the_n_one_identities_over_a_factorial():
+    # "even" / "odd" divide both N = 1 sides by (2n-h+1)! resp. (2n-h)!,
+    # which leaves the bare signed binomial on the right
+    for n in range(1, 7):
+        for variant, family, top in (
+            ("even", identity_even, 2 * n + 1),
+            ("odd", identity_odd, 2 * n),
+        ):
+            for h in range(0, top):
+                lhs, rhs = classical_identity(variant, n, h)
+                scale = factorial(top - h)
+                assert (lhs, rhs) == tuple(side / scale for side in family(1, n, h))
+                assert rhs == ((-1) ** h * comb(n, h) if h <= n else 0)
 
 
 def test_classical_identity_validation():

@@ -108,6 +108,18 @@ def test_trudi_expand_non_unit_superdiagonal():
     assert trudi_expand(spec) == cofactor_det(spec.matrix())
 
 
+@pytest.mark.parametrize("a0", (0, -1, Fraction(-3, 7)))
+def test_trudi_expand_zero_and_negative_superdiagonal(a0):
+    # a0 = 0 keeps only the all-ones partition, a1^m; a negative a0 makes
+    # every group factor (-a0)^(m-k) positive
+    rng = Random(17)
+    for m in range(1, 8):
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        spec = ToeplitzHessenbergSpec(a0, entries)
+        assert trudi_expand(spec) == naive_toeplitz_hessenberg_det(a0, entries)
+    assert trudi_expand(ToeplitzHessenbergSpec(0, (Fraction(-2, 3), 7, 5))) == Fraction(-8, 27)
+
+
 def test_hb_det_values():
     assert hb_det(2, 4) == Fraction(-1, 270)
     assert hb_det(1, 6) == Fraction(1, 42)
