@@ -54,7 +54,6 @@ from .exactnum import (
     multinomial,
     parse_rational,
     rising,
-    stirling1_unsigned,
 )
 from .hbnum import (
     CacheError,

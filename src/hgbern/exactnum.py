@@ -28,12 +28,12 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "format_rational",
+    "check_rational",
     "parse_rational",
     "falling",
     "rising",
     "binom",
     "multinomial",
-    "stirling1_unsigned",
     "CompositionSpec",
     "enumerate_compositions",
     "PartitionVector",
@@ -51,16 +51,20 @@ def format_rational(value: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
+def check_rational(text: str) -> None:
+    """Raise ``ValueError`` where ``parse_rational`` would, without building the value."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
+    if m.group(2) is not None and int(m.group(2)) == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
+    check_rational(text)
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def falling(a: int, k: int) -> int:
@@ -109,22 +113,6 @@ def multinomial(parts: Sequence[int]) -> int:
         total += p
         out *= math.comb(total, p)
     return out
-
-
-def stirling1_unsigned(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind (n-permutations with k cycles).
-
-    Built row by row from the triangular recurrence
-    ``s(m+1, j) = s(m, j-1) + m s(m, j)`` with ``s(0, 0) = 1``.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    if k > n:
-        return 0
-    row = [1]  # s(m, j) for j = 0..m
-    for m in range(n):
-        row = [left + m * here for left, here in zip([0, *row], [*row, 0])]
-    return row[k]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ once per cache miss.  ``recurrence_residual`` re-evaluates the relations with
 one ``Fraction`` operation per term, as a check on that integer inner loop
 (for r >= 2 it reads the same weight row).
 
+A :class:`MemoStore` caches values by (N, r, n), optionally in a text file.
+``hb`` and ``hb_higher`` return a stored value directly and walk the row only
+when the requested key is missing.  Loading checks every record of the file
+but decodes a value only when it is first read; saving writes only when an
+entry was added or a value changed, and writes values that were never read
+back as they were read.
+
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
 """
@@ -36,6 +43,7 @@ from .exactnum import (
     CommonDenominator,
     binom,
     cauchy_product,
+    check_rational,
     format_rational,
     parse_rational,
     rising,
@@ -96,12 +104,20 @@ class MemoStore:
     """Cache of computed values keyed by (N, r, n), optionally file backed.
 
     File records are whitespace-separated lines ``N r n num/den`` in any
-    order; duplicate keys must carry identical values or loading fails.
+    order.  ``load`` checks every record (the key, and a ``num[/den]``
+    literal with a nonzero denominator) but keeps each value as its text
+    until ``get``, ``items`` or ``audit`` first reads it.  Duplicate keys
+    must carry equal values or loading fails; they are decoded and compared
+    only when their texts differ.  ``save`` writes only when an entry was
+    added or a value changed since the last load or save, and writes a value
+    that was never decoded back as the text it was read from.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._values: dict[HBKey, Fraction] = {}
+        # a loaded value stays the file's text until it is first read
+        self._values: dict[HBKey, Fraction | str] = {}
+        self._unsaved = False  # an entry added or a value changed since load or save
 
     def __len__(self) -> int:
         return len(self._values)
@@ -110,61 +126,82 @@ class MemoStore:
         return key in self._values
 
     def get(self, key: HBKey) -> Fraction | None:
-        return self._values.get(key)
+        value = self._values.get(key)
+        return self._decode(key) if isinstance(value, str) else value
+
+    def _decode(self, key: HBKey) -> Fraction:
+        value = self._values[key]
+        if isinstance(value, str):
+            value = self._values[key] = parse_rational(value)
+        return value
 
     def put(self, key: HBKey, value: Fraction) -> None:
-        self._values[key] = value
+        if key not in self._values or self._decode(key) != value:
+            self._values[key] = value
+            self._unsaved = True
 
     def items(self) -> list[tuple[HBKey, Fraction]]:
-        return sorted(self._values.items())
+        return sorted((key, self._decode(key)) for key in self._values)
 
     def load(self, audit_samples: int = 3, rng: random.Random | None = None) -> int:
-        """Read the backing file, then spot-audit a few random entries.
+        """Read and check the backing file, then spot-audit a few random entries.
 
         Returns the number of records read.  Raises :class:`CacheError` on
         malformed lines, conflicting duplicates, or an audit mismatch.
         """
         if self.path is None:
             raise CacheError("store has no backing file")
-        loaded: dict[HBKey, Fraction] = {}
+        loaded: dict[HBKey, Fraction | str] = {}
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 fields = line.split()
+                if not fields:
+                    continue
                 if len(fields) != 4:
                     raise CacheError(f"{self.path}:{lineno}: expected 'N r n num/den'")
+                text = fields[3]
                 try:
                     key = HBKey(int(fields[0]), int(fields[1]), int(fields[2]))
-                    value = parse_rational(fields[3])
+                    check_rational(text)
                 except ValueError as exc:
                     raise CacheError(f"{self.path}:{lineno}: {exc}") from exc
-                if key in loaded and loaded[key] != value:
-                    raise CacheError(
-                        f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
-                        "with conflicting values"
-                    )
-                loaded[key] = value
+                known = loaded.setdefault(key, text)
+                if known != text:
+                    value = parse_rational(text)
+                    if isinstance(known, str):
+                        known = parse_rational(known)
+                    if known != value:
+                        raise CacheError(
+                            f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
+                            "with conflicting values"
+                        )
+                    loaded[key] = value
         self._values.update(loaded)
+        self._unsaved = len(self._values) > len(loaded)
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
         return len(loaded)
 
     def save(self) -> None:
-        """Write every entry, sorted by key; the file is replaced atomically."""
+        """Write every entry, sorted by key, if an entry was added or a value
+        changed since the last load or save; the file is replaced atomically."""
         if self.path is None:
             raise CacheError("store has no backing file")
+        if not self._unsaved:
+            return
         # write a sibling file, then rename it over the old one, so a crash
         # mid-save leaves the previous cache intact
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                for k, v in self.items():
-                    fh.write(f"{k.N} {k.r} {k.n} {format_rational(v)}\n")
+                for k in sorted(self._values):
+                    v = self._values[k]
+                    text = v if isinstance(v, str) else format_rational(v)
+                    fh.write(f"{k.N} {k.r} {k.n} {text}\n")
             os.replace(tmp, self.path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        self._unsaved = False
 
     def audit(
         self,
@@ -180,7 +217,7 @@ class MemoStore:
         chosen = rng.sample(pool, min(samples, len(pool)))
         for key in chosen:
             expected = hb_higher(key.N, key.r, key.n, store=MemoStore())
-            stored = self._values[key]
+            stored = self._decode(key)
             if stored != expected:
                 raise CacheError(
                     f"cache audit failed at {key.N} {key.r} {key.n}: stored "
@@ -249,6 +286,15 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     return row
 
 
+def _cached_or_row(N: int, r: int, n: int, store: MemoStore | None) -> Fraction:
+    """The cached value at (N, r, n), else the top of its freshly walked row."""
+    # not `store or ...`: an empty MemoStore is falsy
+    store = store if store is not None else _DEFAULT_STORE
+    key = HBKey(N, r, n)
+    # probe with `in`: on a miss the walk gets every key once, this one included
+    return store.get(key) if key in store else _row(N, r, n, store)[n]
+
+
 def hb(N: int, n: int, store: MemoStore | None = None) -> Fraction:
     """Hypergeometric Bernoulli number for parameter N at index n.
 
@@ -259,7 +305,7 @@ def hb(N: int, n: int, store: MemoStore | None = None) -> Fraction:
         raise ValueError("N must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row(N, 1, n, store)[n]
+    return _cached_or_row(N, 1, n, store)
 
 
 def classical(n: int, store: MemoStore | None = None) -> Fraction:
@@ -283,7 +329,7 @@ def hb_higher(N: int, r: int, n: int, store: MemoStore | None = None) -> Fractio
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row(N, r, n, store)[n]
+    return _cached_or_row(N, r, n, store)
 
 
 def hb_series(N: int, r: int, order: int, store: MemoStore | None = None) -> Series:

@@ -3,7 +3,8 @@
 Everything here is deliberately written without touching the package's own
 algorithms: determinants by Laplace expansion, composition sets by filtered
 cartesian products, partition counts by coin-style DP, classical Bernoulli
-numbers by the Akiyama-Tanigawa scheme.  The ``naive_*`` references of the
+numbers by the Akiyama-Tanigawa scheme, Stirling numbers of the first kind
+by their triangular recurrence.  The ``naive_*`` references of the
 witness routes multiply one ``Fraction`` per factor over index sets built
 here (cut-point bitmasks, filtered products), not by the package's
 enumerators.  Slow on purpose; keep sizes small.
@@ -50,6 +51,22 @@ def partition_count(m: int) -> int:
         for s in range(part, m + 1):
             table[s] += table[s - part]
     return table[m]
+
+
+def stirling1_unsigned(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind (n-permutations with k cycles).
+
+    Built row by row from the triangular recurrence
+    ``s(m+1, j) = s(m, j-1) + m s(m, j)`` with ``s(0, 0) = 1``.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be >= 0")
+    if k > n:
+        return 0
+    row = [1]  # s(m, j) for j = 0..m
+    for m in range(n):
+        row = [left + m * here for left, here in zip([0, *row], [*row, 0])]
+    return row[k]
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:

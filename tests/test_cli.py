@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hgbern import cli
+from hgbern import cli, hbnum
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, SweepConfig, main
 from hgbern.exactnum import parse_rational
 from hgbern.hbnum import hb_higher
@@ -329,6 +329,33 @@ def test_cache_round_trip_via_cli(tmp_path, capsys):
     cache.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_VERIFY
+
+
+def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(capsys, "compute", "-N", "2", "-n", "6", "--cache", str(cache))
+    assert code == EXIT_OK
+    before = cache.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("no write expected")
+
+    monkeypatch.setattr(hbnum.os, "replace", failing_replace)
+    for argv in (
+        ["compute", "-N", "2", "-n", "4"],
+        ["compute", "-N", "2", "-n", "3", "--route", "det"],
+        ["table", "-N", "2", "-n", "0..6"],
+    ):
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert code == EXIT_OK and out
+    assert cache.read_bytes() == before
+
+    fresh = tmp_path / "fresh.txt"
+    code, out, _ = run(
+        capsys, "compute", "-N", "2", "-n", "3", "--route", "det", "--cache", str(fresh)
+    )
+    assert code == EXIT_OK and out.strip() == "1/90"
+    assert not fresh.exists()
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -14,8 +14,8 @@ from hgbern.contfrac import (
     identity_even,
     identity_odd,
 )
-from hgbern.exactnum import stirling1_unsigned
 from hgbern.hbnum import hb
+from oracles import stirling1_unsigned
 
 
 def test_poly_basics():

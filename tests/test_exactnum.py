@@ -18,9 +18,13 @@ from hgbern.exactnum import (
     multinomial,
     parse_rational,
     rising,
+)
+from oracles import (
+    brute_compositions,
+    naive_cauchy_product,
+    partition_count,
     stirling1_unsigned,
 )
-from oracles import brute_compositions, naive_cauchy_product, partition_count
 
 
 def test_binom_conventions():

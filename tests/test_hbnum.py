@@ -235,8 +235,14 @@ def test_memostore_duplicate_keys_must_agree(tmp_path):
     store = MemoStore(path)
     assert store.load(rng=Random(0)) == 1
 
+    # equal values in different texts agree; the decoded value is kept
+    path.write_text("2 1 1 -1/3\n2 1 1 -2/6\n")
+    store = MemoStore(path)
+    assert store.load(rng=Random(0)) == 1
+    assert store.get(HBKey(2, 1, 1)) == Fraction(-1, 3)
+
     path.write_text("2 1 1 -1/3\n2 1 1 1/3\n")
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError, match=":2: duplicate key 2 1 1"):
         MemoStore(path).load(rng=Random(0))
 
 
@@ -248,13 +254,102 @@ def test_memostore_audit_catches_corruption(tmp_path):
 
 
 def test_memostore_rejects_malformed_lines(tmp_path):
+    # load itself rejects each record, at its line, before any value is read
     path = tmp_path / "cache.txt"
-    path.write_text("2 1 4\n")
-    with pytest.raises(CacheError):
-        MemoStore(path).load()
-    path.write_text("2 1 4 1/0\n")
-    with pytest.raises(CacheError):
-        MemoStore(path).load()
+    for record, message in [
+        ("2 1 4", "expected 'N r n num/den'"),
+        ("2 1 4 1/0", "zero denominator in '1/0'"),
+        ("2 1 4 1/-00", "zero denominator in '1/-00'"),
+        ("2 1 4 a/b", "not a rational literal: 'a/b'"),
+        ("2 1 4 1/2/3", "not a rational literal"),
+        ("2 0 4 1/2", "r must be >= 1"),
+    ]:
+        path.write_text(f"2 1 1 -1/3\n\n{record}\n")
+        with pytest.raises(CacheError, match=f":3: {message}"):
+            MemoStore(path).load(audit_samples=0)
+
+
+def test_memostore_audits_non_reduced_values(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("2 1 4 -2/540\n")
+    store = MemoStore(path)
+    assert store.load(rng=Random(0)) == 1
+    assert store.get(HBKey(2, 1, 4)) == Fraction(-1, 270)
+
+
+def test_memostore_writes_undecoded_records_back_as_read(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("2 1 4 -2/540\n2 1 5 -05/1134\n")
+    store = MemoStore(path)
+    store.load(audit_samples=0)
+    hb(3, 1, store)
+    store.save()
+    assert path.read_text() == "2 1 4 -2/540\n2 1 5 -05/1134\n3 1 0 1/1\n3 1 1 -1/4\n"
+
+    # a value that was read is written in lowest terms
+    assert store.get(HBKey(2, 1, 4)) == Fraction(-1, 270)
+    hb(3, 2, store)
+    store.save()
+    assert path.read_text().splitlines()[:2] == ["2 1 4 -1/270", "2 1 5 -05/1134"]
+
+
+def test_memostore_clean_save_writes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    store = MemoStore(path)
+    hb_higher(2, 2, 6, store)
+    store.save()
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("no write expected")
+
+    monkeypatch.setattr(hbnum.os, "replace", failing_replace)
+    store.save()  # nothing changed since the last save
+    reloaded = MemoStore(path)
+    reloaded.load(rng=Random(1))
+    reloaded.items()  # decoding every value changes none
+    hb_higher(2, 2, 6, reloaded)
+    reloaded.put(HBKey(2, 2, 3), hb_higher(2, 2, 3))  # same value again
+    reloaded.save()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    reloaded.put(HBKey(2, 2, 3), Fraction(0))  # a changed value must be written
+    with pytest.raises(OSError, match="no write expected"):
+        reloaded.save()
+
+
+def test_memostore_save_keeps_entries_another_store_added(tmp_path):
+    path = tmp_path / "cache.txt"
+    seed = MemoStore(path)
+    hb(2, 4, seed)
+    seed.save()
+    a, b = MemoStore(path), MemoStore(path)
+    a.load(rng=Random(0))
+    b.load(rng=Random(0))
+    hb(2, 8, b)
+    b.save()
+    assert hb(2, 3, a) == hb(2, 3)  # a reads only what it holds
+    a.save()
+    reloaded = MemoStore(path)
+    assert reloaded.load(audit_samples=0) == 9
+    assert reloaded.get(HBKey(2, 1, 8)) == hb(2, 8)
+
+
+def test_top_key_lookup_reads_only_that_entry():
+    # deliberately wrong values: the result can only come from the store
+    store = MemoStore()
+    store.put(HBKey(2, 1, 7), Fraction(5))
+    assert hb(2, 7, store) == 5
+    assert len(store) == 1
+    store = MemoStore()
+    store.put(HBKey(3, 2, 9), Fraction(-7, 3))
+    assert hb_higher(3, 2, 9, store) == Fraction(-7, 3)
+    assert len(store) == 1
+    # an empty store is still the store to fill, not the default one
+    store = MemoStore()
+    assert hb_higher(3, 2, 4, store) == hb_higher(3, 2, 4)
+    assert len(store) == 5
 
 
 def test_memostore_concurrent_use():
