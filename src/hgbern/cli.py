@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (one value by any route), ``table`` (CSV/JSON value
 tables), ``verify`` (cross-route agreement sweeps), ``congruence`` (p-adic
 checks), ``convergents`` (continued-fraction convergents and their defect),
-and ``cache-audit`` (full recomputation of a cache file).
+and ``cache-audit`` (full recomputation of a cache file, one row per (N, r)
+family, with one ``MISMATCH`` line per differing entry in key order).
 
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a
@@ -44,6 +45,14 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_ROUTE = 3
+
+# exit code of each error class main reports, checked in this order
+_ERROR_EXITS = {
+    RoutePreconditionError: EXIT_ROUTE,
+    HypothesisViolation: EXIT_USAGE,
+    CacheError: EXIT_VERIFY,
+    ValueError: EXIT_USAGE,
+}
 
 
 @dataclass(frozen=True)
@@ -285,16 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         big_n_values=args.N,
         routes=routes,
     )
-    store = _make_store(args)
-    if args.inject_fault:
-        parts = args.inject_fault.split(",")
-        if len(parts) != 3:
-            raise ValueError("--inject-fault expects N,r,n")
-        key = HBKey(int(parts[0]), int(parts[1]), int(parts[2]))
-        # flip the entry after computing it, simulating a corrupted cache
-        value = hbnum.hb_higher(key.N, key.r, key.n, store)
-        store.put(key, value + 1)
-    code, report = run_sweep(config, store)
+    code, report = run_sweep(config, _make_store(args))
     print(report)
     return code
 
@@ -317,44 +317,17 @@ def _verdict_line(verdict: CongruenceVerdict) -> str:
     return "; ".join(parts)
 
 
-def _resolve_parameter(args: argparse.Namespace) -> int:
-    if args.ordp_target is not None:
-        return 1 + args.p**args.ordp_target
-    if args.N is None:
-        raise ValueError("provide -N or --ordp-target")
-    return args.N
-
-
-def cmd_congruence_classical(args: argparse.Namespace) -> int:
+def cmd_congruence(args: argparse.Namespace) -> int:
+    """Print the verdict bound by the subcommand; the transfer congruences
+    (those with a threshold) first resolve N and print their threshold."""
     store = _make_store(args)
-    verdict = congruence.kummer_classical(args.p, args.m, args.n, args.nu, store)
-    print(_verdict_line(verdict))
-    return EXIT_OK if verdict.holds else EXIT_VERIFY
-
-
-def cmd_congruence_hb_kummer(args: argparse.Namespace) -> int:
-    store = _make_store(args)
-    N = _resolve_parameter(args)
-    need = congruence.ord_threshold(args.p, args.n, args.nu)
-    print(f"threshold: ord_{args.p}(N-1) >= {need}")
-    verdict = congruence.hb_kummer_corollary(args.p, N, args.n, args.nu, store)
-    print(_verdict_line(verdict))
-    return EXIT_OK if verdict.holds else EXIT_VERIFY
-
-
-def cmd_congruence_hb_pair(args: argparse.Namespace) -> int:
-    store = _make_store(args)
-    N = _resolve_parameter(args)
-    need = congruence.ord_threshold(args.p, args.n, args.nu, m=args.m)
-    print(f"threshold: ord_{args.p}(N-1) >= {need}")
-    verdict = congruence.hb_kummer_pair(args.p, N, args.m, args.n, args.nu, store)
-    print(_verdict_line(verdict))
-    return EXIT_OK if verdict.holds else EXIT_VERIFY
-
-
-def cmd_congruence_factorial(args: argparse.Namespace) -> int:
-    store = _make_store(args)
-    verdict = congruence.hb_factorial_congruence(args.p, args.N, args.n, store)
+    if args.threshold is not None:
+        if args.ordp_target is not None:
+            args.N = 1 + args.p**args.ordp_target
+        elif args.N is None:
+            raise ValueError("provide -N or --ordp-target")
+        print(f"threshold: ord_{args.p}(N-1) >= {args.threshold(args)}")
+    verdict = args.verdict(args, store)
     print(_verdict_line(verdict))
     return EXIT_OK if verdict.holds else EXIT_VERIFY
 
@@ -385,12 +358,8 @@ def cmd_cache_audit(args: argparse.Namespace) -> int:
     if not path:
         raise ValueError("cache-audit needs --cache PATH or HGBERN_CACHE")
     store = MemoStore(path)
-    count = store.load()
-    mismatches = []
-    for key, value in store.items():
-        fresh = hbnum.hb_higher(key.N, key.r, key.n, store=MemoStore())
-        if fresh != value:
-            mismatches.append((key, value, fresh))
+    count = store.load(audit_samples=0)
+    mismatches = store.mismatches([key for key, _ in store.items()])
     if mismatches:
         for key, value, fresh in mismatches:
             print(
@@ -440,14 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated route names (at least two)",
     )
     p.add_argument("--cache", help="cache file path")
-    p.add_argument(
-        "--inject-fault",
-        metavar="N,r,n",
-        help="testing aid: corrupt one in-memory cache entry before the sweep",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("congruence", help="p-adic congruence checks")
+    p.set_defaults(func=cmd_congruence, threshold=None)
     csub = p.add_subparsers(dest="subcommand", required=True)
 
     c = csub.add_parser("classical", help="Kummer congruence for classical Bernoulli numbers")
@@ -456,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-n", type=int, required=True)
     c.add_argument("--nu", type=int, default=0)
     c.add_argument("--cache", help="cache file path")
-    c.set_defaults(func=cmd_congruence_classical)
+    c.set_defaults(
+        verdict=lambda a, store: congruence.kummer_classical(a.p, a.m, a.n, a.nu, store)
+    )
 
     c = csub.add_parser("hb-kummer", help="single-index transfer congruence")
     c.add_argument("-p", type=int, required=True)
@@ -467,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--ordp-target", type=int, metavar="T", help="use N = 1 + p^T instead of -N"
     )
     c.add_argument("--cache", help="cache file path")
-    c.set_defaults(func=cmd_congruence_hb_kummer)
+    c.set_defaults(
+        threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu),
+        verdict=lambda a, store: congruence.hb_kummer_corollary(a.p, a.N, a.n, a.nu, store),
+    )
 
     c = csub.add_parser("hb-pair", help="Kummer pairing within one parameter family")
     c.add_argument("-p", type=int, required=True)
@@ -479,14 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--ordp-target", type=int, metavar="T", help="use N = 1 + p^T instead of -N"
     )
     c.add_argument("--cache", help="cache file path")
-    c.set_defaults(func=cmd_congruence_hb_pair)
+    c.set_defaults(
+        threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu, m=a.m),
+        verdict=lambda a, store: congruence.hb_kummer_pair(a.p, a.N, a.m, a.n, a.nu, store),
+    )
 
     c = csub.add_parser("factorial", help="factorial-ladder congruence mod p^ord_p(N-1)")
     c.add_argument("-p", type=int, required=True)
     c.add_argument("-N", type=int, required=True)
     c.add_argument("-n", type=int, required=True)
     c.add_argument("--cache", help="cache file path")
-    c.set_defaults(func=cmd_congruence_factorial)
+    c.set_defaults(
+        verdict=lambda a, store: congruence.hb_factorial_congruence(a.p, a.N, a.n, store)
+    )
 
     p = sub.add_parser("convergents", help="continued-fraction convergents")
     p.add_argument("-N", type=int, required=True)
@@ -514,18 +489,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except RoutePreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROUTE
-    except HypothesisViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

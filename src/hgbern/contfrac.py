@@ -21,7 +21,7 @@ from math import factorial
 from typing import Iterable
 
 from .exactnum import binom, falling, rising
-from .hbnum import MemoStore, Series, hb
+from .hbnum import MemoStore, Series, hb, hb_series
 
 __all__ = [
     "Poly",
@@ -222,7 +222,7 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     series of the parameter-N numbers; identically zero because the convergent
     matches S through order n."""
     order = pair.n + 1
-    series = [hb(pair.N, k, store) / factorial(k) for k in range(order)]
+    series = hb_series(pair.N, 1, order, store).coefficients
     coeffs = []
     for h in range(order):
         acc = -pair.P[h]

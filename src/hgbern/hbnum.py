@@ -21,8 +21,8 @@ A :class:`MemoStore` caches values by (N, r, n), optionally in a text file.
 ``hb`` and ``hb_higher`` return a stored value directly and walk the row only
 when the requested key is missing.  Loading checks every record of the file
 but decodes a value only when it is first read; saving writes only when an
-entry was added or a value changed, and writes values that were never read
-back as they were read.
+entry was added or a value changed, keeps what another store saved since,
+and writes values that were never read back as they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -118,6 +118,7 @@ class MemoStore:
         # a loaded value stays the file's text until it is first read
         self._values: dict[HBKey, Fraction | str] = {}
         self._unsaved = False  # an entry added or a value changed since load or save
+        self._seen: tuple[int, int, int] | None = None  # the file as last loaded or saved
 
     def __len__(self) -> int:
         return len(self._values)
@@ -130,9 +131,7 @@ class MemoStore:
         return self._decode(key) if isinstance(value, str) else value
 
     def _decode(self, key: HBKey) -> Fraction:
-        value = self._values[key]
-        if isinstance(value, str):
-            value = self._values[key] = parse_rational(value)
+        value = self._values[key] = _fraction(self._values[key])
         return value
 
     def put(self, key: HBKey, value: Fraction) -> None:
@@ -151,6 +150,8 @@ class MemoStore:
         """
         if self.path is None:
             raise CacheError("store has no backing file")
+        # stat'ed before reading: a newer file read under it only costs a merge
+        version = _version(self.path)
         loaded: dict[HBKey, Fraction | str] = {}
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -168,9 +169,7 @@ class MemoStore:
                 known = loaded.setdefault(key, text)
                 if known != text:
                     value = parse_rational(text)
-                    if isinstance(known, str):
-                        known = parse_rational(known)
-                    if known != value:
+                    if _fraction(known) != value:
                         raise CacheError(
                             f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
                             "with conflicting values"
@@ -178,16 +177,34 @@ class MemoStore:
                     loaded[key] = value
         self._values.update(loaded)
         self._unsaved = len(self._values) > len(loaded)
+        self._seen = version
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
         return len(loaded)
 
     def save(self) -> None:
         """Write every entry, sorted by key, if an entry was added or a value
-        changed since the last load or save; the file is replaced atomically."""
+        changed since the last load or save; the file is replaced atomically.
+
+        If the file changed since this store last loaded or saved it, its
+        records are loaded again and the keys this store lacks are added; a
+        conflicting value raises :class:`CacheError` and writes nothing.  A
+        store that never loaded or saved the file overwrites it.  A save by
+        another store between this check and the rename is still lost.
+        """
         if self.path is None:
             raise CacheError("store has no backing file")
         if not self._unsaved:
             return
+        if self._seen is not None and _version(self.path) not in (None, self._seen):
+            disk = MemoStore(self.path)
+            disk.load(audit_samples=0)
+            for key, value in disk._values.items():
+                mine = self._values.get(key)
+                if mine is not None and mine != value and _fraction(mine) != _fraction(value):
+                    raise CacheError(
+                        f"{self.path}: {key.N} {key.r} {key.n} was saved with another value"
+                    )
+            self._values = {**disk._values, **self._values}
         # write a sibling file, then rename it over the old one, so a crash
         # mid-save leaves the previous cache intact
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
@@ -197,6 +214,7 @@ class MemoStore:
                     v = self._values[k]
                     text = v if isinstance(v, str) else format_rational(v)
                     fh.write(f"{k.N} {k.r} {k.n} {text}\n")
+            self._seen = _version(tmp)  # the rename keeps it; a later stat may see another save
             os.replace(tmp, self.path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -211,19 +229,46 @@ class MemoStore:
     ) -> list[HBKey]:
         """Recompute a few randomly chosen entries from scratch; raise on mismatch."""
         pool = list(keys) if keys is not None else list(self._values)
-        if not pool:
-            return []
         rng = rng if rng is not None else random.Random()
         chosen = rng.sample(pool, min(samples, len(pool)))
-        for key in chosen:
-            expected = hb_higher(key.N, key.r, key.n, store=MemoStore())
-            stored = self._decode(key)
-            if stored != expected:
-                raise CacheError(
-                    f"cache audit failed at {key.N} {key.r} {key.n}: stored "
-                    f"{format_rational(stored)}, recomputed {format_rational(expected)}"
-                )
+        found = self.mismatches(chosen)
+        if found:
+            key, stored, expected = found[0]
+            raise CacheError(
+                f"cache audit failed at {key.N} {key.r} {key.n}: stored "
+                f"{format_rational(stored)}, recomputed {format_rational(expected)}"
+            )
         return chosen
+
+    def mismatches(self, keys: list[HBKey]) -> list[tuple[HBKey, Fraction, Fraction]]:
+        """Recompute the entries at `keys` from scratch, walking each (N, r)
+        family's row once in one fresh store; returns (key, stored,
+        recomputed) for each entry that differs, in the order of `keys`."""
+        tops: dict[tuple[int, int], int] = {}
+        for key in keys:
+            tops[key.N, key.r] = max(tops.get((key.N, key.r), 0), key.n)
+        fresh = MemoStore()
+        rows = {family: _row(*family, top, fresh) for family, top in tops.items()}
+        found = []
+        for key in keys:
+            stored, expected = self._decode(key), rows[key.N, key.r][key.n]
+            if stored != expected:
+                found.append((key, stored, expected))
+        return found
+
+
+def _fraction(value: Fraction | str) -> Fraction:
+    """A stored value, decoding the file's text if it was not read yet."""
+    return parse_rational(value) if isinstance(value, str) else value
+
+
+def _version(path: Path) -> tuple[int, int, int] | None:
+    """Inode, size and modification time of the file at `path`; None if there is none."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 _DEFAULT_STORE = MemoStore()  # used when no explicit store is passed
@@ -301,10 +346,6 @@ def hb(N: int, n: int, store: MemoStore | None = None) -> Fraction:
     Defined by B_0 = 1 and the recurrence sum_{m<=n} binom(N+n, m) B_m = 0
     for n >= 1.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return _cached_or_row(N, 1, n, store)
 
 
@@ -315,20 +356,12 @@ def classical(n: int, store: MemoStore | None = None) -> Fraction:
 
 def signed_variant(n: int, store: MemoStore | None = None) -> Fraction:
     """Bernoulli numbers of x/(1 - e^{-x}); equals (-1)^n times ``classical(n)``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return (-1) ** n * classical(n, store)
 
 
 def hb_higher(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
     """Order-r value: n! times the x^n coefficient of the r-th power of the
     base generating function; reduces to ``hb`` at r = 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return _cached_or_row(N, r, n, store)
 
 

@@ -170,30 +170,33 @@ def test_verify_needs_two_routes(capsys):
     assert code == EXIT_USAGE and "two routes" in err
 
 
-def test_verify_locates_injected_fault(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "-N", "1..3", "-r", "1", "-n", "0..5",
-        "--inject-fault", "2,1,3",
-    )
+def _corrupted_store(N, r, n):
+    """A store holding the (N, r) row through n, with the entry at n off by one."""
+    store = hbnum.MemoStore()
+    value = hb_higher(N, r, n, store)
+    store.put(hbnum.HBKey(N, r, n), value + 1)
+    return store
+
+
+def test_verify_locates_injected_fault():
+    config = SweepConfig((0, 1, 2, 3, 4, 5), (1,), (1, 2, 3), tuple(cli.ROUTES))
+    code, report = cli.run_sweep(config, _corrupted_store(2, 1, 3))
     assert code == EXIT_VERIFY
-    assert "MISMATCH at N=2 r=1 n=3" in out
+    assert "MISMATCH at N=2 r=1 n=3" in report
 
 
-def test_verify_reports_every_mismatch(capsys):
+def test_verify_reports_every_mismatch():
     # a corrupted cache entry feeds the reference route and the routes that
     # read the store, so several comparisons fail; each gets its own line
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "-N", "2", "-r", "1", "-n", "0..4", "--routes", "recurrence,comp,descent",
-        "--inject-fault", "2,1,3",
-    )
+    config = SweepConfig((0, 1, 2, 3, 4), (1,), (2,), ("recurrence", "comp", "descent"))
+    code, report = cli.run_sweep(config, _corrupted_store(2, 1, 3))
     assert code == EXIT_VERIFY
-    lines = out.splitlines()
-    assert len(lines) > 1 and all(line.startswith("MISMATCH at N=2 r=1 n=") for line in lines)
-    assert lines[0] == "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, comp = 1/90"
+    assert report.splitlines() == [
+        "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, comp = 1/90",
+        "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, descent = 1/90",
+        "MISMATCH at N=2 r=1 n=4: recurrence = -361/270, comp = -1/270",
+        "MISMATCH at N=2 r=1 n=4: recurrence = -361/270, descent = 89/270",
+    ]
 
 
 @pytest.mark.parametrize("route", sorted(cli.ROUTES))
@@ -329,6 +332,39 @@ def test_cache_round_trip_via_cli(tmp_path, capsys):
     cache.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_VERIFY
+
+
+def test_cache_audit_reports_every_mismatch_in_key_order(tmp_path, capsys):
+    # with three records a three-sample spot audit at load would draw both bad
+    # ones and stop at whichever came first; the full audit reports both
+    cache = tmp_path / "cache.txt"
+    cache.write_text("3 2 2 5/7\n2 1 1 -1/3\n2 1 4 1/270\n")
+    for _ in range(5):
+        code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "MISMATCH at 2 1 4: cached 1/270, recomputed -1/270",
+            "MISMATCH at 3 2 2: cached 5/7, recomputed 7/40",
+        ]
+
+
+def test_cache_audit_walks_each_family_once(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(
+        capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..12", "--cache", str(cache)
+    )
+    assert code == EXIT_OK
+    walks = []
+    row = hbnum._row
+
+    def counting_row(N, r, n, store):
+        walks.append((N, r))
+        return row(N, r, n, store)
+
+    monkeypatch.setattr(hbnum, "_row", counting_row)
+    code, out, _ = run(capsys, "cache-audit", "--cache", str(cache))
+    assert code == EXIT_OK and out == "audited 78 entries: all match\n"
+    assert sorted(walks) == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
 
 
 def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from hgbern.contfrac import (
     identity_even,
     identity_odd,
 )
-from hgbern.hbnum import hb
+from hgbern.hbnum import HBKey, MemoStore, hb
 from oracles import stirling1_unsigned
 
 
@@ -109,6 +109,13 @@ def test_defect_vanishes_for_both_routes(N):
     for n in range(0, 13):
         assert approximation_defect(convergent_rec(N, n)).is_zero()
         assert approximation_defect(convergent_closed(N, n)).is_zero()
+
+
+def test_defect_fills_the_store_with_its_row():
+    # the entries one hb call per term would leave, and no others
+    store = MemoStore()
+    assert approximation_defect(convergent_rec(3, 9), store).is_zero()
+    assert store.items() == [(HBKey(3, 1, k), hb(3, k)) for k in range(10)]
 
 
 def test_identity_even_examples():

@@ -251,6 +251,11 @@ def test_memostore_audit_catches_corruption(tmp_path):
     path.write_text("2 1 4 1/270\n")  # sign flipped
     with pytest.raises(CacheError):
         MemoStore(path).load(rng=Random(0))
+    # of two bad entries drawn, the first drawn is named
+    path.write_text("2 1 4 1/270\n3 2 2 5/7\n")
+    first = Random(0).sample([HBKey(2, 1, 4), HBKey(3, 2, 2)], 2)[0]
+    with pytest.raises(CacheError, match=f"audit failed at {first.N} {first.r} {first.n}:"):
+        MemoStore(path).load(rng=Random(0))
 
 
 def test_memostore_rejects_malformed_lines(tmp_path):
@@ -334,6 +339,52 @@ def test_memostore_save_keeps_entries_another_store_added(tmp_path):
     reloaded = MemoStore(path)
     assert reloaded.load(audit_samples=0) == 9
     assert reloaded.get(HBKey(2, 1, 8)) == hb(2, 8)
+
+
+def test_memostore_save_merges_entries_both_stores_added(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("2 1 0 1/1\n2 1 1 -2/6\n")  # a non-reduced value
+    a, b = MemoStore(path), MemoStore(path)
+    a.load(audit_samples=0)
+    b.load(audit_samples=0)
+    hb(2, 6, b)  # decodes -2/6, so b writes it as -1/3
+    b.save()
+    hb(3, 2, a)
+    a.save()  # -2/6 against -1/3 is no conflict
+    reloaded = MemoStore(path)
+    assert reloaded.load(audit_samples=0) == 10
+    assert reloaded.items() == sorted(
+        [(HBKey(2, 1, n), hb(2, n)) for n in range(7)]
+        + [(HBKey(3, 1, n), hb(3, n)) for n in range(3)]
+    )
+    # a store that never loaded the file overwrites it, and from then on
+    # knows the file it wrote: its next save keeps what a saved in between
+    fresh = MemoStore(path)
+    hb(4, 1, fresh)
+    fresh.save()
+    assert MemoStore(path).load(audit_samples=0) == 2
+    hb(5, 1, a)
+    a.save()
+    hb(6, 1, fresh)
+    fresh.save()
+    assert MemoStore(path).load(audit_samples=0) == 16
+
+
+def test_memostore_save_refuses_a_conflicting_value(tmp_path):
+    path = tmp_path / "cache.txt"
+    seed = MemoStore(path)
+    hb(2, 3, seed)
+    seed.save()
+    a, b = MemoStore(path), MemoStore(path)
+    a.load(audit_samples=0)
+    b.load(audit_samples=0)
+    b.put(HBKey(2, 1, 3), Fraction(5))
+    b.save()
+    before = path.read_bytes()
+    hb(3, 1, a)
+    with pytest.raises(CacheError, match="2 1 3 was saved with another value"):
+        a.save()
+    assert path.read_bytes() == before
 
 
 def test_top_key_lookup_reads_only_that_entry():
