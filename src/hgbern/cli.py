@@ -14,7 +14,8 @@ part of their domain.  A sweep prints one
 ``MISMATCH`` line per failing comparison.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
-error, 3 route precondition violation.
+error or a file that cannot be read or written, 3 route precondition
+violation.
 
 Values print as exact ``num/den``.  A cache file is used when ``--cache`` is
 given or the ``HGBERN_CACHE`` environment variable is set; otherwise
@@ -52,6 +53,7 @@ _ERROR_EXITS = {
     HypothesisViolation: EXIT_USAGE,
     CacheError: EXIT_VERIFY,
     ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,  # a cache or output file that cannot be read or written
 }
 
 
@@ -162,18 +164,24 @@ class SweepConfig:
 def run_sweep(config: SweepConfig, store: MemoStore) -> tuple[int, str]:
     """Evaluate every selected route on every grid point and compare.
 
-    At each point the first applicable route is the reference.  Returns
-    (exit_code, report); a failing report has one ``MISMATCH`` line per
-    disagreeing route, in (N, r, n) order.
+    At each point the first applicable route is the reference.  The first
+    time ``recurrence`` is asked for a point of an (N, r) family, that
+    family's oracle row is walked once to the deepest n, so the recurrence's
+    value at each point is a store hit.  Returns (exit_code, report); a
+    failing report has one ``MISMATCH`` line per disagreeing route, in
+    (N, r, n) order.
     """
     points = config.points()
     comparisons = 0
     mismatches = []
+    walked = set()  # (N, r) families whose oracle row is in the store
     for N, r, n in points:
-        values = {
-            name: ROUTES[name].compute(N, r, n, store)
-            for name in config.applicable(N, r, n)
-        }
+        values = {}
+        for name in config.applicable(N, r, n):
+            if name == "recurrence" and (N, r) not in walked:
+                walked.add((N, r))
+                hbnum.hb_higher(N, r, max(config.n_values), store)
+            values[name] = ROUTES[name].compute(N, r, n, store)
         if len(values) < 2:
             continue
         (ref_name, ref), *others = values.items()
@@ -263,12 +271,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     store = _make_store(args)
-    rows = [
-        (N, r, n, format_rational(hbnum.hb_higher(N, r, n, store)))
-        for N in args.N
-        for r in args.r
-        for n in args.n
-    ]
+    rows = []
+    for N, r in product(args.N, args.r):
+        # one walk to the deepest n: each value below is then a store hit
+        hbnum.hb_higher(N, r, max(args.n), store)
+        rows += [(N, r, n, format_rational(hbnum.hb_higher(N, r, n, store))) for n in args.n]
     out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
     try:
         if args.format == "csv":
@@ -489,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
 

@@ -12,8 +12,9 @@ row's running lcm, times the weights' lcm for r >= 2), reduced once into a
 ``Fraction``.  For r >= 2 the recurrence weights come from ``weight_row``, the
 package's one copy of the r-fold weight row (r - 1 Cauchy products), which
 the determinant route in :mod:`hessenberg` reads too; it is rebuilt by every
-call that has to compute a value, so a ``table`` of order r >= 2 pays that
-once per cache miss.  ``recurrence_residual`` re-evaluates the relations with
+call that has to compute a value.  ``table`` and ``verify`` therefore walk
+each (N, r) family once, to its deepest n, and read every index from the
+store.  ``recurrence_residual`` re-evaluates the relations with
 one ``Fraction`` operation per term, as a check on that integer inner loop
 (for r >= 2 it reads the same weight row).
 

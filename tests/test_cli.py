@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -143,6 +144,96 @@ def test_table_bad_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "-N", "5..2", "-n", "0..3"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "table -N 1..5 -n 0..200",
+            "251f6b55d1965e425a1d9ca42a77122826f226866820d3c3c7319985c2cf239c",
+        ),
+        (
+            "table -N 1..5 -r 2..3 -n 0..60",
+            "cd31772e59eaccce2a6b5bae02c3ca42c73c1ea6367a957ca960f7e0b52cf01f",
+        ),
+    ],
+)
+def test_deep_table_output_is_pinned(argv, digest, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_table_cache_holds_the_walked_row(tmp_path, capsys):
+    cache = tmp_path / "f"
+    code, out, _ = run(capsys, "table", "-N", "2", "-r", "2", "-n", "5..9", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "2,2,5,1/63", "2,2,6,11/810", "2,2,7,-8/1215", "2,2,8,-41/2430", "2,2,9,1/66825",
+    ]
+    # the walk to n = 9 stores the whole row, keys 0..9
+    values = [
+        "1/1", "-2/3", "1/3", "-4/45", "-1/54",
+        "1/63", "11/810", "-8/1215", "-41/2430", "1/66825",
+    ]
+    assert cache.read_text() == "".join(f"2 2 {n} {v}\n" for n, v in enumerate(values))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("table -N 0 -n 0..3", "N must be >= 1"),
+        ("table -N 1 -r 0 -n 0..3", "r must be >= 1"),
+        ("table -N 1 -n=-3..2", "n must be >= 0"),
+        ("table -N 1..2 -r 0..1 -n=-1..2", "r must be >= 1"),
+        ("verify -N 0 --routes det,recurrence", "N must be >= 1"),
+        # det comes first at n = 1 and raises before the recurrence is asked
+        ("verify -N 0 -n 1..3 --routes det,recurrence", "N, r and n must be >= 1"),
+    ],
+)
+def test_invalid_grids_raise_their_first_error(argv, message, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_verify_skips_negative_indices(capsys):
+    code, out, err = run(
+        capsys, "verify", "-N", "1", "-n=-2..3", "--routes", "recurrence,convolution"
+    )
+    assert code == EXIT_OK and err == ""
+    assert out == "OK: routes recurrence,convolution agree on 18 grid points (12 comparisons)\n"
+
+
+def _count_calls(monkeypatch, name):
+    """Record the (N, r) of every call to hbnum.<name>."""
+    calls = []
+    original = getattr(hbnum, name)
+
+    def counting(N, r, *rest):
+        calls.append((N, r))
+        return original(N, r, *rest)
+
+    monkeypatch.setattr(hbnum, name, counting)
+    return calls
+
+
+def test_table_walks_each_family_once(capsys, monkeypatch):
+    walks = _count_calls(monkeypatch, "_row")
+    weight_rows = _count_calls(monkeypatch, "weight_row")
+    code, _, _ = run(capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..30")
+    assert code == EXIT_OK
+    assert walks == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
+    assert weight_rows == [(N, r) for N in (1, 2) for r in (2, 3)]
+
+
+def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):
+    walks = _count_calls(monkeypatch, "_row")
+    code, out, _ = run(
+        capsys, "verify", "-N", "1..2", "-r", "1..3", "-n", "0..12", "--routes", "recurrence,det"
+    )
+    assert code == EXIT_OK and out.startswith("OK:")
+    assert walks == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
 
 
 def test_verify_small_sweep(capsys):
@@ -354,14 +445,7 @@ def test_cache_audit_walks_each_family_once(tmp_path, capsys, monkeypatch):
         capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..12", "--cache", str(cache)
     )
     assert code == EXIT_OK
-    walks = []
-    row = hbnum._row
-
-    def counting_row(N, r, n, store):
-        walks.append((N, r))
-        return row(N, r, n, store)
-
-    monkeypatch.setattr(hbnum, "_row", counting_row)
+    walks = _count_calls(monkeypatch, "_row")
     code, out, _ = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_OK and out == "audited 78 entries: all match\n"
     assert sorted(walks) == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
@@ -402,6 +486,35 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert cache.exists()
     code, out, _ = run(capsys, "cache-audit")
     assert code == EXIT_OK and "all match" in out
+
+
+def test_cache_audit_of_a_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "cache-audit", "--cache", str(missing))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_unwritable_cache_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "nodir" / "x.cache"
+    code, out, err = run(capsys, "compute", "-N", "2", "-n", "3", "--cache", str(cache))
+    assert (code, out) == (EXIT_USAGE, "1/90\n")
+    # the value is printed before the save fails on its temporary file
+    assert err.startswith(f"error: [Errno 2] No such file or directory: '{cache.parent}/.x.cache.")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_cache_save_is_a_usage_error_and_leaves_no_temporary_file(
+    tmp_path, capsys, monkeypatch
+):
+    def failing_replace(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(hbnum.os, "replace", failing_replace)
+    cache = tmp_path / "x.cache"
+    code, out, err = run(capsys, "table", "-N", "2", "-n", "0..3", "--cache", str(cache))
+    assert (code, err) == (EXIT_USAGE, "error: no space left\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_audit_requires_path(capsys):
