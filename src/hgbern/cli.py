@@ -10,7 +10,9 @@ family, with one ``MISMATCH`` line per differing entry in key order).
 both the precondition error of ``compute --route`` and the routes a
 ``verify`` sweep compares at each grid point.  The exponential witnesses
 ``comp``, ``trudi`` and ``descent-nested`` declare a largest n, given r, as
-part of their domain.  A sweep prints one
+part of their domain.  The O(n^2) routes ``recurrence`` and ``det`` also
+declare a family walk, so a sweep takes each (N, r) family's values from one
+walk to the deepest n rather than one computation per n.  A sweep prints one
 ``MISMATCH`` line per failing comparison.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
@@ -63,11 +65,15 @@ class Route:
 
     ``compute`` looks its target up through the module at call time, so a
     module-level rebinding (a tracer or a test double) reaches every call.
+    ``walk(N, r, top, store, row)``, where given, appends the (N, r) family's
+    values at n = 0..top to `row` in one walk; a sweep then reads every n of
+    the family from that row instead of calling ``compute`` once per n.
     ``max_n(r)`` bounds an exponential route at the n where one call takes
     about ten seconds (see README), so it refuses what it cannot finish.
     """
 
     compute: Callable[[int, int, int, MemoStore], Fraction]
+    walk: Callable[[int, int, int, MemoStore, list[Fraction]], Fraction] | None = None
     r_one_only: bool = False
     min_N: int = 0
     min_n: int = 0
@@ -103,7 +109,10 @@ def _trudi_max_n(r: int) -> int:
 
 
 ROUTES = {
-    "recurrence": Route(lambda N, r, n, store: hbnum.hb_higher(N, r, n, store)),
+    "recurrence": Route(
+        lambda N, r, n, store: hbnum.hb_higher(N, r, n, store),
+        walk=lambda N, r, top, store, row: hbnum.hb_higher(N, r, top, store, row),
+    ),
     "comp": Route(
         lambda N, r, n, store: altforms.hb_explicit_comp(N, n),
         r_one_only=True, min_n=1, max_n=lambda r: 22,
@@ -114,7 +123,11 @@ ROUTES = {
     "trudi": Route(
         lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1, max_n=_trudi_max_n
     ),
-    "det": Route(lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n), min_n=1),
+    "det": Route(
+        lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n),
+        walk=lambda N, r, top, store, row: hessenberg.hb_higher_det(N, r, top, row),
+        min_n=1,
+    ),
     "descent": Route(
         lambda N, r, n, store: altforms.hb_descent_step(N, n, store),
         r_one_only=True, min_N=2, min_n=1,
@@ -164,24 +177,32 @@ class SweepConfig:
 def run_sweep(config: SweepConfig, store: MemoStore) -> tuple[int, str]:
     """Evaluate every selected route on every grid point and compare.
 
-    At each point the first applicable route is the reference.  The first
-    time ``recurrence`` is asked for a point of an (N, r) family, that
-    family's oracle row is walked once to the deepest n, so the recurrence's
-    value at each point is a store hit.  Returns (exit_code, report); a
-    failing report has one ``MISMATCH`` line per disagreeing route, in
-    (N, r, n) order.
+    At each point the first applicable route is the reference.  A route
+    with a ``walk`` (``recurrence`` and ``det``) is walked once per (N, r)
+    family, to the deepest n of the grid, the first time it is asked for a
+    point of that family, and each point reads its value from that row; so
+    an invalid family still raises at the first point that asks for it.
+    Every other route computes each point on its own.  Returns (exit_code,
+    report); a failing report has one ``MISMATCH`` line per disagreeing
+    route, in (N, r, n) order.
     """
     points = config.points()
+    top = max(config.n_values)
     comparisons = 0
     mismatches = []
-    walked = set()  # (N, r) families whose oracle row is in the store
+    rows: dict[tuple[str, int, int], list[Fraction]] = {}  # (route, N, r) -> values 0..top
     for N, r, n in points:
         values = {}
         for name in config.applicable(N, r, n):
-            if name == "recurrence" and (N, r) not in walked:
-                walked.add((N, r))
-                hbnum.hb_higher(N, r, max(config.n_values), store)
-            values[name] = ROUTES[name].compute(N, r, n, store)
+            route = ROUTES[name]
+            if route.walk is None:
+                values[name] = route.compute(N, r, n, store)
+                continue
+            if (name, N, r) not in rows:
+                row: list[Fraction] = []
+                route.walk(N, r, top, store, row)
+                rows[name, N, r] = row
+            values[name] = rows[name, N, r][n]
         if len(values) < 2:
             continue
         (ref_name, ref), *others = values.items()

@@ -12,11 +12,12 @@ row's running lcm, times the weights' lcm for r >= 2), reduced once into a
 ``Fraction``.  For r >= 2 the recurrence weights come from ``weight_row``, the
 package's one copy of the r-fold weight row (r - 1 Cauchy products), which
 the determinant route in :mod:`hessenberg` reads too; it is rebuilt by every
-call that has to compute a value.  ``table`` and ``verify`` therefore walk
-each (N, r) family once, to its deepest n, and read every index from the
-store.  ``recurrence_residual`` re-evaluates the relations with
-one ``Fraction`` operation per term, as a check on that integer inner loop
-(for r >= 2 it reads the same weight row).
+call that has to compute a value.  ``table`` therefore walks each (N, r)
+family once, to its deepest n, and reads every index from the store;
+``verify`` takes the whole row from one ``hb_higher(..., row=...)`` walk.
+``recurrence_residual`` re-evaluates the relations with one ``Fraction``
+operation per term, as a check on that integer inner loop (for r >= 2 it
+reads the same weight row).
 
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file.
 ``hb`` and ``hb_higher`` return a stored value directly and walk the row only
@@ -228,16 +229,25 @@ class MemoStore:
         rng: random.Random | None = None,
         keys: list[HBKey] | None = None,
     ) -> list[HBKey]:
-        """Recompute a few randomly chosen entries from scratch; raise on mismatch."""
+        """Recompute a few randomly chosen entries from scratch; raise on mismatch.
+
+        Without `rng` the draw is seeded from ``HGBERN_AUDIT_SEED`` when that
+        is set, else from a fresh seed, and a failure names the seed, so
+        setting ``HGBERN_AUDIT_SEED`` to it replays the same draw.
+        """
         pool = list(keys) if keys is not None else list(self._values)
-        rng = rng if rng is not None else random.Random()
+        seed = None
+        if rng is None:
+            seed = _audit_seed()
+            rng = random.Random(seed)
         chosen = rng.sample(pool, min(samples, len(pool)))
         found = self.mismatches(chosen)
         if found:
             key, stored, expected = found[0]
+            replay = "" if seed is None else f" (replay with HGBERN_AUDIT_SEED={seed})"
             raise CacheError(
                 f"cache audit failed at {key.N} {key.r} {key.n}: stored "
-                f"{format_rational(stored)}, recomputed {format_rational(expected)}"
+                f"{format_rational(stored)}, recomputed {format_rational(expected)}{replay}"
             )
         return chosen
 
@@ -261,6 +271,17 @@ class MemoStore:
 def _fraction(value: Fraction | str) -> Fraction:
     """A stored value, decoding the file's text if it was not read yet."""
     return parse_rational(value) if isinstance(value, str) else value
+
+
+def _audit_seed() -> int:
+    """The load audit's seed: ``HGBERN_AUDIT_SEED`` if set, else a fresh one."""
+    text = os.environ.get("HGBERN_AUDIT_SEED")
+    if not text:
+        return random.getrandbits(32)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HGBERN_AUDIT_SEED must be an integer, got {text!r}") from None
 
 
 def _version(path: Path) -> tuple[int, int, int] | None:
@@ -360,10 +381,20 @@ def signed_variant(n: int, store: MemoStore | None = None) -> Fraction:
     return (-1) ** n * classical(n, store)
 
 
-def hb_higher(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
+def hb_higher(
+    N: int, r: int, n: int, store: MemoStore | None = None, row: list[Fraction] | None = None
+) -> Fraction:
     """Order-r value: n! times the x^n coefficient of the r-th power of the
-    base generating function; reduces to ``hb`` at r = 1."""
-    return _cached_or_row(N, r, n, store)
+    base generating function; reduces to ``hb`` at r = 1.
+
+    If `row` is given, the values at 0..n are appended to it from one walk of
+    the family's row, stored values included.
+    """
+    if row is None:
+        return _cached_or_row(N, r, n, store)
+    HBKey(N, r, n)  # checks the indices, also where n < 0 leaves nothing to walk
+    row += _row(N, r, n, store)
+    return row[-1]
 
 
 def hb_series(N: int, r: int, order: int, store: MemoStore | None = None) -> Series:

@@ -18,7 +18,11 @@ determinant transform swap roles.
 
 ``hb_higher_det`` specializes the entries to the r-fold weight row of
 :func:`hbnum.weight_row` to recover the hypergeometric Bernoulli numbers by a
-determinant route; ``hb_det`` is its r = 1 case.
+determinant route; ``hb_det`` is its r = 1 case.  The recursion computes the
+leading determinants D_0..D_{m-1} on its way to D_m, so one call can also
+hand back a whole family's values B_0..B_n (the optional ``leading`` and
+``row`` lists): ``verify`` reads each (N, r) family from one such walk, with
+one weight row, instead of one determinant per n.
 """
 
 from __future__ import annotations
@@ -74,8 +78,16 @@ class ToeplitzHessenbergSpec:
         ]
 
 
-def toeplitz_hessenberg_det(spec: ToeplitzHessenbergSpec) -> Fraction:
-    """Determinant via the first-row expansion recursion (empty matrix gives 1)."""
+def toeplitz_hessenberg_det(
+    spec: ToeplitzHessenbergSpec, leading: list[Fraction] | None = None
+) -> Fraction:
+    """Determinant via the first-row expansion recursion (empty matrix gives 1).
+
+    If `leading` is given, D_0..D_m are appended to it: D_k is the
+    determinant of the leading k x k submatrix, the spec of the first k
+    entries, which the recursion computes on its way to D_m.
+    """
+    leading = leading if leading is not None else []
     signed = []
     power = Fraction(1)
     for a in spec.entries:
@@ -84,10 +96,12 @@ def toeplitz_hessenberg_det(spec: ToeplitzHessenbergSpec) -> Fraction:
     c = CommonDenominator(signed)
     d = CommonDenominator([1])  # D_0..D_{k-1}
     det = Fraction(1)
+    leading.append(det)
     for k in range(1, spec.dimension + 1):
         # sum_{l=1..k} c_l D_{k-l}: reversed(d.nums) runs D_{k-1} down to D_0
         det = Fraction(sum(map(mul, c.nums, reversed(d.nums))), c.den * d.den)
         d.append(det)
+        leading.append(det)
     return det
 
 
@@ -126,12 +140,23 @@ def hb_det(N: int, n: int) -> Fraction:
     return hb_higher_det(N, 1, n)
 
 
-def hb_higher_det(N: int, r: int, n: int) -> Fraction:
-    """Order-r determinant route; the entries become the r-fold convolution weights."""
+def hb_higher_det(N: int, r: int, n: int, row: list[Fraction] | None = None) -> Fraction:
+    """Order-r determinant route; the entries become the r-fold convolution weights.
+
+    If `row` is given, B_0..B_n are appended to it, each (-1)^k k! D_k from
+    the same determinant walk, equal to ``hb_higher_det(N, r, k)`` for k >= 1.
+    """
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
-    row = weight_row(N, r, n)
-    det = toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(row[1:])))
+    spec = ToeplitzHessenbergSpec(Fraction(1), tuple(weight_row(N, r, n)[1:]))
+    leading: list[Fraction] | None = None if row is None else []
+    det = toeplitz_hessenberg_det(spec, leading)
+    if row is not None:
+        scale = 1  # (-1)^k k!
+        for k, d in enumerate(leading):
+            if k:
+                scale *= -k
+            row.append(Fraction(scale * d.numerator, d.denominator))
     return (-1) ** n * factorial(n) * det
 
 

@@ -3,18 +3,21 @@ import dataclasses
 import hashlib
 import io
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 
-from hgbern import cli, hbnum
+from hgbern import cli, hbnum, hessenberg
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, SweepConfig, main
-from hgbern.exactnum import parse_rational
+from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("HGBERN_CACHE", raising=False)
+    monkeypatch.delenv("HGBERN_AUDIT_SEED", raising=False)
 
 
 def run(capsys, *argv):
@@ -205,16 +208,17 @@ def test_verify_skips_negative_indices(capsys):
     assert out == "OK: routes recurrence,convolution agree on 18 grid points (12 comparisons)\n"
 
 
-def _count_calls(monkeypatch, name):
-    """Record the (N, r) of every call to hbnum.<name>."""
+def _count_calls(monkeypatch, name, module=hbnum):
+    """Record the first two arguments, the (N, r) of a family, of every call
+    to <module>.<name>."""
     calls = []
-    original = getattr(hbnum, name)
+    original = getattr(module, name)
 
-    def counting(N, r, *rest):
-        calls.append((N, r))
-        return original(N, r, *rest)
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(hbnum, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -234,6 +238,20 @@ def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):
     )
     assert code == EXIT_OK and out.startswith("OK:")
     assert walks == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
+
+
+def test_verify_walks_det_once_per_family(capsys, monkeypatch):
+    # one determinant and one weight row per (N, r) family, not one per n
+    # (one per n made 180 determinants here)
+    dets = _count_calls(monkeypatch, "toeplitz_hessenberg_det", hessenberg)
+    weight_rows = _count_calls(monkeypatch, "weight_row", hessenberg)
+    code, out, _ = run(
+        capsys, "verify", "-N", "1..2", "-r", "1..3", "-n", "0..30", "--routes", "recurrence,det"
+    )
+    assert code == EXIT_OK
+    assert out == "OK: routes recurrence,det agree on 186 grid points (180 comparisons)\n"
+    assert len(dets) == 6
+    assert weight_rows == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
 
 
 def test_verify_small_sweep(capsys):
@@ -290,15 +308,34 @@ def test_verify_reports_every_mismatch():
     ]
 
 
+def _inject_fault(monkeypatch, route, point):
+    """Make `route` give its value plus one at the (N, r, n) `point`, where a
+    sweep reads it: in the row of its family walk if it has one, else from
+    ``compute``."""
+    entry = cli.ROUTES[route]
+    if entry.walk is None:
+
+        def faulty(N, r, n, store):
+            value = entry.compute(N, r, n, store)
+            return value + 1 if (N, r, n) == point else value
+
+        faulty_entry = dataclasses.replace(entry, compute=faulty)
+    else:
+
+        def faulty_walk(N, r, top, store, row):
+            start = len(row)
+            value = entry.walk(N, r, top, store, row)
+            if (N, r) == point[:2] and point[2] <= top:
+                row[start + point[2]] += 1
+            return value
+
+        faulty_entry = dataclasses.replace(entry, walk=faulty_walk)
+    monkeypatch.setitem(cli.ROUTES, route, faulty_entry)
+
+
 @pytest.mark.parametrize("route", sorted(cli.ROUTES))
 def test_verify_names_the_faulty_route_and_point(route, capsys, monkeypatch):
-    entry = cli.ROUTES[route]
-
-    def faulty(N, r, n, store):
-        value = entry.compute(N, r, n, store)
-        return value + 1 if (N, r, n) == (2, 1, 3) else value
-
-    monkeypatch.setitem(cli.ROUTES, route, dataclasses.replace(entry, compute=faulty))
+    _inject_fault(monkeypatch, route, (2, 1, 3))
     code, out, _ = run(capsys, "verify", "-N", "1..3", "-r", "1", "-n", "0..5")
     assert code == EXIT_VERIFY
     lines = [line for line in out.splitlines() if line.startswith("MISMATCH")]
@@ -307,6 +344,22 @@ def test_verify_names_the_faulty_route_and_point(route, capsys, monkeypatch):
         point, _, sides = line.partition(": ")
         assert point == "MISMATCH at N=2 r=1 n=3"
         assert route in [side.split(" = ")[0] for side in sides.split(", ")]
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_verify_reads_each_det_point_from_its_family_row(n, capsys, monkeypatch):
+    # a fault inside the row (n = 20) and at its top (n = 40) is reported at
+    # exactly its own point
+    _inject_fault(monkeypatch, "det", (2, 2, n))
+    code, out, err = run(
+        capsys, "verify", "-N", "1..3", "-r", "1..3", "-n", "0..40", "--routes", "recurrence,det"
+    )
+    value = hb_higher(2, 2, n)
+    assert (code, err) == (EXIT_VERIFY, "")
+    assert out == (
+        f"MISMATCH at N=2 r=2 n={n}: recurrence = {format_rational(value)}, "
+        f"det = {format_rational(value + 1)}\n"
+    )
 
 
 def test_verify_rejects_vacuous_sweeps(capsys):
@@ -476,6 +529,57 @@ def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch
     )
     assert code == EXIT_OK and out.strip() == "1/90"
     assert not fresh.exists()
+
+
+def _cache_with_a_wrong_record(path):
+    """A cache file holding the (2, 2) row through n = 9, its 2 2 7 record wrong;
+    returns the keys in file order."""
+    store = hbnum.MemoStore(path)
+    hb_higher(2, 2, 9, store)
+    store.put(hbnum.HBKey(2, 2, 7), Fraction(1))
+    store.save()
+    return [hbnum.HBKey(2, 2, n) for n in range(10)]
+
+
+def test_audit_seed_from_the_environment_replays_the_draw(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.txt"
+    keys = _cache_with_a_wrong_record(cache)
+    draws = {seed: Random(seed).sample(keys, 3) for seed in range(100)}
+    hit = next(seed for seed, drawn in draws.items() if keys[7] in drawn)
+    miss = next(seed for seed, drawn in draws.items() if keys[7] not in drawn)
+    argv = ["table", "-N", "2", "-r", "2", "-n", "5..9", "--cache", str(cache)]
+    monkeypatch.setenv("HGBERN_AUDIT_SEED", str(hit))
+    for _ in range(3):
+        assert run(capsys, *argv) == (
+            EXIT_VERIFY,
+            "",
+            "error: cache audit failed at 2 2 7: stored 1/1, recomputed -8/1215 "
+            f"(replay with HGBERN_AUDIT_SEED={hit})\n",
+        )
+    monkeypatch.setenv("HGBERN_AUDIT_SEED", str(miss))
+    for _ in range(3):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "") and "2,2,7,1/1\n" in out
+
+
+def test_fresh_audit_seed_is_named_on_failure(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.txt"
+    keys = _cache_with_a_wrong_record(cache)
+    seed = next(s for s in range(100) if keys[7] in Random(s).sample(keys, 3))
+    monkeypatch.setattr(hbnum.random, "getrandbits", lambda bits: seed)
+    code, out, err = run(capsys, "compute", "-N", "2", "-r", "2", "-n", "3", "--cache", str(cache))
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err.endswith(f"(replay with HGBERN_AUDIT_SEED={seed})\n")
+
+
+@pytest.mark.parametrize("text", ["abc", "1.5"])
+def test_non_integer_audit_seed_is_a_usage_error(text, tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.txt"
+    _cache_with_a_wrong_record(cache)
+    monkeypatch.setenv("HGBERN_AUDIT_SEED", text)
+    code, out, err = run(capsys, "compute", "-N", "2", "-n", "3", "--cache", str(cache))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: HGBERN_AUDIT_SEED must be an integer, got {text!r}\n"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

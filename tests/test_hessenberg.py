@@ -84,6 +84,22 @@ def test_zero_superdiagonal_gives_product_of_diagonal():
     assert toeplitz_hessenberg_det(spec) == Fraction(-8, 27)
 
 
+@pytest.mark.parametrize("a0", (1, 0, -1, Fraction(3, 7)))
+def test_leading_determinants_are_the_prefix_determinants(a0):
+    # D_0..D_m of one walk are the determinants of the k-prefix specs
+    rng = Random(2026)
+    for m in [0, 1, 12] + [rng.randint(2, 11) for _ in range(5)]:
+        entries = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
+        leading = [Fraction(-5)]  # appended to, not replaced
+        det = toeplitz_hessenberg_det(ToeplitzHessenbergSpec(a0, entries), leading)
+        assert leading[0] == -5 and len(leading) == m + 2 and leading[-1] == det
+        for k, value in enumerate(leading[1:]):
+            prefix = ToeplitzHessenbergSpec(a0, entries[:k])
+            assert value == toeplitz_hessenberg_det(prefix)
+            assert value == naive_toeplitz_hessenberg_det(a0, entries[:k])
+            assert value == cofactor_det(prefix.matrix())
+
+
 def test_trudi_expand_simple_cases():
     assert trudi_expand(ToeplitzHessenbergSpec(Fraction(1), (Fraction(3, 4),))) == Fraction(3, 4)
     spec = ToeplitzHessenbergSpec(Fraction(1), (Fraction(1, 2), Fraction(1, 6)))
@@ -136,6 +152,18 @@ def test_determinant_route_matches_recurrence():
         for r in (2, 3):
             for n in range(1, 10):
                 assert hb_higher_det(N, r, n) == hb_higher(N, r, n)
+
+
+def test_determinant_row_equals_per_point_determinants():
+    for N in range(1, 6):
+        for r in range(1, 5):
+            row = []
+            top = hb_higher_det(N, r, 30, row)
+            assert len(row) == 31 and row[0] == 1 and row[30] == top
+            assert row[1:] == [hb_higher_det(N, r, n) for n in range(1, 31)]
+    with pytest.raises(ValueError, match="N, r and n must be >= 1"):
+        hb_higher_det(0, 1, 5, [])
+    assert hb_det(2, 4) == hb_higher_det(2, 1, 4, []) == Fraction(-1, 270)
 
 
 def test_inversion_pair_with_number_weights():
