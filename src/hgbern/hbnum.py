@@ -231,23 +231,18 @@ class MemoStore:
     ) -> list[HBKey]:
         """Recompute a few randomly chosen entries from scratch; raise on mismatch.
 
-        Without `rng` the draw is seeded from ``HGBERN_AUDIT_SEED`` when that
-        is set, else from a fresh seed, and a failure names the seed, so
-        setting ``HGBERN_AUDIT_SEED`` to it replays the same draw.
+        Without `rng` the draw comes from ``random.Random(0)``, so the same
+        keys in the same order always draw the same entries.
         """
         pool = list(keys) if keys is not None else list(self._values)
-        seed = None
-        if rng is None:
-            seed = _audit_seed()
-            rng = random.Random(seed)
+        rng = rng if rng is not None else random.Random(0)
         chosen = rng.sample(pool, min(samples, len(pool)))
         found = self.mismatches(chosen)
         if found:
             key, stored, expected = found[0]
-            replay = "" if seed is None else f" (replay with HGBERN_AUDIT_SEED={seed})"
             raise CacheError(
                 f"cache audit failed at {key.N} {key.r} {key.n}: stored "
-                f"{format_rational(stored)}, recomputed {format_rational(expected)}{replay}"
+                f"{format_rational(stored)}, recomputed {format_rational(expected)}"
             )
         return chosen
 
@@ -271,17 +266,6 @@ class MemoStore:
 def _fraction(value: Fraction | str) -> Fraction:
     """A stored value, decoding the file's text if it was not read yet."""
     return parse_rational(value) if isinstance(value, str) else value
-
-
-def _audit_seed() -> int:
-    """The load audit's seed: ``HGBERN_AUDIT_SEED`` if set, else a fresh one."""
-    text = os.environ.get("HGBERN_AUDIT_SEED")
-    if not text:
-        return random.getrandbits(32)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"HGBERN_AUDIT_SEED must be an integer, got {text!r}") from None
 
 
 def _version(path: Path) -> tuple[int, int, int] | None:

@@ -17,7 +17,6 @@ from hgbern.hbnum import hb_higher
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("HGBERN_CACHE", raising=False)
-    monkeypatch.delenv("HGBERN_AUDIT_SEED", raising=False)
 
 
 def run(capsys, *argv):
@@ -531,55 +530,38 @@ def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch
     assert not fresh.exists()
 
 
-def _cache_with_a_wrong_record(path):
-    """A cache file holding the (2, 2) row through n = 9, its 2 2 7 record wrong;
+def _cache_with_a_wrong_record(path, n):
+    """A cache file holding the (2, 2) row through n = 9, its 2 2 n record wrong;
     returns the keys in file order."""
     store = hbnum.MemoStore(path)
     hb_higher(2, 2, 9, store)
-    store.put(hbnum.HBKey(2, 2, 7), Fraction(1))
+    store.put(hbnum.HBKey(2, 2, n), Fraction(1))
     store.save()
-    return [hbnum.HBKey(2, 2, n) for n in range(10)]
+    return [hbnum.HBKey(2, 2, k) for k in range(10)]
 
 
-def test_audit_seed_from_the_environment_replays_the_draw(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "c.txt"
-    keys = _cache_with_a_wrong_record(cache)
-    draws = {seed: Random(seed).sample(keys, 3) for seed in range(100)}
-    hit = next(seed for seed, drawn in draws.items() if keys[7] in drawn)
-    miss = next(seed for seed, drawn in draws.items() if keys[7] not in drawn)
-    argv = ["table", "-N", "2", "-r", "2", "-n", "5..9", "--cache", str(cache)]
-    monkeypatch.setenv("HGBERN_AUDIT_SEED", str(hit))
+def test_load_audit_gives_the_same_result_every_run(tmp_path, capsys):
+    # the default draw is Random(0).sample of the keys in file order
+    drawn = Random(0).sample(range(10), 3)
+    hit = drawn[0]
+    miss = next(n for n in range(5, 10) if n not in drawn)
+    argv = ["table", "-N", "2", "-r", "2", "-n", "5..9", "--cache"]
+
+    cache = tmp_path / "hit.txt"
+    _cache_with_a_wrong_record(cache, hit)
+    recomputed = format_rational(hb_higher(2, 2, hit))
     for _ in range(3):
-        assert run(capsys, *argv) == (
+        assert run(capsys, *argv, str(cache)) == (
             EXIT_VERIFY,
             "",
-            "error: cache audit failed at 2 2 7: stored 1/1, recomputed -8/1215 "
-            f"(replay with HGBERN_AUDIT_SEED={hit})\n",
+            f"error: cache audit failed at 2 2 {hit}: stored 1/1, recomputed {recomputed}\n",
         )
-    monkeypatch.setenv("HGBERN_AUDIT_SEED", str(miss))
+
+    cache = tmp_path / "miss.txt"
+    _cache_with_a_wrong_record(cache, miss)
     for _ in range(3):
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (EXIT_OK, "") and "2,2,7,1/1\n" in out
-
-
-def test_fresh_audit_seed_is_named_on_failure(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "c.txt"
-    keys = _cache_with_a_wrong_record(cache)
-    seed = next(s for s in range(100) if keys[7] in Random(s).sample(keys, 3))
-    monkeypatch.setattr(hbnum.random, "getrandbits", lambda bits: seed)
-    code, out, err = run(capsys, "compute", "-N", "2", "-r", "2", "-n", "3", "--cache", str(cache))
-    assert (code, out) == (EXIT_VERIFY, "")
-    assert err.endswith(f"(replay with HGBERN_AUDIT_SEED={seed})\n")
-
-
-@pytest.mark.parametrize("text", ["abc", "1.5"])
-def test_non_integer_audit_seed_is_a_usage_error(text, tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "c.txt"
-    _cache_with_a_wrong_record(cache)
-    monkeypatch.setenv("HGBERN_AUDIT_SEED", text)
-    code, out, err = run(capsys, "compute", "-N", "2", "-n", "3", "--cache", str(cache))
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: HGBERN_AUDIT_SEED must be an integer, got {text!r}\n"
+        code, out, err = run(capsys, *argv, str(cache))
+        assert (code, err) == (EXIT_OK, "") and f"2,2,{miss},1/1\n" in out
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
