@@ -514,6 +514,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # values outgrow Python's 4300-digit default for int <-> str conversion
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -19,11 +19,15 @@ family once, to its deepest n, and reads every index from the store;
 operation per term, as a check on that integer inner loop (for r >= 2 it
 reads the same weight row).
 
-A :class:`MemoStore` caches values by (N, r, n), optionally in a text file.
+A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
+its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
 ``hb`` and ``hb_higher`` return a stored value directly and walk the row only
 when the requested key is missing.  Loading checks every record of the file
-but decodes a value only when it is first read; saving writes only when an
-entry was added or a value changed, keeps what another store saved since,
+but decodes a value only when it is first read.  A file in the form ``save``
+writes is checked by one whole-file pattern and split in one pass; any other
+file is checked line by line.  The pattern accepts only files the line-by-line
+check accepts, and reads the same records from them.  Saving writes only when
+an entry was added or a value changed, keeps what another store saved since,
 and writes values that were never read back as they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
@@ -34,9 +38,12 @@ from __future__ import annotations
 
 import os
 import random
+import re
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul
 from pathlib import Path
@@ -70,21 +77,23 @@ class CacheError(ValueError):
     """A cache file is malformed or disagrees with fresh recomputation."""
 
 
-@dataclass(frozen=True, order=True)
-class HBKey:
-    """Index triple (N, r, n) of a higher-order hypergeometric Bernoulli number."""
+class HBKey(namedtuple("HBKey", "N r n")):
+    """Index triple (N, r, n) of a higher-order hypergeometric Bernoulli number.
 
-    N: int
-    r: int
-    n: int
+    A ``tuple``, so hashing, equality and order are the plain tuple
+    ``(N, r, n)``'s, computed in C, and a key equals that tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
+    __slots__ = ()
+
+    def __new__(cls, N: int, r: int, n: int) -> HBKey:
+        if N < 1:
             raise ValueError("N must be >= 1")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
+        return tuple.__new__(cls, (N, r, n))
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,13 @@ class MemoStore:
     def load(self, audit_samples: int = 3, rng: random.Random | None = None) -> int:
         """Read and check the backing file, then spot-audit a few random entries.
 
+        A file in the form ``save`` writes (``N r n num/den`` lines with single
+        spaces, ASCII digits, keys without leading zeros, a nonzero
+        denominator and no key twice) is checked by one whole-file pattern and
+        split in one pass; any other file is read line by line, the one
+        definition of which files are accepted, which reports each error at its
+        line.  Both give the same records in the same order.
+
         Returns the number of records read.  Raises :class:`CacheError` on
         malformed lines, conflicting duplicates, or an audit mismatch.
         """
@@ -154,6 +170,18 @@ class MemoStore:
             raise CacheError("store has no backing file")
         # stat'ed before reading: a newer file read under it only costs a merge
         version = _version(self.path)
+        loaded = _saved_records(self.path.read_bytes())
+        if loaded is None:
+            loaded = self._read_lines()
+        self._values.update(loaded)
+        self._unsaved = len(self._values) > len(loaded)
+        self._seen = version
+        self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
+        return len(loaded)
+
+    def _read_lines(self) -> dict[HBKey, Fraction | str]:
+        """The backing file's records, read and checked line by line: the one
+        definition of the record format and its errors."""
         loaded: dict[HBKey, Fraction | str] = {}
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -177,11 +205,7 @@ class MemoStore:
                             "with conflicting values"
                         )
                     loaded[key] = value
-        self._values.update(loaded)
-        self._unsaved = len(self._values) > len(loaded)
-        self._seen = version
-        self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
-        return len(loaded)
+        return loaded
 
     def save(self) -> None:
         """Write every entry, sorted by key, if an entry was added or a value
@@ -261,6 +285,33 @@ class MemoStore:
             if stored != expected:
                 found.append((key, stored, expected))
         return found
+
+
+# A whole file in the form `save` writes: one `N r n num/den` record per line,
+# single spaces, ASCII digits, keys without leading zeros (so N, r >= 1) and a
+# denominator with a nonzero digit.  Each record can match in one way only, so
+# a file that fails is not matched again through its earlier records.
+_SAVED_FILE = re.compile(
+    rb"(?:[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) -?[0-9]+/0*[1-9][0-9]*\n)*"
+)
+
+
+def _saved_records(data: bytes) -> dict[HBKey, Fraction | str] | None:
+    """The records of a file's bytes if they are in the form `save` writes
+    and hold no key twice, read in one pass; None for any other file, which
+    ``MemoStore._read_lines`` reads and checks line by line.  Every file read
+    here holds exactly the records that loop would return."""
+    if _SAVED_FILE.fullmatch(data) is None:
+        return None
+    fields = data.decode("ascii").split()
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and max(map(len, fields), default=0) > limit:
+        return None  # int() may refuse a field this long; the loop says where
+    columns = (map(int, fields[i::4]) for i in range(3))
+    # the pattern has checked N, r >= 1 and n >= 0, so keys skip HBKey.__new__
+    keys = map(tuple.__new__, repeat(HBKey), zip(*columns))
+    records: dict[HBKey, Fraction | str] = dict(zip(keys, fields[3::4]))
+    return records if 4 * len(records) == len(fields) else None
 
 
 def _fraction(value: Fraction | str) -> Fraction:

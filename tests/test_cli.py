@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -17,6 +18,11 @@ from hgbern.hbnum import hb_higher
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("HGBERN_CACHE", raising=False)
+    # main lifts the int <-> str digit limit for its process; other tests get it back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -180,6 +186,28 @@ def test_table_cache_holds_the_walked_row(tmp_path, capsys):
         "1/63", "11/810", "-8/1215", "-41/2430", "1/66825",
     ]
     assert cache.read_text() == "".join(f"2 2 {n} {v}\n" for n, v in enumerate(values))
+
+
+def test_table_cache_file_is_pinned(tmp_path, capsys):
+    cache = tmp_path / "c.txt"
+    argv = "table -N 1..5 -r 1..3 -n 0..60 --cache".split()
+    assert run(capsys, *argv, str(cache))[0] == EXIT_OK
+    digest = "30eb7dd3adc3771b5ef067ea6b50cd4b4dac9e7cc2f3ba3e8f8362df563f7d1f"
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == digest
+
+
+def test_values_past_the_int_digit_limit_print_and_round_trip(tmp_path, capsys):
+    cache = tmp_path / "big.txt"
+    N = 10**1000
+    code, out, err = run(capsys, "compute", "-N", str(N), "-n", "5", "--cache", str(cache))
+    assert (code, err) == (EXIT_OK, "")
+    value = parse_rational(out)
+    assert len(str(value.denominator)) > 4300 and value == hb_higher(N, 1, 5)
+    assert run(capsys, "cache-audit", "--cache", str(cache)) == (
+        EXIT_OK,
+        "audited 6 entries: all match\n",
+        "",
+    )
 
 
 @pytest.mark.parametrize(

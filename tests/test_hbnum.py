@@ -1,12 +1,17 @@
+import copy
+import pickle
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgbern import hbnum
-from hgbern.exactnum import binom
+from hgbern.exactnum import binom, format_rational
 from hgbern.hbnum import (
     CacheError,
     HBKey,
@@ -166,6 +171,33 @@ def test_input_validation():
         recurrence_residual(2, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [((0, 1, 0), "N must be >= 1"), ((1, 0, 0), "r must be >= 1"), ((1, 1, -1), "n must be >= 0")],
+)
+def test_hbkey_rejects_bad_indices(indices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HBKey(*indices)
+
+
+def test_hbkey_is_an_immutable_ordered_triple():
+    key = HBKey(2, 3, 4)
+    assert repr(key) == "HBKey(N=2, r=3, n=4)"
+    assert (key.N, key.r, key.n) == (2, 3, 4)
+    # a tuple: it equals, hashes and sorts as the plain tuple (N, r, n)
+    assert key == (2, 3, 4) and hash(key) == hash((2, 3, 4))
+    keys = [HBKey(2, 1, 10), HBKey(1, 3, 0), HBKey(2, 1, 9), HBKey(10, 1, 1), HBKey(1, 1, 7)]
+    assert sorted(keys) == [
+        HBKey(1, 1, 7), HBKey(1, 3, 0), HBKey(2, 1, 9), HBKey(2, 1, 10), HBKey(10, 1, 1),
+    ]
+    with pytest.raises(AttributeError):
+        key.N = 5
+    with pytest.raises(AttributeError):
+        key.extra = 1
+    for twin in (copy.copy(key), copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+        assert type(twin) is HBKey and twin == key
+
+
 def test_huge_parameter_stays_cheap():
     # the recurrence must not materialize factorials of N
     N = 1 + 5**48
@@ -274,6 +306,149 @@ def test_memostore_audit_draws_the_same_keys_every_time(tmp_path):
     assert loaded.audit(rng=Random(4)) == Random(4).sample(keys, 3)
 
 
+_SAVED_ROW = "2 1 0 1/1\n2 1 1 -1/3\n2 1 2 1/18\n2 1 3 1/90\n"  # as `save` writes it
+
+
+@pytest.mark.parametrize(
+    "record, text, whole_file",
+    [
+        ("2 1 4 -1/270\n", "-1/270", True),
+        ("2 1 4 -02/540\n", "-02/540", True),  # zeros before a numerator's digits
+        ("2 1 4 -1/0270\n", "-1/0270", True),  # ... and a denominator's
+        ("+2 1 4 -1/270\n", "-1/270", False),  # a signed key
+        ("2 1 04 -1/270\n", "-1/270", False),  # a key with a leading zero
+        ("\n2 1 4 -1/270\n", "-1/270", False),  # a blank line
+        ("2 1 4\t-1/270\n", "-1/270", False),  # a tab
+        ("2  1 4 -1/270\n", "-1/270", False),  # two spaces
+        ("2 1 4 -1/270\r\n", "-1/270", False),  # a carriage return
+        ("2 1 4 +1/-270\n", "+1/-270", False),  # signs the loop accepts
+        ("2 1 4 -10/2700", "-10/2700", False),  # no final newline
+    ],
+)
+def test_memostore_reads_records_in_any_accepted_layout(tmp_path, record, text, whole_file):
+    path = tmp_path / "cache.txt"
+    path.write_bytes((_SAVED_ROW + record).encode())
+    assert (hbnum._saved_records(path.read_bytes()) is not None) == whole_file
+    store = MemoStore(path)
+    assert store.load(audit_samples=0) == 5
+    hb(3, 0, store)
+    store.save()  # the record, never read, is written back as it was read
+    assert path.read_text() == f"{_SAVED_ROW}2 1 4 {text}\n3 1 0 1/1\n"
+    assert store.items() == [(HBKey(2, 1, n), hb(2, n)) for n in range(5)] + [
+        (HBKey(3, 1, 0), Fraction(1))
+    ]
+
+
+@pytest.mark.parametrize(
+    "duplicate, value",
+    [("2 1 1 -1/3\n", Fraction(-1, 3)), ("2 1 1 -2/6\n", Fraction(-1, 3)), ("2 1 1 1/3\n", None)],
+)
+def test_memostore_checks_duplicates_in_a_saved_file_line_by_line(tmp_path, duplicate, value):
+    path = tmp_path / "cache.txt"
+    store = MemoStore(path)
+    hb(2, 6, store)
+    store.save()
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4] + [duplicate] + lines[4:]))
+    assert hbnum._SAVED_FILE.fullmatch(path.read_bytes())
+    if value is None:
+        with pytest.raises(CacheError, match=":5: duplicate key 2 1 1 with conflicting values"):
+            MemoStore(path).load(audit_samples=0)
+        return
+    reloaded = MemoStore(path)
+    assert reloaded.load(audit_samples=0) == 7
+    assert reloaded.get(HBKey(2, 1, 1)) == value
+    assert reloaded.items() == store.items()
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on int <-> str conversion, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python does not limit int <-> str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def test_memostore_reports_too_long_numbers_at_their_line(tmp_path, int_digit_limit):
+    # int() refuses these keys and denominators, so the loop reports them
+    path = tmp_path / "cache.txt"
+    digits = "1" * (int_digit_limit + 1)
+    path.write_text(f"2 1 0 1/1\n2 1 1 {digits}/3\n")  # a numerator is checked as text
+    assert MemoStore(path).load(audit_samples=0) == 2
+    for record in (f"2 1 1 1/{digits}", f"{digits} 1 1 1/3", f"2 1 {digits} 1/3"):
+        path.write_text(f"2 1 0 1/1\n{record}\n")
+        with pytest.raises(CacheError, match=":2: Exceeds the limit"):
+            MemoStore(path).load(audit_samples=0)
+
+
+_KEYS = st.builds(HBKey, st.integers(1, 10**30), st.integers(1, 50), st.integers(0, 10**30))
+
+
+@settings(deadline=None)
+@given(st.dictionaries(_KEYS, st.fractions(), min_size=1, max_size=30), _KEYS)
+def test_memostore_loads_every_saved_file_in_one_pass(tmp_path_factory, contents, extra):
+    path = tmp_path_factory.mktemp("saved") / "cache.txt"
+    store = MemoStore(path)
+    for key, value in contents.items():
+        store.put(key, value)
+    store.save()
+    records = hbnum._saved_records(path.read_bytes())
+    assert records is not None  # the whole-file check reads what save writes
+    reloaded = MemoStore(path)
+    assert records == reloaded._read_lines()
+    assert list(records) == sorted(contents)  # file order, which the load audit draws from
+    assert reloaded.load(audit_samples=0) == len(contents)
+    assert reloaded.items() == sorted(contents.items())
+    # a later save writes the same bytes as a store that never saw the file
+    reloaded.put(extra, Fraction(7, 3))
+    reloaded.save()
+    store.put(extra, Fraction(7, 3))
+    fresh = MemoStore(path.with_name("fresh.txt"))
+    for key, value in store.items():
+        fresh.put(key, value)
+    fresh.save()
+    assert path.read_bytes() == fresh.path.read_bytes()
+
+
+_SAVED_LINES = st.builds(
+    lambda N, r, n, value: f"{N} {r} {n} {format_rational(value)}\n",
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.fractions(max_denominator=50),
+)
+_ODD_FIELDS = st.sampled_from(
+    ["0", "05", "+2", "-1", "-05/1134", "1/0", "1/00", "1/-3", "+1/3", "7", "x"]
+    + ["\u0663", "1/\u0663"]  # an Arabic-Indic 3, which int() reads
+)
+_BENT_LINES = st.builds(
+    lambda fields, sep, end: sep.join(fields) + end,
+    st.lists(st.one_of(st.integers(0, 3).map(str), _ODD_FIELDS), max_size=5),
+    st.sampled_from([" ", "  ", "\t"]),
+    st.sampled_from(["\n", "\r\n", " \n", ""]),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_SAVED_LINES, max_size=6), st.lists(_BENT_LINES, max_size=1), st.integers(0, 6))
+def test_whole_file_check_accepts_only_what_the_loop_accepts(tmp_path_factory, lines, bent, at):
+    path = tmp_path_factory.mktemp("text") / "cache.txt"
+    path.write_bytes("".join(lines[:at] + bent + lines[at:]).encode())
+    records = hbnum._saved_records(path.read_bytes())
+    if not bent and len({line.rsplit(" ", 1)[0] for line in lines}) == len(lines):
+        assert records is not None
+    try:
+        expected = MemoStore(path)._read_lines()
+    except CacheError:
+        assert records is None
+        return
+    if records is not None:  # the same records, in the same order
+        assert list(records.items()) == list(expected.items())
+
+
 def test_memostore_rejects_malformed_lines(tmp_path):
     # load itself rejects each record, at its line, before any value is read
     path = tmp_path / "cache.txt"
@@ -284,9 +459,15 @@ def test_memostore_rejects_malformed_lines(tmp_path):
         ("2 1 4 a/b", "not a rational literal: 'a/b'"),
         ("2 1 4 1/2/3", "not a rational literal"),
         ("2 0 4 1/2", "r must be >= 1"),
+        ("0 1 4 1/2", "N must be >= 1"),
+        ("2 1 4 -1/000", "zero denominator in '-1/000'"),
     ]:
         path.write_text(f"2 1 1 -1/3\n\n{record}\n")
         with pytest.raises(CacheError, match=f":3: {message}"):
+            MemoStore(path).load(audit_samples=0)
+        # the same record in a file that is otherwise in the form save writes
+        path.write_text(f"2 1 1 -1/3\n{record}\n2 1 5 -1/1134\n")
+        with pytest.raises(CacheError, match=f":2: {message}"):
             MemoStore(path).load(audit_samples=0)
 
 
