@@ -8,6 +8,14 @@ formulas, checks the series-approximation property
 Q_n S - P_n = O(x^{n+1}), and evaluates the binomial identity families that
 property yields for the coefficients.
 
+The checks are integer sums over one oracle row, in the style of the kernels
+in :mod:`hbnum` and :mod:`exactnum`: each reads the parameter-N row
+B_{N,0..h} once, holds it over its lcm with ``CommonDenominator``, and turns
+the x^h coefficient of C(x) S(x) into one integer dot product over
+h! times the common denominators (h!/(h-j)! = falling(h, j)), reduced once
+into a ``Fraction``.  Non-integral coefficient lists (a hand-built P or Q,
+the reduced classical weights) go over their own common denominator first.
+
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
 products equal to 1, and empty sums equal to 0.
@@ -17,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 from typing import Iterable
 
-from .exactnum import binom, falling, rising
-from .hbnum import MemoStore, Series, hb, hb_series
+from .exactnum import CommonDenominator, binom, falling, rising
+from .hbnum import MemoStore, Series, hb_higher
 
 __all__ = [
     "Poly",
@@ -217,18 +227,46 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
     return ConvergentPair(n, Poly(p_coeffs), Poly(q_coeffs), N)
 
 
+def _series_row(N: int, top: int, store: MemoStore | None) -> CommonDenominator:
+    """B_{N,0..top}, from one walk of the family's row, over their lcm."""
+    row: list[Fraction] = []
+    hb_higher(N, 1, top, store, row=row)
+    return CommonDenominator(row)
+
+
+def _against_series(coeffs: CommonDenominator, series: CommonDenominator, h: int) -> int:
+    """x^h coefficient of C(x) S(x), for C with coefficients ``coeffs`` and S
+    with coefficients B_{N,i}/i! (the values in ``series``), times
+    h! * series.den * coeffs.den: the integer sum over j <= h of
+    C_j falling(h, j) B_{N,h-j}, as h!/(h-j)! = falling(h, j)."""
+    width = min(h + 1, len(coeffs.nums))
+    falls = accumulate(range(h, h + 1 - width, -1), mul, initial=1)
+    return sum(map(mul, map(mul, coeffs.nums[:width], falls), series.nums[h::-1]))
+
+
 def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -> Series:
     """The series Q_n S - P_n truncated at x^{n+1}, where S is the generating
     series of the parameter-N numbers; identically zero because the convergent
-    matches S through order n."""
+    matches S through order n.
+
+    Coefficient h is one integer sum over the row's, Q's and P's common
+    denominators and h!, reduced once."""
     order = pair.n + 1
-    series = hb_series(pair.N, 1, order, store).coefficients
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if pair.N < 1:
+        raise ValueError("N and r must be >= 1")
+    series = _series_row(pair.N, order - 1, store)
+    q = CommonDenominator(pair.Q.coefficients)
+    p = CommonDenominator(pair.P.coefficients)
     coeffs = []
+    fact = 1  # h!
     for h in range(order):
-        acc = -pair.P[h]
-        for j in range(min(h, pair.Q.degree) + 1):
-            acc += pair.Q[j] * series[h - j]
-        coeffs.append(acc)
+        fact *= h or 1
+        scale = fact * series.den * q.den
+        p_h = p.nums[h] if h < len(p.nums) else 0
+        num = _against_series(q, series, h) * p.den - p_h * scale
+        coeffs.append(Fraction(num, scale * p.den))
     return Series(tuple(coeffs), order)
 
 
@@ -244,9 +282,9 @@ def _identity(
         raise ValueError("h must be >= 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    lhs = Fraction(0)
-    for j in range(min(h, n) + 1):
-        lhs += _q_coefficient(N, n, odd, j) * hb(N, h - j, store) / factorial(h - j)
+    q = CommonDenominator([_q_coefficient(N, n, odd, j) for j in range(min(h, n) + 1)])
+    series = _series_row(N, h, store)
+    lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * q.den)
     return lhs, Fraction(_p_coefficient(N, n, odd, h))  # binom(n, h) = 0 for h > n
 
 
@@ -296,8 +334,6 @@ def classical_identity(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    B = lambda i: hb(1, i, store)  # noqa: E731 - local shorthand
-
     if variant == "even" or variant == "odd":
         odd = int(variant == "odd")
         # factorial (2n - h + 1 - odd)! must exist
@@ -309,45 +345,40 @@ def classical_identity(
         scale = factorial(2 * n - h + 1 - odd)
         return lhs / scale, rhs / scale
 
+    # coeffs[k] is the weight of B_{h-k}/(h-k)! in the left side
+    coeffs: list[Fraction | int]
     if variant == "even-reduced":
         if h < 1 or h > 2 * n + 1:
             raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")
-        lhs = Fraction(0)
+        # one term for each k: k = 2j, k = 1, and k = 2j+1 with j >= 1
+        coeffs = [0] * (h + 1)
         for j in range(h // 2 + 1):
-            lhs += (
-                Fraction(factorial(2 * n - 2 * j + 1), 2 * j + 1)
-                * binom(n, 2 * j)
-                * B(h - 2 * j)
-                / factorial(h - 2 * j)
-            )
-        lhs += Fraction(factorial(2 * n), 2) * B(h - 1) / factorial(h - 1)
+            coeffs[2 * j] = Fraction(factorial(2 * n - 2 * j + 1), 2 * j + 1) * binom(n, 2 * j)
+        coeffs[1] = Fraction(factorial(2 * n), 2)
         for j in range(1, (h - 1) // 2 + 1):
-            lhs += (
+            coeffs[2 * j + 1] = (
                 Fraction(factorial(2 * n - 2 * j), 4 * (2 * j + 1))
                 * Fraction(1, binom(2 * j - 1, j))
                 * binom(n - j - 1, j)
                 * binom(n, j)
-                * B(h - 2 * j - 1)
-                / factorial(h - 2 * j - 1)
             )
         rhs = (
             Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h + 1))
             if h <= n
             else Fraction(0)
         )
-        return lhs, rhs
-
-    # odd-reduced
-    if h < 1 or h > 2 * n:
-        raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
-    lhs = Fraction(0)
-    for j in range(h // 2 + 1):
-        lhs += (
-            Fraction(factorial(j) ** 2 * factorial(2 * n - 2 * j), factorial(2 * j + 1))
-            * binom(n, j)
-            * binom(n - j - 1, j)
-            * B(h - 2 * j)
-            / factorial(h - 2 * j)
-        )
-    rhs = Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h)) if h <= n else Fraction(0)
+    else:  # odd-reduced
+        if h < 1 or h > 2 * n:
+            raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
+        coeffs = [0] * (h + 1)
+        for j in range(h // 2 + 1):
+            coeffs[2 * j] = (
+                Fraction(factorial(j) ** 2 * factorial(2 * n - 2 * j), factorial(2 * j + 1))
+                * binom(n, j)
+                * binom(n - j - 1, j)
+            )
+        rhs = Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h)) if h <= n else Fraction(0)
+    weights = CommonDenominator(coeffs)
+    series = _series_row(1, h, store)
+    lhs = Fraction(_against_series(weights, series, h), factorial(h) * series.den * weights.den)
     return lhs, rhs

@@ -44,11 +44,43 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
 
+# Python's int <-> str conversion refuses more digits than a per-process limit
+# (4300 by default, where the interpreter has one; never below 640).  Longer
+# integers are converted in halves, so library callers need not lift the limit
+# for the whole process.
+_DIGITS_ALWAYS_CONVERTED = 640
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` at any length."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    # 10**k <= n, so the high half is nonzero and the text has no leading zero
+    k = int((n.bit_length() - 1) * 0.30102999566398) // 2
+    high, low = divmod(n, 10**k)
+    return sign + _int_text(high) + _int_text(low).zfill(k)
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` at any length, for a ``[+-]?digits`` literal."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("+-")
+        if len(digits) <= _DIGITS_ALWAYS_CONVERTED:
+            raise
+    k = len(digits) // 2
+    value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
+    return -value if text.startswith("-") else value
+
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``num/den`` in lowest terms; ``/1`` stays explicit."""
     q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def check_rational(text: str) -> None:
@@ -56,7 +88,7 @@ def check_rational(text: str) -> None:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if m.group(2) is not None and int(m.group(2)) == 0:
+    if m.group(2) is not None and _text_int(m.group(2)) == 0:
         raise ValueError(f"zero denominator in {text!r}")
 
 
@@ -64,27 +96,21 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
     check_rational(text)
     num, _, den = text.strip().partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return Fraction(_text_int(num), _text_int(den) if den else 1)
 
 
 def falling(a: int, k: int) -> int:
     """Falling factorial ``a (a-1) ... (a-k+1)``; the empty product is 1."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= a - i
-    return out
+    return math.prod(range(a, a - k, -1))
 
 
 def rising(a: int, k: int) -> int:
     """Rising factorial ``a (a+1) ... (a+k-1)``; the empty product is 1."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= a + i
-    return out
+    return math.prod(range(a, a + k))
 
 
 def binom(a: int, k: int) -> int:

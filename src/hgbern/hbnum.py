@@ -36,6 +36,7 @@ At N = 1 the numbers reduce to the classical Bernoulli numbers
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import re
@@ -181,30 +182,40 @@ class MemoStore:
 
     def _read_lines(self) -> dict[HBKey, Fraction | str]:
         """The backing file's records, read and checked line by line: the one
-        definition of the record format and its errors."""
+        definition of the record format and its errors.  Lines are UTF-8 text
+        and end at ``\n``, ``\r\n`` or ``\r``."""
+        data = self.path.read_bytes()
+        try:
+            decoded = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start].decode("utf-8")
+            lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+            raise CacheError(
+                f"{self.path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                f"({exc.reason})"
+            ) from exc
         loaded: dict[HBKey, Fraction | str] = {}
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.split()
-                if not fields:
-                    continue
-                if len(fields) != 4:
-                    raise CacheError(f"{self.path}:{lineno}: expected 'N r n num/den'")
-                text = fields[3]
-                try:
-                    key = HBKey(int(fields[0]), int(fields[1]), int(fields[2]))
-                    check_rational(text)
-                except ValueError as exc:
-                    raise CacheError(f"{self.path}:{lineno}: {exc}") from exc
-                known = loaded.setdefault(key, text)
-                if known != text:
-                    value = parse_rational(text)
-                    if _fraction(known) != value:
-                        raise CacheError(
-                            f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
-                            "with conflicting values"
-                        )
-                    loaded[key] = value
+        for lineno, line in enumerate(io.StringIO(decoded, newline=None), start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 4:
+                raise CacheError(f"{self.path}:{lineno}: expected 'N r n num/den'")
+            text = fields[3]
+            try:
+                key = HBKey(int(fields[0]), int(fields[1]), int(fields[2]))
+                check_rational(text)
+            except ValueError as exc:
+                raise CacheError(f"{self.path}:{lineno}: {exc}") from exc
+            known = loaded.setdefault(key, text)
+            if known != text:
+                value = parse_rational(text)
+                if _fraction(known) != value:
+                    raise CacheError(
+                        f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
+                        "with conflicting values"
+                    )
+                loaded[key] = value
         return loaded
 
     def save(self) -> None:

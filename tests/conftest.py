@@ -1,0 +1,14 @@
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on int <-> str conversion, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python does not limit int <-> str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)

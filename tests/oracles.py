@@ -241,3 +241,106 @@ def naive_hb_descent_nested(prev: Sequence[Fraction], N: int, n: int) -> Fractio
                 term *= prev[step] * comb(idx[k - 1], step) * Fraction(N, N + idx[k])
             total += term
     return Fraction(N, N + n) * total
+
+
+def naive_hb_series(N: int, order: int) -> list[Fraction]:
+    """S_0..S_{order-1} with S_n = B_{N,n}/n!: the coefficients of
+    1 / sum_k x^k/((N+1)...(N+k)), by series division one Fraction per term."""
+    base = _reciprocal_rising(N, order - 1)
+    out: list[Fraction] = []
+    for n in range(order):
+        acc = Fraction(int(n == 0))
+        for k in range(1, n + 1):
+            acc -= base[k] * out[n - k]
+        out.append(acc)
+    return out
+
+
+def naive_convergent(N: int, index: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Coefficient lists (ascending, possibly with trailing zeros) of the
+    convergent numerator and denominator: P_0 = Q_0 = 1, P_1 = (N+1) - x,
+    Q_1 = N+1, then X_k = (N+k) X_{k-1} + b_k x X_{k-2} with b_{2m} = m and
+    b_{2m+1} = -(N+m), on plain lists."""
+
+    def step(a: int, cur: list[Fraction], b: int, prev: list[Fraction]) -> list[Fraction]:
+        out = [a * c for c in cur] + [Fraction(0)] * (len(prev) + 1 - len(cur))
+        for i, c in enumerate(prev):
+            out[i + 1] += b * c
+        return out
+
+    p_prev, p = [Fraction(1)], [Fraction(N + 1), Fraction(-1)]
+    q_prev, q = [Fraction(1)], [Fraction(N + 1)]
+    if index == 0:
+        return p_prev, q_prev
+    for k in range(2, index + 1):
+        m = k // 2
+        b = m if k % 2 == 0 else -(N + m)
+        p_prev, p = p, step(N + k, p, b, p_prev)
+        q_prev, q = q, step(N + k, q, b, q_prev)
+    return p, q
+
+
+def naive_product_coefficient(
+    coeffs: Sequence[Fraction], series: Sequence[Fraction], h: int
+) -> Fraction:
+    """x^h coefficient of (sum_j coeffs[j] x^j) * (sum_i series[i] x^i), one
+    Fraction multiply-add per term."""
+    total = Fraction(0)
+    for j, c in enumerate(coeffs[: h + 1]):
+        total += c * series[h - j]
+    return total
+
+
+def naive_defect(
+    P: Sequence[Fraction], Q: Sequence[Fraction], N: int, order: int
+) -> list[Fraction]:
+    """Coefficients 0..order-1 of Q S - P, S the series of ``naive_hb_series``."""
+    series = naive_hb_series(N, order)
+    return [
+        naive_product_coefficient(Q, series, h) - (P[h] if h < len(P) else 0)
+        for h in range(order)
+    ]
+
+
+def _falling_binom(a: int, k: int) -> Fraction:
+    """a (a-1) ... (a-k+1) / k!, for any integer a."""
+    num = 1
+    for i in range(k):
+        num *= a - i
+    return Fraction(num, factorial(k))
+
+
+def naive_classical_reduced(variant: str, n: int, h: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the reduced classical identities ("even-reduced",
+    "odd-reduced"), term by term over Akiyama-Tanigawa Bernoulli numbers."""
+    B = bernoulli_akiyama_tanigawa(h)
+    C = _falling_binom
+
+    def S(i: int) -> Fraction:
+        return B[i] / factorial(i)
+
+    lhs = Fraction(0)
+    if variant == "even-reduced":
+        for j in range(h // 2 + 1):
+            lhs += Fraction(factorial(2 * n - 2 * j + 1), 2 * j + 1) * C(n, 2 * j) * S(h - 2 * j)
+        lhs += Fraction(factorial(2 * n), 2) * S(h - 1)
+        for j in range(1, (h - 1) // 2 + 1):
+            lhs += (
+                Fraction(factorial(2 * n - 2 * j), 4 * (2 * j + 1))
+                / C(2 * j - 1, j)
+                * C(n - j - 1, j)
+                * C(n, j)
+                * S(h - 2 * j - 1)
+            )
+        top = 2 * n - h + 1
+    else:
+        for j in range(h // 2 + 1):
+            lhs += (
+                Fraction(factorial(j) ** 2 * factorial(2 * n - 2 * j), factorial(2 * j + 1))
+                * C(n, j)
+                * C(n - j - 1, j)
+                * S(h - 2 * j)
+            )
+        top = 2 * n - h
+    rhs = (-1) ** h * C(n, h) * factorial(top) if h <= n else Fraction(0)
+    return lhs, rhs

@@ -14,8 +14,16 @@ from hgbern.contfrac import (
     identity_even,
     identity_odd,
 )
+from hgbern import cli, contfrac
 from hgbern.hbnum import HBKey, MemoStore, hb
-from oracles import stirling1_unsigned
+from oracles import (
+    naive_classical_reduced,
+    naive_convergent,
+    naive_defect,
+    naive_hb_series,
+    naive_product_coefficient,
+    stirling1_unsigned,
+)
 
 
 def test_poly_basics():
@@ -234,3 +242,95 @@ def test_lhs_uses_generating_series_values():
         Fraction(0),
     )
     assert lhs == direct == pair.P[h] == rhs
+
+
+# The integer sums over one row against term-by-term Fraction references
+# built without contfrac code.
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_identities_equal_the_term_by_term_reference(N):
+    store = MemoStore()
+    for n in range(1, 13):
+        series = naive_hb_series(N, 2 * n + 3)
+        for odd, family in ((0, identity_even), (1, identity_odd)):
+            P, Q = naive_convergent(N, 2 * n - odd)
+            for h in range(2 * n + 3):
+                expected = (
+                    naive_product_coefficient(Q, series, h),
+                    P[h] if h < len(P) else Fraction(0),
+                )
+                assert family(N, n, h, store) == expected, (N, n, h, odd)
+    if N == 3:  # the pinned non-identity: h = 2n lies beyond the odd family's range
+        P, Q = naive_convergent(3, 3)
+        assert naive_product_coefficient(Q, naive_hb_series(3, 5), 4) == Fraction(-1, 105)
+        assert len(P) <= 4 and identity_odd(3, 2, 4, store) == (Fraction(-1, 105), 0)
+
+
+def test_classical_identities_equal_the_term_by_term_reference():
+    store = MemoStore()
+    series = naive_hb_series(1, 2 * 12 + 3)
+    for n in range(1, 13):
+        for variant, odd in (("even", 0), ("odd", 1)):
+            P, Q = naive_convergent(1, 2 * n - odd)
+            top = 2 * n + 1 - odd
+            for h in range(top + 1):
+                scale = factorial(top - h)
+                lhs = naive_product_coefficient(Q, series, h) / scale
+                rhs = (P[h] if h < len(P) else 0) / scale
+                assert classical_identity(variant, n, h, store) == (lhs, rhs), (variant, n, h)
+            with pytest.raises(ValueError, match=f"needs 0 <= h <= {top}"):
+                classical_identity(variant, n, top + 1, store)
+        for variant, top in (("even-reduced", 2 * n + 1), ("odd-reduced", 2 * n)):
+            for h in range(1, top + 1):
+                expected = naive_classical_reduced(variant, n, h)
+                assert classical_identity(variant, n, h, store) == expected, (variant, n, h)
+            for h in (0, top + 1):
+                with pytest.raises(ValueError, match=f"variant '{variant}' needs 1 <= h"):
+                    classical_identity(variant, n, h, store)
+
+
+def _perturbed(pair, which, power, delta):
+    coeffs = list(getattr(pair, which).coefficients)
+    coeffs += [Fraction(0)] * (power + 1 - len(coeffs))
+    coeffs[power] += delta
+    polys = {"P": pair.P, "Q": pair.Q, which: Poly(coeffs)}
+    return ConvergentPair(pair.n, polys["P"], polys["Q"], pair.N)
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_defects_equal_the_term_by_term_reference(N):
+    store = MemoStore()
+    for n in range(25):
+        pair = convergent_rec(N, n)
+        P, Q = pair.P.coefficients, pair.Q.coefficients
+        assert list(approximation_defect(pair, store).coefficients) == naive_defect(
+            P, Q, N, n + 1
+        ) == [0] * (n + 1)
+        # non-integral coefficients, first nonzero exactly where perturbed
+        power = n // 2
+        for which, delta in (("P", Fraction(-5, 11)), ("Q", Fraction(1, 3))):
+            bad = _perturbed(pair, which, power, delta)
+            defect = approximation_defect(bad, store).coefficients
+            assert list(defect) == naive_defect(bad.P.coefficients, bad.Q.coefficients, N, n + 1)
+            assert next(h for h, c in enumerate(defect) if c != 0) == power
+            assert defect[power] == (-delta if which == "P" else delta)
+
+
+def test_defect_validation_is_unchanged():
+    with pytest.raises(ValueError, match="N and r must be >= 1"):
+        approximation_defect(ConvergentPair(2, Poly([1]), Poly([1]), 0))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        approximation_defect(ConvergentPair(-1, Poly([1]), Poly([1]), 0))
+
+
+def test_cli_reports_a_perturbed_defect_at_its_first_coefficient(capsys, monkeypatch):
+    real = contfrac.convergent_rec
+    monkeypatch.setattr(
+        contfrac, "convergent_rec", lambda N, n: _perturbed(real(N, n), "Q", 2, Fraction(1, 3))
+    )
+    assert cli.main(["convergents", "-N", "2", "-n", "6", "--check"]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out == (
+        "P = 20160 - 7560x + 1080x^2 - 60x^3, Q = 20160 - 840x + 721/3x^2 + 6x^3\n"
+        "defect ≠ 0 mod x^7: coefficient of x^2 is 1/3\n"
+    )

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -11,6 +12,7 @@ from hgbern.exactnum import (
     PartitionVector,
     binom,
     cauchy_product,
+    check_rational,
     enumerate_compositions,
     enumerate_partition_vectors,
     falling,
@@ -59,6 +61,23 @@ def test_falling_rising_values():
     assert rising(1, 4) == 24
     assert rising(3, 2) == 12
     assert rising(-9, 0) == 1
+
+
+def test_falling_rising_edge_cases():
+    for a in range(-6, 7):
+        for k in range(8):
+            fall = rise = 1
+            for i in range(k):
+                fall *= a - i
+                rise *= a + i
+            assert (falling(a, k), rising(a, k)) == (fall, rise), (a, k)
+    assert falling(-3, 2) == 12 and rising(-3, 3) == -6 and rising(-2, 4) == 0
+    assert falling(2, 5) == 0 and falling(0, 0) == rising(0, 0) == 1
+    for f in (falling, rising):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            f(3, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            f(-3, -2)
 
 
 def test_falling_index_shift_identity():
@@ -178,6 +197,30 @@ def test_parse_rational():
         parse_rational("a/b")
     with pytest.raises(ValueError):
         parse_rational("1.5")
+
+
+def test_rationals_past_the_int_digit_limit(int_digit_limit):
+    # converted in halves, with the interpreter's limit left as it is
+    q = Fraction(10**5000 + 1, 3)
+    text = format_rational(q)
+    assert text == "1" + "0" * 4999 + "1/3"
+    assert parse_rational(text) == q and parse_rational(f" +{text} ") == q
+    values = [
+        Fraction(-(7**9000), 10**4301 + 3),
+        Fraction(2**20000 - 1),
+        Fraction(-(10**4300)),
+        Fraction(10**12000 + 7, 11**5000),
+    ]
+    texts = [format_rational(v) for v in values]
+    assert [parse_rational(t) for t in texts] == values
+    assert parse_rational("0" * 5000 + "12/" + "0" * 5000 + "8") == Fraction(3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        check_rational("1/" + "0" * 5000)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational("1" * 5000 + "x")
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    sys.set_int_max_str_digits(0)  # the fixture puts the limit back
+    assert texts == [f"{v.numerator}/{v.denominator}" for v in values]
 
 
 @given(st.fractions())

@@ -361,27 +361,46 @@ def test_memostore_checks_duplicates_in_a_saved_file_line_by_line(tmp_path, dupl
     assert reloaded.items() == store.items()
 
 
-@pytest.fixture
-def int_digit_limit():
-    """Python's default limit on int <-> str conversion, for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python does not limit int <-> str conversion")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(before)
-
-
 def test_memostore_reports_too_long_numbers_at_their_line(tmp_path, int_digit_limit):
-    # int() refuses these keys and denominators, so the loop reports them
+    # values of any length load; int() refuses keys this long, so the loop reports them
     path = tmp_path / "cache.txt"
     digits = "1" * (int_digit_limit + 1)
-    path.write_text(f"2 1 0 1/1\n2 1 1 {digits}/3\n")  # a numerator is checked as text
-    assert MemoStore(path).load(audit_samples=0) == 2
-    for record in (f"2 1 1 1/{digits}", f"{digits} 1 1 1/3", f"2 1 {digits} 1/3"):
+    for record in (f"2 1 1 {digits}/3", f"2 1 1 1/{digits}"):
+        path.write_text(f"2 1 0 1/1\n{record}\n")
+        assert MemoStore(path).load(audit_samples=0) == 2
+    for record in (f"{digits} 1 1 1/3", f"2 1 {digits} 1/3"):
         path.write_text(f"2 1 0 1/1\n{record}\n")
         with pytest.raises(CacheError, match=":2: Exceeds the limit"):
             MemoStore(path).load(audit_samples=0)
+
+
+def test_memostore_round_trips_values_past_the_digit_limit(tmp_path, int_digit_limit):
+    # library use, with the interpreter's default limit in place
+    big = Fraction(10**5000 + 1, 3)
+    small = Fraction(-(10**int_digit_limit), 7**6000)
+    path = tmp_path / "cache.txt"
+    store = MemoStore(path)
+    store.put(HBKey(2, 1, 1), big)
+    store.put(HBKey(2, 1, 2), small)
+    store.save()
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    assert path.read_text().splitlines()[0] == f"2 1 1 {format_rational(big)}"
+    reloaded = MemoStore(path)
+    assert reloaded.load(audit_samples=0) == 2
+    assert reloaded.items() == [(HBKey(2, 1, 1), big), (HBKey(2, 1, 2), small)]
+
+
+def test_memostore_reports_a_non_utf8_file_at_its_line(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"1 1 0 1/1\n1 1 1 -1/2\xff\n")
+    with pytest.raises(CacheError, match=r"cache\.txt:2: not UTF-8 text: byte 0xff"):
+        MemoStore(path).load(audit_samples=0)
+    # lines end at \n, \r\n or \r, as they did when the file was read as text
+    path.write_bytes(b"1 1 0 1/1\r1 1 1 -1/2\r\n1 1 2 1/6\n\xc3(\n")
+    with pytest.raises(CacheError, match=r":4: not UTF-8 text: byte 0xc3"):
+        MemoStore(path).load(audit_samples=0)
+    path.write_bytes(b"1 1 0 1/1\r1 1 1 -1/2\r\n1 1 2 1/6\n")
+    assert MemoStore(path).load() == 3
 
 
 _KEYS = st.builds(HBKey, st.integers(1, 10**30), st.integers(1, 50), st.integers(0, 10**30))
