@@ -45,7 +45,7 @@ class HypothesisViolation(ValueError):
 
 
 _SMALL_PRIME_LIMIT = 10**6
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -73,8 +73,10 @@ def _miller_rabin(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Trial division up to 10^6, then Miller-Rabin for larger candidates.
 
-    Deterministic for n < 10^12 and for all n below the known bound of the
-    fixed witness set (~3.3e24); a strong probabilistic test beyond.
+    Deterministic for n < 10^12, and for n < 3317044064679887385961981 by the
+    known bound of the witness set, the 13 primes up to 41 (the 12 primes up
+    to 37 pass the composite 318665857834031151167461); a strong
+    probabilistic test beyond.
     """
     if n < 2:
         return False

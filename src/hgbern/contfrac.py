@@ -8,6 +8,11 @@ formulas, checks the series-approximation property
 Q_n S - P_n = O(x^{n+1}), and evaluates the binomial identity families that
 property yields for the coefficients.
 
+The closed route evaluates the closed formulas, never the recurrence, so each
+route witnesses the other.  Running products (a prefix product of falling
+factorials, and the product over N+l grown one factor at a time) make each
+coefficient O(n) integer products and a whole P or Q list O(n^2).
+
 The checks are integer sums over one oracle row, in the style of the kernels
 in :mod:`hbnum` and :mod:`exactnum`: each reads the parameter-N row
 B_{N,0..h} once, holds it over its lcm with ``CommonDenominator``, and turns
@@ -30,7 +35,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .exactnum import CommonDenominator, binom, falling, rising
+from .exactnum import CommonDenominator, binom, rising
 from .hbnum import MemoStore, Series, hb_higher
 
 __all__ = [
@@ -206,12 +211,19 @@ def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
 
         sum_{k<=j} (-1)^(j-k) falling(t, k) binom(m-k-1, j-k) prod_{l=k+1..t} (N+l)
 
-    with t = 2m-j-odd."""
+    with t = 2m-j-odd, in O(j) products: falling(t, k) is a prefix product
+    over k, and the product over l takes one more factor, N+k+1, at each step
+    of k down from j (it stays empty while k >= t)."""
     top = 2 * m - j - odd
-    return sum(
-        (-1) ** (j - k) * falling(top, k) * binom(m - k - 1, j - k) * _prod(N, k + 1, top)
-        for k in range(j + 1)
-    )
+    falls = list(accumulate(range(top, top - j, -1), mul, initial=1))
+    tail = _prod(N, j + 1, top)
+    total = 0
+    for k in range(j, -1, -1):
+        term = falls[k] * binom(m - k - 1, j - k) * tail
+        total += -term if (j - k) % 2 else term
+        if k <= top:
+            tail *= N + k
+    return total
 
 
 def convergent_closed(N: int, n: int) -> ConvergentPair:
@@ -222,7 +234,11 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
         return ConvergentPair(0, Poly([1]), Poly([1]), N)
     odd = n % 2
     m = (n + odd) // 2
-    p_coeffs = [_p_coefficient(N, m, odd, j) for j in range(m + 1)]
+    # heads[i] = prod_{l=1..m-odd+i} (N+l), the product of the x^(m-i) coefficient
+    heads = list(
+        accumulate(range(N + m - odd + 1, N + 2 * m - odd + 1), mul, initial=_prod(N, 1, m - odd))
+    )
+    p_coeffs = [(-1) ** j * binom(m, j) * heads[m - j] for j in range(m + 1)]
     q_coeffs = [_q_coefficient(N, m, odd, j) for j in range(m - odd + 1)]
     return ConvergentPair(n, Poly(p_coeffs), Poly(q_coeffs), N)
 

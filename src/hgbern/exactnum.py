@@ -69,8 +69,9 @@ def _text_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        digits = text.lstrip("+-")
-        if len(digits) <= _DIGITS_ALWAYS_CONVERTED:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        # only the length may stop int(): a split must not meet a sign or "_"
+        if len(digits) <= _DIGITS_ALWAYS_CONVERTED or not digits.isdecimal():
             raise
     k = len(digits) // 2
     value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])

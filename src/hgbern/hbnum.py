@@ -51,6 +51,8 @@ from pathlib import Path
 
 from .exactnum import (
     CommonDenominator,
+    _int_text,
+    _text_int,
     binom,
     cauchy_product,
     check_rational,
@@ -203,7 +205,7 @@ class MemoStore:
                 raise CacheError(f"{self.path}:{lineno}: expected 'N r n num/den'")
             text = fields[3]
             try:
-                key = HBKey(int(fields[0]), int(fields[1]), int(fields[2]))
+                key = HBKey(*map(_text_int, fields[:3]))
                 check_rational(text)
             except ValueError as exc:
                 raise CacheError(f"{self.path}:{lineno}: {exc}") from exc
@@ -212,7 +214,7 @@ class MemoStore:
                 value = parse_rational(text)
                 if _fraction(known) != value:
                     raise CacheError(
-                        f"{self.path}:{lineno}: duplicate key {key.N} {key.r} {key.n} "
+                        f"{self.path}:{lineno}: duplicate key {_key_text(key)} "
                         "with conflicting values"
                     )
                 loaded[key] = value
@@ -239,7 +241,7 @@ class MemoStore:
                 mine = self._values.get(key)
                 if mine is not None and mine != value and _fraction(mine) != _fraction(value):
                     raise CacheError(
-                        f"{self.path}: {key.N} {key.r} {key.n} was saved with another value"
+                        f"{self.path}: {_key_text(key)} was saved with another value"
                     )
             self._values = {**disk._values, **self._values}
         # write a sibling file, then rename it over the old one, so a crash
@@ -250,7 +252,7 @@ class MemoStore:
                 for k in sorted(self._values):
                     v = self._values[k]
                     text = v if isinstance(v, str) else format_rational(v)
-                    fh.write(f"{k.N} {k.r} {k.n} {text}\n")
+                    fh.write(f"{_key_text(k)} {text}\n")
             self._seen = _version(tmp)  # the rename keeps it; a later stat may see another save
             os.replace(tmp, self.path)
         except BaseException:
@@ -276,7 +278,7 @@ class MemoStore:
         if found:
             key, stored, expected = found[0]
             raise CacheError(
-                f"cache audit failed at {key.N} {key.r} {key.n}: stored "
+                f"cache audit failed at {_key_text(key)}: stored "
                 f"{format_rational(stored)}, recomputed {format_rational(expected)}"
             )
         return chosen
@@ -323,6 +325,14 @@ def _saved_records(data: bytes) -> dict[HBKey, Fraction | str] | None:
     keys = map(tuple.__new__, repeat(HBKey), zip(*columns))
     records: dict[HBKey, Fraction | str] = dict(zip(keys, fields[3::4]))
     return records if 4 * len(records) == len(fields) else None
+
+
+def _key_text(key: HBKey) -> str:
+    """``N r n`` as a record starts, at any length."""
+    try:
+        return "%d %d %d" % key
+    except ValueError:  # a field past the int/str digit limit
+        return " ".join(map(_int_text, key))
 
 
 def _fraction(value: Fraction | str) -> Fraction:

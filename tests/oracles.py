@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 
@@ -278,6 +278,19 @@ def naive_convergent(N: int, index: int) -> tuple[list[Fraction], list[Fraction]
         p_prev, p = p, step(N + k, p, b, p_prev)
         q_prev, q = q, step(N + k, q, b, q_prev)
     return p, q
+
+
+def naive_q_coefficient(N: int, m: int, odd: int, j: int) -> Fraction:
+    """x^j coefficient of Q_{2m-odd} by its closed form, term by term:
+    sum_{k<=j} (-1)^(j-k) falling(t, k) binom(m-k-1, j-k) prod_{l=k+1..t} (N+l)
+    with t = 2m-j-odd, every factor rebuilt for every k."""
+    top = 2 * m - j - odd
+    total = Fraction(0)
+    for k in range(j + 1):
+        fall = prod(range(top, top - k, -1))
+        tail = prod(range(N + k + 1, N + top + 1))  # empty for k >= top
+        total += (-1) ** (j - k) * fall * _falling_binom(m - k - 1, j - k) * tail
+    return total
 
 
 def naive_product_coefficient(

@@ -26,6 +26,8 @@ def test_is_prime():
     assert not is_prime(10**6 + 4)
     assert is_prime(2**61 - 1)  # beyond the trial-division window
     assert not is_prime(2**67 - 1)  # Mersenne composite
+    # 399165290221 * 798330580441: strong pseudoprime to every base up to 37
+    assert not is_prime(318665857834031151167461)
 
 
 def test_ordp_values():

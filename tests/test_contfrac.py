@@ -22,6 +22,7 @@ from oracles import (
     naive_defect,
     naive_hb_series,
     naive_product_coefficient,
+    naive_q_coefficient,
     stirling1_unsigned,
 )
 
@@ -79,6 +80,29 @@ def test_closed_equals_recurrence(N):
         a = convergent_rec(N, n)
         b = convergent_closed(N, n)
         assert a.P == b.P and a.Q == b.Q
+
+
+BIG_N = 1 + 5**48
+
+
+def test_closed_equals_recurrence_at_large_parameter():
+    for n in range(0, 81):
+        a = convergent_rec(BIG_N, n)
+        b = convergent_closed(BIG_N, n)
+        assert a.P == b.P and a.Q == b.Q, n
+
+
+@pytest.mark.parametrize("N", [*range(1, 7), BIG_N])
+def test_q_coefficient_matches_term_by_term_sum(N):
+    # j = m + 1 - odd is one past the degree; k = j = m meets binom(-1, 0),
+    # and every k >= 2m - j - odd meets the empty product
+    for m in range(0, 41):
+        for odd in (0, 1):
+            for j in range(m + 2 - odd):
+                expected = naive_q_coefficient(N, m, odd, j)
+                assert contfrac._q_coefficient(N, m, odd, j) == expected, (m, odd, j)
+            if m >= 1:
+                assert expected == 0, (m, odd)
 
 
 @pytest.mark.parametrize("N", range(1, 7))

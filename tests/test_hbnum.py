@@ -361,17 +361,34 @@ def test_memostore_checks_duplicates_in_a_saved_file_line_by_line(tmp_path, dupl
     assert reloaded.items() == store.items()
 
 
-def test_memostore_reports_too_long_numbers_at_their_line(tmp_path, int_digit_limit):
-    # values of any length load; int() refuses keys this long, so the loop reports them
+def test_memostore_reads_long_numbers_line_by_line(tmp_path, int_digit_limit):
+    # int() refuses fields this long, so the one-pass check leaves them to the
+    # loop, which converts them in halves; a malformed one is still refused
     path = tmp_path / "cache.txt"
     digits = "1" * (int_digit_limit + 1)
-    for record in (f"2 1 1 {digits}/3", f"2 1 1 1/{digits}"):
+    records = (f"2 1 1 {digits}/3", f"2 1 1 1/{digits}", f"{digits} 1 1 1/3", f"2 1 {digits} 1/3")
+    for record in records:
         path.write_text(f"2 1 0 1/1\n{record}\n")
         assert MemoStore(path).load(audit_samples=0) == 2
-    for record in (f"{digits} 1 1 1/3", f"2 1 {digits} 1/3"):
+    for record in (f"{digits}x 1 1 1/3", f"2 1 1_{digits} 1/3", f"2 1 --{digits} 1/3"):
         path.write_text(f"2 1 0 1/1\n{record}\n")
-        with pytest.raises(CacheError, match=":2: Exceeds the limit"):
+        with pytest.raises(CacheError, match=":2: "):
             MemoStore(path).load(audit_samples=0)
+
+
+def test_memostore_round_trips_keys_past_the_digit_limit(tmp_path, int_digit_limit):
+    # library use, with the interpreter's default limit in place
+    key = HBKey(10**int_digit_limit, 1, 0)
+    path = tmp_path / "cache.txt"
+    store = MemoStore(path)
+    store.put(HBKey(2, 1, 0), 1)
+    store.put(key, 1)
+    store.save()
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    assert path.read_text().splitlines()[1] == "1" + "0" * int_digit_limit + " 1 0 1/1"
+    reloaded = MemoStore(path)
+    assert reloaded.load() == 2  # the audit recomputes both entries
+    assert reloaded.items() == [(HBKey(2, 1, 0), 1), (key, 1)]
 
 
 def test_memostore_round_trips_values_past_the_digit_limit(tmp_path, int_digit_limit):
