@@ -16,7 +16,13 @@ Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator (an
 lcm computed here with ``math.lcm``, not with the oracle's helpers), summed
 per group -- part count, chain length or convolution power -- and each group
-is reduced once into a ``Fraction``.
+is reduced once into a ``Fraction``.  The order-r explicit sum walks the
+compositions of n depth first, carrying each prefix's product, so a
+composition costs one multiply rather than one per part; prefixes with equal
+remainders are never merged, which would turn the walk into the Cauchy-power
+sum of ``hb_explicit_binom``.  The Trudi sum takes each vector's power
+product, part count k and multinomial k! / prod t_i! (from a factorial table
+built once per call) in one pass over its multiplicities.
 """
 
 from __future__ import annotations
@@ -78,8 +84,11 @@ def mr(N: int, r: int, e: int) -> Fraction:
         raise ValueError("N and r must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    den = rising(N + 1, e)
-    scaled = [den // rising(N + 1, i) for i in range(e + 1)]
+    # scaled[i] = D / ((N+1)...(N+i)) = (N+i+1)...(N+e), built from the top
+    scaled = [1] * (e + 1)
+    for i in range(e - 1, -1, -1):
+        scaled[i] = scaled[i + 1] * (N + i + 1)
+    den = scaled[0]
     total = 0
     for comp in enumerate_compositions(CompositionSpec(e, r, 0)):
         total += prod(map(scaled.__getitem__, comp))
@@ -141,18 +150,36 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
     composition sum (see ``mr``).
 
     Over the lcm W of the weights' denominators a k-part product is an
-    integer over W^k; the products are summed as integers and reduced once
-    per k."""
+    integer over W^k.  ``_composition_products`` visits every composition
+    once, carrying the product of its prefix, and adds each product into its
+    part count's group; each group is reduced once."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
     W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
+    groups = [0] * (n + 1)
+    _composition_products(w, n, 0, 1, groups)
     total = Fraction(0)
     for k in range(1, n + 1):
-        group = 0
-        for comp in enumerate_compositions(CompositionSpec(n, k, 1)):
-            group += prod(map(w.__getitem__, comp))
-        total += Fraction((-1) ** k * group, W**k)
+        total += Fraction((-1) ** k * groups[k], W**k)
     return factorial(n) * total
+
+
+def _composition_products(
+    w: list[int], remaining: int, k: int, head: int, groups: list[int]
+) -> None:
+    """Add ``head * w[i_1] * ... * w[i_j]`` into ``groups[k + j]`` for every
+    positive composition ``i_1 + ... + i_j = remaining``.
+
+    One call per proper prefix, the empty one included: 2^(n-1) calls for
+    the compositions of n, each extending its prefix's product by one factor
+    per next part.  Two prefixes with the same remainder stay separate walks:
+    merging them would make this the Cauchy-power sum of the ``binom`` route.
+    (A module-level function: a nested recursive one would be a reference
+    cycle.)"""
+    k += 1
+    groups[k] += head * w[remaining]  # the last part takes all that remains
+    for part in range(1, remaining):
+        _composition_products(w, remaining - part, k, head * w[part], groups)
 
 
 def hb_higher_convolution(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:

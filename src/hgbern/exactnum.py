@@ -70,9 +70,12 @@ def _text_int(text: str) -> int:
         return int(text)
     except ValueError:
         digits = text[1:] if text[:1] in ("+", "-") else text
-        # only the length may stop int(): a split must not meet a sign or "_"
-        if len(digits) <= _DIGITS_ALWAYS_CONVERTED or not digits.isdecimal():
+        if len(digits) <= _DIGITS_ALWAYS_CONVERTED:
             raise
+        # past the limit int() reports the length before the literal; a split
+        # must not meet a sign or "_", so anything but digits is refused here
+        if not digits.isdecimal():
+            raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}") from None
     k = len(digits) // 2
     value = _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
     return -value if text.startswith("-") else value
@@ -216,6 +219,14 @@ class PartitionVector:
         return sum(self.multiplicities)
 
 
+def _unchecked_partition_vector(multiplicities: tuple[int, ...]) -> PartitionVector:
+    """A ``PartitionVector`` built without ``__post_init__``'s checks, for
+    multiplicities that are valid by construction."""
+    vec = object.__new__(PartitionVector)
+    object.__setattr__(vec, "multiplicities", multiplicities)
+    return vec
+
+
 def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
     """Yield every multiplicity vector of weight m, lexicographically by (t_1, t_2, ...)."""
     if m < 1:
@@ -227,17 +238,22 @@ def _partition_vectors(
     m: int, part: int, remaining: int, acc: list[int]
 ) -> Iterator[PartitionVector]:
     """Completions of the multiplicities ``acc`` of parts 1..part-1, with
-    ``remaining`` left for parts part..m.  (A module-level function: a nested
-    recursive one would be a reference cycle left to the garbage collector.)"""
-    if remaining == 0:
-        yield PartitionVector((*acc, *(0,) * (m + 1 - part)))
-        return
-    if remaining < part:
-        return  # parts of size >= part cannot add up to remaining
+    ``remaining >= part`` left for parts part..m.  (A module-level function: a
+    nested recursive one would be a reference cycle left to the garbage
+    collector.)
+
+    A multiplicity that leaves nothing completes a vector here; one that
+    leaves no more than ``part`` is skipped, since larger parts cannot add up
+    to it.  Every yielded vector has m nonnegative slots of weight m, so it
+    skips the public constructor's checks."""
     for t in range(remaining // part + 1):
-        acc.append(t)
-        yield from _partition_vectors(m, part + 1, remaining - part * t, acc)
-        acc.pop()
+        rest = remaining - part * t
+        if rest == 0:
+            yield _unchecked_partition_vector((*acc, t, *(0,) * (m - part)))
+        elif rest > part:
+            acc.append(t)
+            yield from _partition_vectors(m, part + 1, rest, acc)
+            acc.pop()
 
 
 class CommonDenominator:

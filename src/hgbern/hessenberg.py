@@ -34,7 +34,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import CommonDenominator, enumerate_partition_vectors, multinomial
+from .exactnum import CommonDenominator, enumerate_partition_vectors
 from .hbnum import weight_row
 
 __all__ = [
@@ -113,20 +113,28 @@ def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:
 
     Over the lcm W of the entries' denominators a vector with k parts is an
     integer over W^k; the vectors are summed as integers per k, and each
-    group, times (-a0)^(m-k), is reduced once into a ``Fraction``.
+    group, times (-a0)^(m-k), is reduced once into a ``Fraction``.  One pass
+    over a vector's nonzero multiplicities gives its power product, its part
+    count k and prod t_i!, and its multinomial is k! // prod t_i! from a
+    factorial table built once per call.
     """
     m = spec.dimension
     if m < 1:
         raise ValueError("dimension must be >= 1")
     W = reduce(lcm, (a.denominator for a in spec.entries), 1)
     w = [a.numerator * (W // a.denominator) for a in spec.entries]
+    fact = [1] * (m + 1)
+    for i in range(1, m + 1):
+        fact[i] = fact[i - 1] * i
     groups = [0] * (m + 1)
     for vec in enumerate_partition_vectors(m):
-        term = multinomial(vec.multiplicities)
+        term, k, t_fact = 1, 0, 1  # t_fact = prod t_i!
         for wi, t in zip(w, vec.multiplicities):
             if t:
                 term *= wi**t
-        groups[vec.part_count] += term
+                k += t
+                t_fact *= fact[t]
+        groups[k] += fact[k] // t_fact * term
     a, d = -spec.a0.numerator, spec.a0.denominator  # -a0 = a / d
     total = Fraction(0)
     for k in range(1, m + 1):

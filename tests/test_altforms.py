@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hgbern import altforms
 from hgbern.altforms import (
     RoutePreconditionError,
     hb_descent_nested,
@@ -239,3 +240,30 @@ def test_convolutions_match_per_term_fraction_loops(N):
 def test_convolution_route_is_polynomial_in_r():
     # C(27, 7) = 888030 weak compositions: 21.8 s as a per-term Fraction loop
     assert hb_higher_convolution(1, 8, 20) == hb_higher(1, 8, 20)
+
+
+def test_explicit_sum_visits_every_composition(monkeypatch):
+    # one walk call per prefix: 2^(n-1) for the compositions of n; a walk that
+    # merged prefixes with equal remainders would make about n calls
+    calls = []
+    walk = altforms._composition_products
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(altforms, "_composition_products", counted)
+    for n in range(1, 13):
+        calls.clear()
+        hb_explicit_comp(2, n)
+        assert len(calls) == 2 ** (n - 1)
+        calls.clear()
+        hb_higher_explicit(2, 3, n)
+        assert len(calls) == 2 ** (n - 1)
+
+
+def test_higher_explicit_matches_per_term_fraction_loop_at_huge_N():
+    N = 1 + 5**48  # the parameter of the worked congruence transfer
+    for r in (1, 2, 3):
+        for n in range(1, 11):
+            assert hb_higher_explicit(N, r, n) == naive_hb_higher_explicit(N, r, n)

@@ -160,12 +160,14 @@ def test_partition_vector_examples():
     assert len(list(enumerate_partition_vectors(4))) == 5
 
 
-@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("m", range(1, 21))
 def test_partition_vector_count_is_partition_number(m):
     vectors = list(enumerate_partition_vectors(m))
     assert len(vectors) == partition_count(m)
     assert len({v.multiplicities for v in vectors}) == len(vectors)
     for v in vectors:
+        # built without the constructor's checks, so they must pass here
+        assert v == PartitionVector(v.multiplicities)
         assert v.weight == m
         assert len(v.multiplicities) == m
 

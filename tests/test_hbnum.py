@@ -374,6 +374,11 @@ def test_memostore_reads_long_numbers_line_by_line(tmp_path, int_digit_limit):
         path.write_text(f"2 1 0 1/1\n{record}\n")
         with pytest.raises(CacheError, match=":2: "):
             MemoStore(path).load(audit_samples=0)
+    # a malformed key is reported as such at any length, not as too long
+    for key in (f"{'1' * 20}x", f"{digits}x"):
+        path.write_text(f"2 1 0 1/1\n{key} 1 1 1/3\n")
+        with pytest.raises(CacheError, match=r":2: invalid literal for int\(\)"):
+            MemoStore(path).load(audit_samples=0)
 
 
 def test_memostore_round_trips_keys_past_the_digit_limit(tmp_path, int_digit_limit):

@@ -136,6 +136,20 @@ def test_trudi_expand_zero_and_negative_superdiagonal(a0):
     assert trudi_expand(ToeplitzHessenbergSpec(0, (Fraction(-2, 3), 7, 5))) == Fraction(-8, 27)
 
 
+_non_integral = st.fractions(max_denominator=12).filter(lambda q: q.denominator > 1)
+
+
+@given(
+    a0=st.fractions(max_denominator=12).filter(lambda q: q != 1),
+    entries=st.lists(_non_integral, min_size=1, max_size=9),
+)
+def test_trudi_expand_matches_determinant_off_brioschi(a0, entries):
+    # a0 != 1 and non-integral entries: the multinomials and (-a0)^(m-k)
+    # factors meet reduced denominators in every group
+    spec = ToeplitzHessenbergSpec(a0, entries)
+    assert trudi_expand(spec) == toeplitz_hessenberg_det(spec)
+
+
 def test_hb_det_values():
     assert hb_det(2, 4) == Fraction(-1, 270)
     assert hb_det(1, 6) == Fraction(1, 42)
