@@ -8,7 +8,8 @@ family, with one ``MISMATCH`` line per differing entry in key order).
 
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a
-``verify`` sweep compares at each grid point.  The exponential witnesses
+``verify`` sweep compares at each grid point (by default every route, in
+declaration order).  The exponential witnesses
 ``comp``, ``trudi`` and ``descent-nested`` declare a largest n, given r, as
 part of their domain.  The O(n^2) routes ``recurrence`` and ``det`` also
 declare a family walk, so a sweep takes each (N, r) family's values from one
@@ -19,14 +20,18 @@ Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
 error or a file that cannot be read or written, 3 route precondition
 violation.
 
-Values print as exact ``num/den``.  A cache file is used when ``--cache`` is
-given or the ``HGBERN_CACHE`` environment variable is set; otherwise
-everything stays in memory.
+Values print as exact ``num/den``.  Every subcommand takes ``--cache PATH``;
+without it the ``HGBERN_CACHE`` environment variable names the cache file,
+and with neither everything stays in memory.  ``congruence hb-kummer`` and
+``hb-pair`` take exactly one of ``-N`` and ``--ordp-target T`` (N = 1 + p^T,
+T >= 0).  An option that several subcommands share is declared once, in a
+parent parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -259,7 +264,7 @@ def _decimal_string(value: Fraction, digits: int) -> str:
 
 
 def _cache_path(args: argparse.Namespace) -> str | None:
-    return getattr(args, "cache", None) or os.environ.get("HGBERN_CACHE")
+    return args.cache or os.environ.get("HGBERN_CACHE")
 
 
 def _make_store(args: argparse.Namespace) -> MemoStore:
@@ -294,11 +299,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     store = _make_store(args)
     rows = []
     for N, r in product(args.N, args.r):
-        # one walk to the deepest n: each value below is then a store hit
-        hbnum.hb_higher(N, r, max(args.n), store)
-        rows += [(N, r, n, format_rational(hbnum.hb_higher(N, r, n, store))) for n in args.n]
-    out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
-    try:
+        row: list[Fraction] = []
+        hbnum.hb_higher(N, r, max(args.n), store, row)  # one walk to the deepest n
+        # the key rejects a negative n, which would index the row from its end
+        rows += [(N, r, n, format_rational(row[HBKey(N, r, n).n])) for n in args.n]
+    with (
+        open(args.output, "w", encoding="utf-8", newline="")
+        if args.output
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["N", "r", "n", "value"])
@@ -307,9 +316,6 @@ def cmd_table(args: argparse.Namespace) -> int:
             records = [{"N": N, "r": r, "n": n, "value": v} for N, r, n, v in rows]
             json.dump(records, out, indent=2)
             out.write("\n")
-    finally:
-        if args.output:
-            out.close()
     _save_if_backed(store)
     return EXIT_OK
 
@@ -352,8 +358,6 @@ def cmd_congruence(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         if args.ordp_target is not None:
             args.N = 1 + args.p**args.ordp_target
-        elif args.N is None:
-            raise ValueError("provide -N or --ordp-target")
         print(f"threshold: ord_{args.p}(N-1) >= {args.threshold(args)}")
     verdict = args.verdict(args, store)
     print(_verdict_line(verdict))
@@ -406,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-route verification, congruences, convergents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", metavar="PATH", help="cache file (default: $HGBERN_CACHE)")
 
-    p = sub.add_parser("compute", help="compute one value by a chosen route")
+    p = sub.add_parser("compute", help="compute one value by a chosen route", parents=[cache])
     p.add_argument("-N", type=int, required=True, help="parameter N >= 1")
     p.add_argument("-n", type=int, required=True, help="index n >= 0")
     p.add_argument("-r", type=int, default=1, help="order r >= 1 (default 1)")
@@ -415,92 +421,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--decimal", type=_digit_count, metavar="K", help="also print K >= 0 decimal digits"
     )
-    p.add_argument("--cache", help="cache file path")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("table", help="emit a table of values")
+    p = sub.add_parser("table", help="emit a table of values", parents=[cache])
     p.add_argument("-N", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("-n", type=_parse_range, required=True, metavar="RANGE")
     p.add_argument("-r", type=_parse_range, default=(1,), metavar="RANGE")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument("--cache", help="cache file path")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="cross-route agreement sweep")
+    p = sub.add_parser("verify", help="cross-route agreement sweep", parents=[cache])
     p.add_argument("-N", type=_parse_range, default=tuple(range(1, 6)), metavar="RANGE")
     p.add_argument("-n", type=_parse_range, default=tuple(range(0, 15)), metavar="RANGE")
     p.add_argument("-r", type=_parse_range, default=tuple(range(1, 4)), metavar="RANGE")
     p.add_argument(
-        "--routes",
-        default="recurrence,comp,binom,trudi,det,descent,descent-nested,convolution",
-        help="comma-separated route names (at least two)",
+        "--routes", default=",".join(ROUTES), help="comma-separated route names (at least two)"
     )
-    p.add_argument("--cache", help="cache file path")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("congruence", help="p-adic congruence checks")
     p.set_defaults(func=cmd_congruence, threshold=None)
     csub = p.add_subparsers(dest="subcommand", required=True)
+    # the statements' shared options, each a parent of the next: every
+    # statement takes -p and -n, the Kummer ones --nu, the transfer ones N
+    statement = argparse.ArgumentParser(add_help=False, parents=[cache])
+    statement.add_argument("-p", type=int, required=True)
+    statement.add_argument("-n", type=int, required=True)
+    kummer = argparse.ArgumentParser(add_help=False, parents=[statement])
+    kummer.add_argument("--nu", type=int, default=0)
+    transfer = argparse.ArgumentParser(add_help=False, parents=[kummer])
+    family = transfer.add_mutually_exclusive_group(required=True)
+    family.add_argument("-N", type=int, help="parameter N (explicit)")
+    family.add_argument(
+        "--ordp-target", type=_digit_count, metavar="T", help="use N = 1 + p^T (T >= 0)"
+    )
 
-    c = csub.add_parser("classical", help="Kummer congruence for classical Bernoulli numbers")
-    c.add_argument("-p", type=int, required=True)
+    c = csub.add_parser(
+        "classical", help="Kummer congruence for classical Bernoulli numbers", parents=[kummer]
+    )
     c.add_argument("-m", type=int, required=True)
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("--nu", type=int, default=0)
-    c.add_argument("--cache", help="cache file path")
     c.set_defaults(
         verdict=lambda a, store: congruence.kummer_classical(a.p, a.m, a.n, a.nu, store)
     )
 
-    c = csub.add_parser("hb-kummer", help="single-index transfer congruence")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("--nu", type=int, default=0)
-    c.add_argument("-N", type=int, help="parameter N (explicit)")
-    c.add_argument(
-        "--ordp-target", type=int, metavar="T", help="use N = 1 + p^T instead of -N"
-    )
-    c.add_argument("--cache", help="cache file path")
+    c = csub.add_parser("hb-kummer", help="single-index transfer congruence", parents=[transfer])
     c.set_defaults(
         threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu),
         verdict=lambda a, store: congruence.hb_kummer_corollary(a.p, a.N, a.n, a.nu, store),
     )
 
-    c = csub.add_parser("hb-pair", help="Kummer pairing within one parameter family")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-m", type=int, required=True)
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("--nu", type=int, default=0)
-    c.add_argument("-N", type=int, help="parameter N (explicit)")
-    c.add_argument(
-        "--ordp-target", type=int, metavar="T", help="use N = 1 + p^T instead of -N"
+    c = csub.add_parser(
+        "hb-pair", help="Kummer pairing within one parameter family", parents=[transfer]
     )
-    c.add_argument("--cache", help="cache file path")
+    c.add_argument("-m", type=int, required=True)
     c.set_defaults(
         threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu, m=a.m),
         verdict=lambda a, store: congruence.hb_kummer_pair(a.p, a.N, a.m, a.n, a.nu, store),
     )
 
-    c = csub.add_parser("factorial", help="factorial-ladder congruence mod p^ord_p(N-1)")
-    c.add_argument("-p", type=int, required=True)
+    c = csub.add_parser(
+        "factorial", help="factorial-ladder congruence mod p^ord_p(N-1)", parents=[statement]
+    )
     c.add_argument("-N", type=int, required=True)
-    c.add_argument("-n", type=int, required=True)
-    c.add_argument("--cache", help="cache file path")
     c.set_defaults(
         verdict=lambda a, store: congruence.hb_factorial_congruence(a.p, a.N, a.n, store)
     )
 
-    p = sub.add_parser("convergents", help="continued-fraction convergents")
+    p = sub.add_parser("convergents", help="continued-fraction convergents", parents=[cache])
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--route", choices=("rec", "closed"), default="rec")
     p.add_argument("--check", action="store_true", help="verify the defect series vanishes")
-    p.add_argument("--cache", help="cache file path")
     p.set_defaults(func=cmd_convergents)
 
-    p = sub.add_parser("cache-audit", help="recompute every entry of a cache file")
-    p.add_argument("--cache", help="cache file path (or HGBERN_CACHE)")
+    p = sub.add_parser(
+        "cache-audit", help="recompute every entry of a cache file", parents=[cache]
+    )
     p.set_defaults(func=cmd_cache_audit)
 
     return parser

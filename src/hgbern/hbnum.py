@@ -173,20 +173,20 @@ class MemoStore:
             raise CacheError("store has no backing file")
         # stat'ed before reading: a newer file read under it only costs a merge
         version = _version(self.path)
-        loaded = _saved_records(self.path.read_bytes())
+        data = self.path.read_bytes()
+        loaded = _saved_records(data)
         if loaded is None:
-            loaded = self._read_lines()
+            loaded = self._read_lines(data)
         self._values.update(loaded)
         self._unsaved = len(self._values) > len(loaded)
         self._seen = version
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
         return len(loaded)
 
-    def _read_lines(self) -> dict[HBKey, Fraction | str]:
-        """The backing file's records, read and checked line by line: the one
-        definition of the record format and its errors.  Lines are UTF-8 text
-        and end at ``\n``, ``\r\n`` or ``\r``."""
-        data = self.path.read_bytes()
+    def _read_lines(self, data: bytes) -> dict[HBKey, Fraction | str]:
+        """The records in `data`, the backing file's bytes, read and checked
+        line by line: the one definition of the record format and its errors.
+        Lines are UTF-8 text and end at ``\n``, ``\r\n`` or ``\r``."""
         try:
             decoded = data.decode("utf-8")
         except UnicodeDecodeError as exc:

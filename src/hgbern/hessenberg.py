@@ -224,14 +224,13 @@ def inversion_pair_check(
             conv_ok = False
             break
 
-    alpha_ok = all(
-        toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(rr[1 : m + 1]))) == a[m]
-        for m in range(1, n + 1)
-    )
-    r_ok = all(
-        toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(a[1 : m + 1]))) == rr[m]
-        for m in range(1, n + 1)
-    )
+    # each direction from one walk: its leading determinants D_0..D_n are
+    # those of every prefix of the entries
+    alpha_dets: list[Fraction] = []
+    toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(rr[1:])), alpha_dets)
+    r_dets: list[Fraction] = []
+    toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), tuple(a[1:])), r_dets)
+    alpha_ok, r_ok = alpha_dets == a, r_dets == rr
 
     product_ok = True
     for i in range(n + 1):

@@ -298,7 +298,7 @@ def test_verify_determinant_route_deep(capsys):
 def test_verify_default_sweep(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK
-    assert "agree on 225 grid points" in out
+    assert out.startswith(f"OK: routes {','.join(cli.ROUTES)} agree on 225 grid points")
 
 
 def test_verify_needs_two_routes(capsys):
@@ -456,6 +456,53 @@ def test_congruence_pair(capsys):
     )
     assert code == EXIT_OK
     assert "residue 3 (mod 5)" in out
+
+
+@pytest.mark.parametrize(
+    "statement, target, lines",
+    [
+        (
+            "hb-kummer -p 5 -n 6 --nu 0",
+            4,
+            ["threshold: ord_5(N-1) >= 4", "holds; residue 3 (mod 5); ord_5(lhs-rhs) = 3"],
+        ),
+        (
+            "hb-pair -p 5 -m 22 -n 2 --nu 1",
+            48,
+            ["threshold: ord_5(N-1) >= 48", "holds; residue 8 (mod 25); ord_5(lhs-rhs) = 2"],
+        ),
+    ],
+)
+def test_congruence_transfer_takes_exactly_one_of_N_and_ordp_target(
+    statement, target, lines, capsys
+):
+    argv = ["congruence", *statement.split()]
+    expected = (EXIT_OK, "".join(f"{line}\n" for line in lines), "")
+    assert run(capsys, *argv, "--ordp-target", str(target)) == expected
+    assert run(capsys, *argv, "-N", str(1 + 5**target)) == expected
+    for extra in (["-N", "3", "--ordp-target", str(target)], []):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: hgbern congruence")
+        assert "-N" in err.splitlines()[-1] and "--ordp-target" in err.splitlines()[-1]
+
+
+def test_ordp_target_must_be_at_least_zero(capsys):
+    argv = ["congruence", "hb-kummer", "-p", "5", "-n", "6", "--nu", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--ordp-target", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --ordp-target: expected an integer K >= 0, got '-1'" in (
+        capsys.readouterr().err
+    )
+    # T = 0 gives N = 1 + 5^0 = 2, where ord_5(N-1) = 0 is true
+    assert run(capsys, *argv, "--ordp-target", "0") == run(capsys, *argv, "-N", "2") == (
+        EXIT_USAGE,
+        "threshold: ord_5(N-1) >= 4\n",
+        "error: hypothesis ord_5(N-1) >= 4 violated: ord_5(N-1) = 0\n",
+    )
 
 
 def test_congruence_factorial(capsys):
@@ -629,6 +676,22 @@ def test_failed_cache_save_is_a_usage_error_and_leaves_no_temporary_file(
     code, out, err = run(capsys, "table", "-N", "2", "-n", "0..3", "--cache", str(cache))
     assert (code, err) == (EXIT_USAGE, "error: no space left\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compute", "table", "verify", "congruence classical", "congruence hb-kummer",
+        "congruence hb-pair", "congruence factorial", "convergents", "cache-audit",
+    ],
+)
+def test_every_subcommand_takes_a_cache_path(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "[--cache PATH]" in out and "cache file (default: $HGBERN_CACHE)" in out
 
 
 def test_cache_audit_requires_path(capsys):

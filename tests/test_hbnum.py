@@ -4,6 +4,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -425,6 +426,32 @@ def test_memostore_reports_a_non_utf8_file_at_its_line(tmp_path):
     assert MemoStore(path).load() == 3
 
 
+def test_memostore_load_reads_the_file_once(tmp_path, monkeypatch):
+    # a CRLF file fails the whole-file check and is read line by line from
+    # the same bytes, those of the file whose version load stat'ed
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"1 1 0 1/1\r\n1 1 1 -1/2\r\n1 1 2 1/6\r\n")
+    store = MemoStore(path)
+    assert store.load() == 3 and reads == [path]
+    assert store.items() == [
+        (HBKey(1, 1, 0), Fraction(1)),
+        (HBKey(1, 1, 1), Fraction(-1, 2)),
+        (HBKey(1, 1, 2), Fraction(1, 6)),
+    ]
+    path.write_bytes(b"1 1 0 1/1\r\n1 1 1 x\r\n")
+    with pytest.raises(CacheError, match=r"cache\.txt:2: not a rational literal: 'x'$"):
+        MemoStore(path).load()
+    assert reads == [path, path]
+
+
 _KEYS = st.builds(HBKey, st.integers(1, 10**30), st.integers(1, 50), st.integers(0, 10**30))
 
 
@@ -439,7 +466,7 @@ def test_memostore_loads_every_saved_file_in_one_pass(tmp_path_factory, contents
     records = hbnum._saved_records(path.read_bytes())
     assert records is not None  # the whole-file check reads what save writes
     reloaded = MemoStore(path)
-    assert records == reloaded._read_lines()
+    assert records == reloaded._read_lines(path.read_bytes())
     assert list(records) == sorted(contents)  # file order, which the load audit draws from
     assert reloaded.load(audit_samples=0) == len(contents)
     assert reloaded.items() == sorted(contents.items())
@@ -482,7 +509,7 @@ def test_whole_file_check_accepts_only_what_the_loop_accepts(tmp_path_factory, l
     if not bent and len({line.rsplit(" ", 1)[0] for line in lines}) == len(lines):
         assert records is not None
     try:
-        expected = MemoStore(path)._read_lines()
+        expected = MemoStore(path)._read_lines(path.read_bytes())
     except CacheError:
         assert records is None
         return

@@ -217,6 +217,29 @@ def test_inversion_pair_reports_failure():
         inversion_pair_check(alphas, rs[:-1])
 
 
+@pytest.mark.parametrize("side", ["alpha", "R"])
+@pytest.mark.parametrize("index", range(5))
+def test_inversion_pair_fails_the_directions_per_prefix_determinants_fail(side, index):
+    # one entry off: each determinant direction must fail exactly where the
+    # determinants of the prefixes, by cofactor expansion, disagree
+    alphas = [(-1) ** k * hb(2, k) / factorial(k) for k in range(1, 6)]
+    rs = [mr(2, 1, e) for e in range(1, 6)]
+    (alphas if side == "alpha" else rs)[index] += Fraction(1, 3)
+    a, rr = [Fraction(1), *alphas], [Fraction(1), *rs]
+
+    def prefixes_give(entries, targets):
+        return all(
+            cofactor_det(ToeplitzHessenbergSpec(Fraction(1), tuple(entries[1 : m + 1])).matrix())
+            == targets[m]
+            for m in range(1, 6)
+        )
+
+    verdict = inversion_pair_check(alphas, rs)
+    assert verdict.alpha_from_r_ok == prefixes_give(rr, a)
+    assert verdict.r_from_alpha_ok == prefixes_give(a, rr)
+    assert not verdict.alpha_from_r_ok and not verdict.r_from_alpha_ok
+
+
 def test_banded_matrix_inverse_identity():
     for N, r in ((2, 1), (2, 2)):
         n = 12
