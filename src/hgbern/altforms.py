@@ -14,31 +14,36 @@ Trudi and order-r explicit routes share no weight row with the oracle
 
 Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator (an
-lcm computed here with ``math.lcm``, not with the oracle's helpers), summed
-per group -- part count, chain length or convolution power -- and each group
-is reduced once into a ``Fraction``.  The order-r explicit sum walks the
-compositions of n depth first, carrying each prefix's product, so a
-composition costs one multiply rather than one per part; prefixes with equal
-remainders are never merged, which would turn the walk into the Cauchy-power
-sum of ``hb_explicit_binom``.  The Trudi sum takes each vector's power
-product, part count k and multinomial k! / prod t_i! (from a factorial table
-built once per call) in one pass over its multiplicities.
+lcm or a product of the N+i computed here, not with the oracle's helpers),
+summed per group -- part count, chain length or convolution power -- and
+each group is reduced once into a ``Fraction``.
+
+The order-r explicit sum and the nested descent walk their index sets depth
+first: the compositions of n, carrying each prefix's product, and the
+decreasing chains from n, carrying the product of each chain's links.  So a
+composition or a chain costs one multiply rather than one per part or link.
+Each walk finishes in the parent frame the one extension that has no
+extension of its own -- the prefix that leaves 1, the step to index 1 --
+which halves the calls to 2^(n-2) and still gives that term its own product.
+Neither walk merges what it visits: prefixes with equal remainders merged
+would be the Cauchy-power sum of ``hb_explicit_binom``, and chains with
+equal ends merged would be the recursion of ``hb_descent_step``.  The Trudi
+sum takes each vector's power product, part count k and multinomial
+k! / prod t_i! (from a factorial table built once per call) in one pass over
+its multiplicities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import comb, factorial, lcm, prod
+from operator import mul
 
-from .exactnum import (
-    CompositionSpec,
-    binom,
-    cauchy_product,
-    enumerate_compositions,
-    rising,
-)
+from .exactnum import CompositionSpec, binom, enumerate_compositions
+# no route calls it; bench/test_bench.py checks that its tracer restores this
+# binding, so the import stays until that test stops naming it
+from .exactnum import cauchy_product  # noqa: F401
 from .hbnum import MemoStore, hb, hb_higher
 from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det, trudi_expand
 
@@ -73,6 +78,22 @@ def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
     return [sum(comb(m, j) * a[m - j] * b[j] for j in range(m + 1)) for m in range(len(a))]
 
 
+def _convolution(a: list[int], b: list[int]) -> list[int]:
+    """``c[m] = sum_j a[m-j] b[j]`` for ``m < len(a)``, with ``len(b) == len(a)``."""
+    b_reversed = b[::-1]
+    top = len(b) - 1
+    return [sum(map(mul, a, b_reversed[top - m :])) for m in range(len(a))]
+
+
+def _scaled_reciprocal_risings(N: int, e: int) -> list[int]:
+    """``scaled[i] = D / ((N+1)...(N+i)) = (N+i+1)...(N+e)`` for i = 0..e,
+    where ``D = scaled[0] = (N+1)...(N+e)``; built from the top."""
+    scaled = [1] * (e + 1)
+    for i in range(e - 1, -1, -1):
+        scaled[i] = scaled[i + 1] * (N + i + 1)
+    return scaled
+
+
 def mr(N: int, r: int, e: int) -> Fraction:
     """Convolution weight by literal enumeration of its composition sum.
 
@@ -84,10 +105,7 @@ def mr(N: int, r: int, e: int) -> Fraction:
         raise ValueError("N and r must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    # scaled[i] = D / ((N+1)...(N+i)) = (N+i+1)...(N+e), built from the top
-    scaled = [1] * (e + 1)
-    for i in range(e - 1, -1, -1):
-        scaled[i] = scaled[i + 1] * (N + i + 1)
+    scaled = _scaled_reciprocal_risings(N, e)
     den = scaled[0]
     total = 0
     for comp in enumerate_compositions(CompositionSpec(e, r, 0)):
@@ -110,17 +128,20 @@ def hb_explicit_binom(N: int, n: int) -> Fraction:
     Each inner sum S_k is the x^n entry of the k-fold Cauchy power of
     1/((N+1)...(N+j)) -- the same sum, grouped -- which keeps this route
     polynomial-time instead of enumerating the far larger weak-composition
-    index set.
+    index set.  Over D = (N+1)...(N+n) that factor is the integer
+    (N+j+1)...(N+n), so the k-fold power is an integer convolution over D^k,
+    reduced once per k.
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    base = [Fraction(1, rising(N + 1, j)) for j in range(n + 1)]
-    power = base
+    scaled = _scaled_reciprocal_risings(N, n)
+    D = scaled[0]
+    power = scaled
     total = Fraction(0)
     for k in range(1, n + 1):
         if k > 1:
-            power = cauchy_product(power, base)
-        total += (-1) ** k * binom(n + 1, k + 1) * power[n]
+            power = _convolution(power, scaled)
+        total += Fraction((-1) ** k * binom(n + 1, k + 1) * power[n], D**k)
     return factorial(n) * total
 
 
@@ -157,7 +178,7 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
         raise ValueError("N, r and n must be >= 1")
     W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
     groups = [0] * (n + 1)
-    _composition_products(w, n, 0, 1, groups)
+    _composition_products(w, [x * w[1] for x in w], n, 0, 1, groups)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction((-1) ** k * groups[k], W**k)
@@ -165,21 +186,26 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
 
 
 def _composition_products(
-    w: list[int], remaining: int, k: int, head: int, groups: list[int]
+    w: list[int], ends: list[int], remaining: int, k: int, head: int, groups: list[int]
 ) -> None:
     """Add ``head * w[i_1] * ... * w[i_j]`` into ``groups[k + j]`` for every
-    positive composition ``i_1 + ... + i_j = remaining``.
+    positive composition ``i_1 + ... + i_j = remaining``; ``ends[i]`` is
+    ``w[i] * w[1]``.
 
-    One call per proper prefix, the empty one included: 2^(n-1) calls for
-    the compositions of n, each extending its prefix's product by one factor
-    per next part.  Two prefixes with the same remainder stay separate walks:
+    One call per proper prefix that leaves at least 2, the empty one
+    included: 2^(n-2) calls for the compositions of n >= 2, each extending
+    its prefix's product by one factor per next part.  The prefix that leaves
+    1 has no extension of its own, so its one composition is finished here,
+    by ``ends``.  Two prefixes with the same remainder stay separate walks:
     merging them would make this the Cauchy-power sum of the ``binom`` route.
     (A module-level function: a nested recursive one would be a reference
     cycle.)"""
     k += 1
     groups[k] += head * w[remaining]  # the last part takes all that remains
-    for part in range(1, remaining):
-        _composition_products(w, remaining - part, k, head * w[part], groups)
+    if remaining > 1:
+        groups[k + 1] += head * ends[remaining - 1]  # then a last part of 1
+        for part in range(1, remaining - 1):
+            _composition_products(w, ends, remaining - part, k, head * w[part], groups)
 
 
 def hb_higher_convolution(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
@@ -223,8 +249,9 @@ def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fractio
 
     A chain's term is prev[i_m] times one factor per link; over the common
     denominators of the parameter-(N-1) values and of the N/(N+i) both are
-    integers, so each chain is an integer product and the chains of one
-    length m are summed as integers and reduced once."""
+    integers, so each chain is an integer product.  ``_chain_products``
+    visits every chain once, carrying the product of its links, and adds each
+    term into its length m's group; each group is reduced once."""
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
     if n < 1:
@@ -237,17 +264,34 @@ def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fractio
         [0, *(p[a - b + 1] * binom(a, a - b + 1) * N * (L // (N + b)) for b in range(1, a))]
         for a in range(n + 1)
     ]
+    for row in f[2:]:
+        row[1] *= p[1]  # f[a][1] also carries p[1]: a chain that steps to 1 ends there
+    groups = [0] * n
+    _chain_products(f, p, n, 0, 1, groups)
     total = Fraction(0)
     for m in range(n):
-        group = 0
-        for chain in combinations(range(n - 1, 0, -1), m):
-            term, a = 1, n
-            for b in chain:
-                term *= f[a][b]
-                a = b
-            group += term * p[a]
-        total += Fraction(group, P ** (m + 1) * L**m)
+        total += Fraction(groups[m], P ** (m + 1) * L**m)
     return Fraction(N, N + n) * total
+
+
+def _chain_products(
+    f: list[list[int]], p: list[int], a: int, m: int, head: int, groups: list[int]
+) -> None:
+    """Add ``head`` times the term of every chain that continues a chain of
+    m links ending at ``a`` (itself included) into ``groups`` by length.
+
+    ``f[a][b]`` is the factor of the link a -> b, and ``f[a][1]`` also
+    carries p[1].  One call per chain that does not end at 1: 2^(n-2) calls
+    for the chains from n >= 2, each extending its product by one factor per
+    link.  The step to 1 has no extension of its own, so that chain is
+    finished here.  Chains with the same end stay separate walks: merging
+    them would make this the recursion of the ``descent`` route."""
+    groups[m] += head * p[a]  # the chain ends at a
+    if a > 1:
+        m += 1
+        groups[m] += head * f[a][1]  # the step to 1, where it ends
+        for b in range(2, a):
+            _chain_products(f, p, b, m, head * f[a][b], groups)
 
 
 def hb_trudi(N: int, r: int, n: int) -> Fraction:

@@ -248,7 +248,7 @@ def _digit_count(text: str) -> int:
             raise ValueError
         return digits
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer K >= 0, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
 
 
 def _decimal_string(value: Fraction, digits: int) -> str:
@@ -353,14 +353,18 @@ def _verdict_line(verdict: CongruenceVerdict) -> str:
 
 def cmd_congruence(args: argparse.Namespace) -> int:
     """Print the verdict bound by the subcommand; the transfer congruences
-    (those with a threshold) first resolve N and print their threshold."""
+    (those with a threshold) first resolve N and print their threshold.
+    Both are computed before either prints, so an invalid statement leaves
+    stdout empty."""
     store = _make_store(args)
+    lines = []
     if args.threshold is not None:
         if args.ordp_target is not None:
             args.N = 1 + args.p**args.ordp_target
-        print(f"threshold: ord_{args.p}(N-1) >= {args.threshold(args)}")
+        lines.append(f"threshold: ord_{args.p}(N-1) >= {args.threshold(args)}")
     verdict = args.verdict(args, store)
-    print(_verdict_line(verdict))
+    lines.append(_verdict_line(verdict))
+    print("\n".join(lines))
     return EXIT_OK if verdict.holds else EXIT_VERIFY
 
 

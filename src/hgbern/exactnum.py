@@ -228,32 +228,34 @@ def _unchecked_partition_vector(multiplicities: tuple[int, ...]) -> PartitionVec
 
 
 def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
-    """Yield every multiplicity vector of weight m, lexicographically by (t_1, t_2, ...)."""
+    """Yield every multiplicity vector of weight m, lexicographically by (t_1, t_2, ...).
+
+    A depth-first walk in one generator frame that keeps its own stack of the
+    multiplicities of the parts below the current one, so no vector is handed
+    up through nested generators.  A multiplicity of the current part whose
+    rest larger parts can fill leads one part deeper; the first one whose
+    rest they cannot fill is the last, and it completes a vector when one
+    more of the current part takes up exactly that rest.  Every yielded
+    vector has m nonnegative slots of weight m, so it skips the public
+    constructor's checks."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    yield from _partition_vectors(m, 1, m, [])
-
-
-def _partition_vectors(
-    m: int, part: int, remaining: int, acc: list[int]
-) -> Iterator[PartitionVector]:
-    """Completions of the multiplicities ``acc`` of parts 1..part-1, with
-    ``remaining >= part`` left for parts part..m.  (A module-level function: a
-    nested recursive one would be a reference cycle left to the garbage
-    collector.)
-
-    A multiplicity that leaves nothing completes a vector here; one that
-    leaves no more than ``part`` is skipped, since larger parts cannot add up
-    to it.  Every yielded vector has m nonnegative slots of weight m, so it
-    skips the public constructor's checks."""
-    for t in range(remaining // part + 1):
+    acc: list[int] = []  # multiplicities of parts 1..part-1
+    part, t, remaining = 1, 0, m  # t parts of size `part`; `remaining` is for parts >= part
+    while True:
         rest = remaining - part * t
-        if rest == 0:
-            yield _unchecked_partition_vector((*acc, t, *(0,) * (m - part)))
-        elif rest > part:
+        if rest > part:
             acc.append(t)
-            yield from _partition_vectors(m, part + 1, rest, acc)
-            acc.pop()
+            part, t, remaining = part + 1, 0, rest
+            continue
+        if rest == part:
+            yield _unchecked_partition_vector((*acc, t + 1, *(0,) * (m - part)))
+        if not acc:
+            return
+        part -= 1
+        t = acc.pop()
+        remaining += part * t
+        t += 1
 
 
 class CommonDenominator:

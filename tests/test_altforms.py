@@ -243,8 +243,10 @@ def test_convolution_route_is_polynomial_in_r():
 
 
 def test_explicit_sum_visits_every_composition(monkeypatch):
-    # one walk call per prefix: 2^(n-1) for the compositions of n; a walk that
-    # merged prefixes with equal remainders would make about n calls
+    # one walk call per prefix that leaves at least 2: 2^(n-2) for the
+    # compositions of n >= 2 (the prefix that leaves 1 is finished by its
+    # parent); a walk that merged prefixes with equal remainders would make
+    # about n calls
     calls = []
     walk = altforms._composition_products
 
@@ -253,13 +255,31 @@ def test_explicit_sum_visits_every_composition(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(altforms, "_composition_products", counted)
-    for n in range(1, 13):
+    for n in range(2, 13):
         calls.clear()
         hb_explicit_comp(2, n)
-        assert len(calls) == 2 ** (n - 1)
+        assert len(calls) == 2 ** (n - 2)
         calls.clear()
         hb_higher_explicit(2, 3, n)
-        assert len(calls) == 2 ** (n - 1)
+        assert len(calls) == 2 ** (n - 2)
+
+
+def test_nested_descent_visits_every_chain(monkeypatch):
+    # one walk call per decreasing chain from n that does not end at 1:
+    # 2^(n-2) for n >= 2 (the step to 1 is finished by its parent); a walk
+    # that merged chains with equal ends would make about n calls
+    calls = []
+    walk = altforms._chain_products
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(altforms, "_chain_products", counted)
+    for n in range(2, 13):
+        calls.clear()
+        hb_descent_nested(3, n)
+        assert len(calls) == 2 ** (n - 2)
 
 
 def test_higher_explicit_matches_per_term_fraction_loop_at_huge_N():

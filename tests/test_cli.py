@@ -57,7 +57,7 @@ def test_compute_decimal_rejects_bad_digit_count(digits, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "-N", "2", "-n", "4", "--decimal", digits])
     assert exc.value.code == EXIT_USAGE
-    assert "expected an integer K >= 0" in capsys.readouterr().err
+    assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 def test_compute_exit_codes(capsys):
@@ -494,14 +494,24 @@ def test_ordp_target_must_be_at_least_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--ordp-target", "-1"])
     assert exc.value.code == EXIT_USAGE
-    assert "argument --ordp-target: expected an integer K >= 0, got '-1'" in (
+    assert "argument --ordp-target: expected an integer >= 0, got '-1'" in (
         capsys.readouterr().err
     )
     # T = 0 gives N = 1 + 5^0 = 2, where ord_5(N-1) = 0 is true
     assert run(capsys, *argv, "--ordp-target", "0") == run(capsys, *argv, "-N", "2") == (
         EXIT_USAGE,
-        "threshold: ord_5(N-1) >= 4\n",
+        "",
         "error: hypothesis ord_5(N-1) >= 4 violated: ord_5(N-1) = 0\n",
+    )
+
+
+@pytest.mark.parametrize("N", ["0", "-4"])
+def test_invalid_transfer_statement_leaves_stdout_empty(N, capsys):
+    # the threshold is printed only once the verdict stands
+    assert run(capsys, "congruence", "hb-kummer", "-p", "5", "-n", "6", f"-N={N}") == (
+        EXIT_USAGE,
+        "",
+        "error: N and n must be >= 1\n",
     )
 
 

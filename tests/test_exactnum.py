@@ -164,7 +164,9 @@ def test_partition_vector_examples():
 def test_partition_vector_count_is_partition_number(m):
     vectors = list(enumerate_partition_vectors(m))
     assert len(vectors) == partition_count(m)
-    assert len({v.multiplicities for v in vectors}) == len(vectors)
+    # strictly ascending lexicographically by (t_1, t_2, ...), so all distinct
+    multiplicities = [v.multiplicities for v in vectors]
+    assert all(a < b for a, b in zip(multiplicities, multiplicities[1:]))
     for v in vectors:
         # built without the constructor's checks, so they must pass here
         assert v == PartitionVector(v.multiplicities)
