@@ -45,13 +45,11 @@ from .contfrac import (
 )
 from .exactnum import (
     CompositionSpec,
-    PartitionVector,
     binom,
     enumerate_compositions,
     enumerate_partition_vectors,
     falling,
     format_rational,
-    multinomial,
     parse_rational,
     rising,
 )

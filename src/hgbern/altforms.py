@@ -30,7 +30,12 @@ would be the Cauchy-power sum of ``hb_explicit_binom``, and chains with
 equal ends merged would be the recursion of ``hb_descent_step``.  The Trudi
 sum takes each vector's power product, part count k and multinomial
 k! / prod t_i! (from a factorial table built once per call) in one pass over
-its multiplicities.
+its multiplicities, the plain tuple the partition enumerator yields.
+
+The routes that read the numbers themselves (descent, convolution and the
+two inversion checks) take an optional :class:`hbnum.MemoStore`; a call
+without one keeps the values it reads in a store of its own, so each value
+is walked once per call.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def mr(N: int, r: int, e: int) -> Fraction:
     scaled = _scaled_reciprocal_risings(N, e)
     den = scaled[0]
     total = 0
-    for comp in enumerate_compositions(CompositionSpec(e, r, 0)):
+    for comp in enumerate_compositions(CompositionSpec(e, r)):
         total += prod(map(scaled.__getitem__, comp))
     return Fraction(total, den**r)
 
@@ -154,6 +159,7 @@ def reciprocal_binom_inverse(N: int, n: int, store: MemoStore | None = None) -> 
     which collapses to 1 / binom(N+n, N)."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
+    store = MemoStore() if store is None else store
     P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
     p[0] = 0  # positive parts only
     power = p  # k-fold convolution, over P^k
@@ -219,6 +225,7 @@ def hb_higher_convolution(N: int, r: int, n: int, store: MemoStore | None = None
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    store = MemoStore() if store is None else store
     P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
     power = p
     for _ in range(r - 1):
@@ -237,6 +244,7 @@ def hb_descent_step(N: int, n: int, store: MemoStore | None = None) -> Fraction:
         raise RoutePreconditionError("descent requires N >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    store = MemoStore() if store is None else store
     acc = hb(N - 1, n, store)
     for m in range(1, n):
         acc += binom(n, n - m + 1) * hb(N, m, store) * hb(N - 1, n - m + 1, store)
@@ -256,6 +264,7 @@ def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fractio
         raise RoutePreconditionError("descent requires N >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    store = MemoStore() if store is None else store
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
     # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
     P, p = _over_lcm([hb(N - 1, i, store) for i in range(n + 1)])
@@ -317,6 +326,7 @@ def recover_mr_det(N: int, r: int, n: int, store: MemoStore | None = None) -> Fr
     """
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
+    store = MemoStore() if store is None else store
     entries = tuple(
         (-1) ** k * hb_higher(N, r, k, store) / factorial(k) for k in range(1, n + 1)
     )

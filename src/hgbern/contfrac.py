@@ -105,28 +105,16 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self._coeffs)
-
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
-        if isinstance(other, Poly):
-            if not self._coeffs or not other._coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self._coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        if not self._coeffs or not other._coeffs:
+            return Poly()
+        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        for i, a in enumerate(self._coeffs):
+            for j, b in enumerate(other._coeffs):
+                out[i + j] += a * b
+        return Poly(out)
 
     def __repr__(self) -> str:
         return f"Poly({list(self._coeffs)!r})"
@@ -271,7 +259,7 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     if order < 1:
         raise ValueError("order must be >= 1")
     if pair.N < 1:
-        raise ValueError("N and r must be >= 1")
+        raise ValueError("N must be >= 1")
     series = _series_row(pair.N, order - 1, store)
     q = CommonDenominator(pair.Q.coefficients)
     p = CommonDenominator(pair.P.coefficients)

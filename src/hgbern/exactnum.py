@@ -3,8 +3,10 @@
 Rational values are plain :class:`fractions.Fraction` objects (automatically
 kept in lowest terms with a positive denominator); this module adds the
 ``num/den`` serialization used in cache files and tables, the factorial-style
-products and coefficient families every closed form consumes, and the
-composition/partition enumerators the explicit summation routes run over.
+products and coefficient families every closed form consumes, and the two
+enumerators the explicit summation routes run over: weak compositions (parts
+>= 0, as ``mr`` sums them) and partitions written as plain tuples of
+multiplicities (as Trudi's formula sums them).
 
 :class:`CommonDenominator` holds a run of rationals as integer numerators
 over one shared denominator.  The O(n^2) kernels (``cauchy_product`` here,
@@ -22,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -33,10 +35,8 @@ __all__ = [
     "falling",
     "rising",
     "binom",
-    "multinomial",
     "CompositionSpec",
     "enumerate_compositions",
-    "PartitionVector",
     "enumerate_partition_vectors",
     "CommonDenominator",
     "cauchy_product",
@@ -133,111 +133,51 @@ def binom(a: int, k: int) -> int:
     return falling(a, k) // math.factorial(k)
 
 
-def multinomial(parts: Sequence[int]) -> int:
-    """Arrangements of ``sum(parts)`` items into ordered groups of the given sizes."""
-    out = 1
-    total = 0
-    for p in parts:
-        if p < 0:
-            raise ValueError("parts must be >= 0")
-        total += p
-        out *= math.comb(total, p)
-    return out
-
-
 @dataclass(frozen=True)
 class CompositionSpec:
-    """Ordered decompositions ``total = i_1 + ... + i_parts`` with each part >= min_part."""
+    """Weak compositions: ordered decompositions ``total = i_1 + ... + i_parts``
+    with each part >= 0."""
 
     total: int
     parts: int
-    min_part: int = 1
 
     def __post_init__(self) -> None:
         if self.total < 0:
             raise ValueError("total must be >= 0")
         if self.parts < 1:
             raise ValueError("parts must be >= 1")
-        if self.min_part not in (0, 1):
-            raise ValueError("min_part must be 0 or 1")
 
     def count(self) -> int:
         """Closed-form number of compositions (stars and bars)."""
-        if self.min_part == 1:
-            if self.total < self.parts:
-                return 0
-            return math.comb(self.total - 1, self.parts - 1)
         return math.comb(self.total + self.parts - 1, self.parts - 1)
 
 
 def enumerate_compositions(spec: CompositionSpec) -> Iterator[tuple[int, ...]]:
-    """Yield the compositions of ``spec`` in lexicographic order.
+    """Yield the weak compositions of ``spec`` in lexicographic order.
 
     Stars and bars: the partial sums ``c_1 <= ... <= c_{parts-1}`` of a
-    composition determine it, and they run through ``combinations`` (strictly
-    increasing, parts >= 1) or ``combinations_with_replacement`` (weakly
-    increasing, parts >= 0) in lexicographic order, which the map from
-    partial sums to parts preserves.
+    composition determine it, and they run through
+    ``combinations_with_replacement`` in lexicographic order, which the map
+    from partial sums to parts preserves.
     """
     total = spec.total
-    if total < spec.min_part * spec.parts:
-        return
-    if spec.min_part:
-        cuts_seq = combinations(range(1, total), spec.parts - 1)
-    else:
-        cuts_seq = combinations_with_replacement(range(total + 1), spec.parts - 1)
     head, tail = (0,), (total,)
-    for cuts in cuts_seq:
+    for cuts in combinations_with_replacement(range(total + 1), spec.parts - 1):
         # (*...,) sizes the tuple exactly; tuple(map(...)) would resize a
         # 10-slot tuple, stranding one per item on the per-size free lists
         yield (*map(sub, cuts + tail, head + cuts),)
 
 
-@dataclass(frozen=True)
-class PartitionVector:
-    """Multiplicity encoding of a partition: ``multiplicities[i-1]`` parts of size i.
-
-    The weighted sum ``sum(i * t_i)`` must equal the vector length, so a
-    vector describing m always carries exactly m slots.
-    """
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(t < 0 for t in self.multiplicities):
-            raise ValueError("multiplicities must be >= 0")
-        if self.weight != len(self.multiplicities):
-            raise ValueError("sum(i * t_i) must equal the declared size")
-
-    @property
-    def weight(self) -> int:
-        return sum(i * t for i, t in enumerate(self.multiplicities, start=1))
-
-    @property
-    def part_count(self) -> int:
-        """Total number of parts ``t_1 + ... + t_m``."""
-        return sum(self.multiplicities)
-
-
-def _unchecked_partition_vector(multiplicities: tuple[int, ...]) -> PartitionVector:
-    """A ``PartitionVector`` built without ``__post_init__``'s checks, for
-    multiplicities that are valid by construction."""
-    vec = object.__new__(PartitionVector)
-    object.__setattr__(vec, "multiplicities", multiplicities)
-    return vec
-
-
-def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
-    """Yield every multiplicity vector of weight m, lexicographically by (t_1, t_2, ...).
+def enumerate_partition_vectors(m: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of m as its multiplicity tuple ``(t_1, ..., t_m)``,
+    ``t_i`` parts of size i, so ``sum(i * t_i) == m``; in lexicographic order.
 
     A depth-first walk in one generator frame that keeps its own stack of the
-    multiplicities of the parts below the current one, so no vector is handed
+    multiplicities of the parts below the current one, so no tuple is handed
     up through nested generators.  A multiplicity of the current part whose
     rest larger parts can fill leads one part deeper; the first one whose
-    rest they cannot fill is the last, and it completes a vector when one
-    more of the current part takes up exactly that rest.  Every yielded
-    vector has m nonnegative slots of weight m, so it skips the public
-    constructor's checks."""
+    rest they cannot fill is the last, and it completes a partition when one
+    more of the current part takes up exactly that rest."""
     if m < 1:
         raise ValueError("m must be >= 1")
     acc: list[int] = []  # multiplicities of parts 1..part-1
@@ -249,7 +189,7 @@ def enumerate_partition_vectors(m: int) -> Iterator[PartitionVector]:
             part, t, remaining = part + 1, 0, rest
             continue
         if rest == part:
-            yield _unchecked_partition_vector((*acc, t + 1, *(0,) * (m - part)))
+            yield (*acc, t + 1, *(0,) * (m - part))
         if not acc:
             return
         part -= 1

@@ -22,13 +22,16 @@ reads the same weight row).
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
 ``hb`` and ``hb_higher`` return a stored value directly and walk the row only
-when the requested key is missing.  Loading checks every record of the file
-but decodes a value only when it is first read.  A file in the form ``save``
-writes is checked by one whole-file pattern and split in one pass; any other
-file is checked line by line.  The pattern accepts only files the line-by-line
-check accepts, and reads the same records from them.  Saving writes only when
-an entry was added or a value changed, keeps what another store saved since,
-and writes values that were never read back as they were read.
+when the requested key is missing.  There is no default store: values are
+reused across calls only through a store the caller passes, and a call
+without one walks its row in a fresh store that it then drops.  Loading
+checks every record of the file but decodes a value only when it is first
+read.  A file in the form ``save`` writes is checked by one whole-file
+pattern and split in one pass; any other file is checked line by line.  The
+pattern accepts only files the line-by-line check accepts, and reads the
+same records from them.  Saving writes only when an entry was added or a
+value changed, keeps what another store saved since, and writes values that
+were never read back as they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -349,9 +352,6 @@ def _version(path: Path) -> tuple[int, int, int] | None:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-_DEFAULT_STORE = MemoStore()  # used when no explicit store is passed
-
-
 def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
     """Weights for e = 0..upto: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
     over nonnegative r-part compositions of e, computed as an r-fold Cauchy
@@ -364,13 +364,14 @@ def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
 
 
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
-    """Values for indices 0..n of the (N, r) family, consulting and filling `store`.
+    """Values for indices 0..n of the (N, r) family, consulting and filling
+    `store`, or a fresh one if it is None.
 
     From the first value that must be computed on, the row is also kept over
     its running common denominator (and the weights over theirs), so each new
     value is one integer dot product reduced once into a ``Fraction``.
     """
-    store = store if store is not None else _DEFAULT_STORE
+    store = MemoStore() if store is None else store
     row: list[Fraction] = []
     known: CommonDenominator | None = None
     binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
@@ -411,11 +412,11 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
 
 def _cached_or_row(N: int, r: int, n: int, store: MemoStore | None) -> Fraction:
     """The cached value at (N, r, n), else the top of its freshly walked row."""
-    # not `store or ...`: an empty MemoStore is falsy
-    store = store if store is not None else _DEFAULT_STORE
     key = HBKey(N, r, n)
     # probe with `in`: on a miss the walk gets every key once, this one included
-    return store.get(key) if key in store else _row(N, r, n, store)[n]
+    if store is not None and key in store:
+        return store.get(key)
+    return _row(N, r, n, store)[n]
 
 
 def hb(N: int, n: int, store: MemoStore | None = None) -> Fraction:

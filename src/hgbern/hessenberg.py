@@ -114,9 +114,10 @@ def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:
     Over the lcm W of the entries' denominators a vector with k parts is an
     integer over W^k; the vectors are summed as integers per k, and each
     group, times (-a0)^(m-k), is reduced once into a ``Fraction``.  One pass
-    over a vector's nonzero multiplicities gives its power product, its part
-    count k and prod t_i!, and its multinomial is k! // prod t_i! from a
-    factorial table built once per call.
+    over a vector's nonzero multiplicities, zipped with the weights straight
+    from the enumerator's tuple, gives its power product, its part count k
+    and prod t_i!, and its multinomial is k! // prod t_i! from a factorial
+    table built once per call.
     """
     m = spec.dimension
     if m < 1:
@@ -129,7 +130,7 @@ def trudi_expand(spec: ToeplitzHessenbergSpec) -> Fraction:
     groups = [0] * (m + 1)
     for vec in enumerate_partition_vectors(m):
         term, k, t_fact = 1, 0, 1  # t_fact = prod t_i!
-        for wi, t in zip(w, vec.multiplicities):
+        for wi, t in zip(w, vec):
             if t:
                 term *= wi**t
                 k += t

@@ -18,7 +18,7 @@ from hgbern.altforms import (
     recover_mr_det,
 )
 from hgbern.exactnum import binom, rising
-from hgbern.hbnum import classical, hb, hb_higher, weight_row
+from hgbern.hbnum import MemoStore, classical, hb, hb_higher, weight_row
 from oracles import (
     naive_hb_descent_nested,
     naive_hb_explicit_comp,
@@ -163,6 +163,32 @@ def test_route_agreement_small_grid(N, r):
             if N >= 2:
                 assert hb_descent_step(N, n) == reference
                 assert hb_descent_nested(N, n) == reference
+
+
+@pytest.mark.parametrize(
+    "route, args",
+    [
+        (reciprocal_binom_inverse, (3, 12)),
+        (hb_higher_convolution, (3, 2, 12)),
+        (hb_descent_step, (3, 12)),
+        (hb_descent_nested, (3, 12)),
+        (recover_mr_det, (3, 2, 12)),
+    ],
+)
+def test_storeless_routes_compute_each_value_once(route, args, monkeypatch):
+    # with no store passed, a route that reads many values keeps them in one
+    # store for the call rather than walking a fresh row per value
+    computed = []
+    put = MemoStore.put
+
+    def counted_put(self, key, value):
+        computed.append(key)
+        put(self, key, value)
+
+    monkeypatch.setattr(MemoStore, "put", counted_put)
+    value = route(*args)
+    assert computed and len(computed) == len(set(computed))
+    assert value == route(*args, MemoStore())
 
 
 def test_validation():

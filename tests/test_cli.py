@@ -298,7 +298,10 @@ def test_verify_determinant_route_deep(capsys):
 def test_verify_default_sweep(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK
-    assert out.startswith(f"OK: routes {','.join(cli.ROUTES)} agree on 225 grid points")
+    assert out == (
+        "OK: routes recurrence,comp,binom,trudi,det,descent,descent-nested,convolution "
+        "agree on 225 grid points (897 comparisons)\n"
+    )
 
 
 def test_verify_needs_two_routes(capsys):

@@ -120,6 +120,16 @@ def test_row_resumes_across_a_sparse_cache():
         assert len(store) == 25
 
 
+def test_storeless_calls_keep_no_module_store():
+    # values are reused across calls only through a store the caller passes;
+    # a storeless call walks its own row and leaves nothing behind
+    assert not [name for name, value in vars(hbnum).items() if isinstance(value, MemoStore)]
+    expected = hb_higher(2, 2, 9, MemoStore())
+    assert hb_higher(2, 2, 9) == expected
+    assert hb_higher(2, 2, 9) == expected
+    assert not [name for name, value in vars(hbnum).items() if isinstance(value, MemoStore)]
+
+
 def test_higher_order_values():
     assert hb_higher(1, 2, 1) == -1
     assert hb_higher(2, 3, 0) == 1
