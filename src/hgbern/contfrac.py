@@ -14,12 +14,18 @@ factorials, and the product over N+l grown one factor at a time) make each
 coefficient O(n) integer products and a whole P or Q list O(n^2).
 
 The checks are integer sums over one oracle row, in the style of the kernels
-in :mod:`hbnum` and :mod:`exactnum`: each reads the parameter-N row
-B_{N,0..h} once, holds it over its lcm with ``CommonDenominator``, and turns
-the x^h coefficient of C(x) S(x) into one integer dot product over
-h! times the common denominators (h!/(h-j)! = falling(h, j)), reduced once
-into a ``Fraction``.  Non-integral coefficient lists (a hand-built P or Q,
-the reduced classical weights) go over their own common denominator first.
+in :mod:`hbnum` and :mod:`exactnum`: each takes the parameter-N row
+B_{N,0..h} over its lcm from ``hbnum.common_row`` and turns the x^h
+coefficient of C(x) S(x) into one integer dot product over h! times the
+common denominators (h!/(h-j)! = falling(h, j)), reduced once into a
+``Fraction``.  With a store the row is kept on it, so a family of checks
+builds each N's row over its lcm once and extends it as h grows; a kept row
+longer than h serves h as well, since the sum reads only indices <= h.
+Without a store each check walks and builds its own row.  Non-integral
+coefficient lists (a hand-built P or Q, the reduced classical weights) go
+over their own common denominator first; the reduced weights are built as
+integer (numerator, denominator) pairs.  Q lists are per call, O(min(h, n)^2)
+products each; no Q list is kept between calls.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -31,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 from typing import Iterable
 
 from .exactnum import CommonDenominator, binom, rising
-from .hbnum import MemoStore, Series, hb_higher
+from .hbnum import MemoStore, Series, common_row
 
 __all__ = [
     "Poly",
@@ -200,17 +206,22 @@ def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
         sum_{k<=j} (-1)^(j-k) falling(t, k) binom(m-k-1, j-k) prod_{l=k+1..t} (N+l)
 
     with t = 2m-j-odd, in O(j) products: falling(t, k) is a prefix product
-    over k, and the product over l takes one more factor, N+k+1, at each step
-    of k down from j (it stays empty while k >= t)."""
+    over k, the product over l takes one more factor, N+k+1, at each step of
+    k down from j (it stays empty while k >= t), and the binomial steps by
+    binom(a+1, b+1) = binom(a, b) (a+1)/(b+1), an exact division that keeps
+    the falling-factorial convention for negative a (binom(-1, 0) = 1, and
+    zero once a passes 0 below b)."""
     top = 2 * m - j - odd
     falls = list(accumulate(range(top, top - j, -1), mul, initial=1))
     tail = _prod(N, j + 1, top)
+    choose = 1  # binom(m-k-1, j-k), starting at k = j
     total = 0
     for k in range(j, -1, -1):
-        term = falls[k] * binom(m - k - 1, j - k) * tail
+        term = falls[k] * choose * tail
         total += -term if (j - k) % 2 else term
         if k <= top:
             tail *= N + k
+        choose = choose * (m - k) // (j - k + 1)
     return total
 
 
@@ -231,21 +242,23 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
     return ConvergentPair(n, Poly(p_coeffs), Poly(q_coeffs), N)
 
 
-def _series_row(N: int, top: int, store: MemoStore | None) -> CommonDenominator:
-    """B_{N,0..top}, from one walk of the family's row, over their lcm."""
-    row: list[Fraction] = []
-    hb_higher(N, 1, top, store, row=row)
-    return CommonDenominator(row)
-
-
-def _against_series(coeffs: CommonDenominator, series: CommonDenominator, h: int) -> int:
-    """x^h coefficient of C(x) S(x), for C with coefficients ``coeffs`` and S
-    with coefficients B_{N,i}/i! (the values in ``series``), times
-    h! * series.den * coeffs.den: the integer sum over j <= h of
-    C_j falling(h, j) B_{N,h-j}, as h!/(h-j)! = falling(h, j)."""
-    width = min(h + 1, len(coeffs.nums))
+def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
+    """x^h coefficient of C(x) S(x), for C with coefficients ``nums`` over
+    some denominator d and S with coefficients B_{N,i}/i! (the values in
+    ``series``), times h! * series.den * d: the integer sum over j <= h of
+    C_j falling(h, j) B_{N,h-j}, as h!/(h-j)! = falling(h, j).  It reads
+    ``series`` at indices <= h only."""
+    width = min(h + 1, len(nums))
     falls = accumulate(range(h, h + 1 - width, -1), mul, initial=1)
-    return sum(map(mul, map(mul, coeffs.nums[:width], falls), series.nums[h::-1]))
+    return sum(map(mul, map(mul, nums[:width], falls), series.nums[h::-1]))
+
+
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of the fractions num/den in `pairs` over their lcm, and the lcm."""
+    common = 1
+    for _, den in pairs:
+        common = lcm(common, den)
+    return [num * (common // den) for num, den in pairs], common
 
 
 def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -> Series:
@@ -260,7 +273,7 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
         raise ValueError("order must be >= 1")
     if pair.N < 1:
         raise ValueError("N must be >= 1")
-    series = _series_row(pair.N, order - 1, store)
+    series = common_row(pair.N, 1, order - 1, store)
     q = CommonDenominator(pair.Q.coefficients)
     p = CommonDenominator(pair.P.coefficients)
     coeffs = []
@@ -269,7 +282,7 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
         fact *= h or 1
         scale = fact * series.den * q.den
         p_h = p.nums[h] if h < len(p.nums) else 0
-        num = _against_series(q, series, h) * p.den - p_h * scale
+        num = _against_series(q.nums, series, h) * p.den - p_h * scale
         coeffs.append(Fraction(num, scale * p.den))
     return Series(tuple(coeffs), order)
 
@@ -286,9 +299,9 @@ def _identity(
         raise ValueError("h must be >= 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    q = CommonDenominator([_q_coefficient(N, n, odd, j) for j in range(min(h, n) + 1)])
-    series = _series_row(N, h, store)
-    lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * q.den)
+    q = [_q_coefficient(N, n, odd, j) for j in range(min(h, n) + 1)]
+    series = common_row(N, 1, h, store)
+    lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den)
     return lhs, Fraction(_p_coefficient(N, n, odd, h))  # binom(n, h) = 0 for h > n
 
 
@@ -349,22 +362,21 @@ def classical_identity(
         scale = factorial(2 * n - h + 1 - odd)
         return lhs / scale, rhs / scale
 
-    # coeffs[k] is the weight of B_{h-k}/(h-k)! in the left side
-    coeffs: list[Fraction | int]
+    if variant == "even-reduced" and not 1 <= h <= 2 * n + 1:
+        raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")
+    if variant == "odd-reduced" and not 1 <= h <= 2 * n:
+        raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
+    # weights[k] = (num, den) is the weight of B_{h-k}/(h-k)! in the left side
+    weights = [(0, 1)] * (h + 1)
     if variant == "even-reduced":
-        if h < 1 or h > 2 * n + 1:
-            raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")
         # one term for each k: k = 2j, k = 1, and k = 2j+1 with j >= 1
-        coeffs = [0] * (h + 1)
         for j in range(h // 2 + 1):
-            coeffs[2 * j] = Fraction(factorial(2 * n - 2 * j + 1), 2 * j + 1) * binom(n, 2 * j)
-        coeffs[1] = Fraction(factorial(2 * n), 2)
+            weights[2 * j] = (factorial(2 * n - 2 * j + 1) * binom(n, 2 * j), 2 * j + 1)
+        weights[1] = (factorial(2 * n), 2)
         for j in range(1, (h - 1) // 2 + 1):
-            coeffs[2 * j + 1] = (
-                Fraction(factorial(2 * n - 2 * j), 4 * (2 * j + 1))
-                * Fraction(1, binom(2 * j - 1, j))
-                * binom(n - j - 1, j)
-                * binom(n, j)
+            weights[2 * j + 1] = (
+                factorial(2 * n - 2 * j) * binom(n - j - 1, j) * binom(n, j),
+                4 * (2 * j + 1) * binom(2 * j - 1, j),
             )
         rhs = (
             Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h + 1))
@@ -372,17 +384,13 @@ def classical_identity(
             else Fraction(0)
         )
     else:  # odd-reduced
-        if h < 1 or h > 2 * n:
-            raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
-        coeffs = [0] * (h + 1)
         for j in range(h // 2 + 1):
-            coeffs[2 * j] = (
-                Fraction(factorial(j) ** 2 * factorial(2 * n - 2 * j), factorial(2 * j + 1))
-                * binom(n, j)
-                * binom(n - j - 1, j)
+            weights[2 * j] = (
+                factorial(j) ** 2 * factorial(2 * n - 2 * j) * binom(n, j) * binom(n - j - 1, j),
+                factorial(2 * j + 1),
             )
         rhs = Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h)) if h <= n else Fraction(0)
-    weights = CommonDenominator(coeffs)
-    series = _series_row(1, h, store)
-    lhs = Fraction(_against_series(weights, series, h), factorial(h) * series.den * weights.den)
+    nums, den = _over_lcm(weights)
+    series = common_row(1, 1, h, store)
+    lhs = Fraction(_against_series(nums, series, h), factorial(h) * series.den * den)
     return lhs, rhs

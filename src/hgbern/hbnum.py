@@ -22,16 +22,21 @@ reads the same weight row).
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
 ``hb`` and ``hb_higher`` return a stored value directly and walk the row only
-when the requested key is missing.  There is no default store: values are
-reused across calls only through a store the caller passes, and a call
-without one walks its row in a fresh store that it then drops.  Loading
-checks every record of the file but decodes a value only when it is first
-read.  A file in the form ``save`` writes is checked by one whole-file
-pattern and split in one pass; any other file is checked line by line.  The
-pattern accepts only files the line-by-line check accepts, and reads the
-same records from them.  Saving writes only when an entry was added or a
-value changed, keeps what another store saved since, and writes values that
-were never read back as they were read.
+when the requested key is missing.  ``common_row`` gives a family's row over
+its lcm as a ``CommonDenominator``; with a store it keeps that row on the
+store, builds it once and extends it with ``append`` when a longer prefix is
+asked for, so the checks in :mod:`contfrac` read it without rebuilding it.
+There is no default store: values are reused across calls only through a
+store the caller passes, and a call without one walks its row in a fresh
+store that it then drops.  Loading checks every record of the file but
+decodes a value only when it is first read, and refuses a value that
+conflicts with one the store already holds, so a kept row never goes stale
+under a load.  A file in the form ``save`` writes is checked by one
+whole-file pattern and split in one pass; any other file is checked line by
+line.  The pattern accepts only files the line-by-line check accepts, and
+reads the same records from them.  Saving writes only when an entry was
+added or a value changed, keeps what another store saved since, and writes
+values that were never read back as they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -74,6 +79,7 @@ __all__ = [
     "classical",
     "signed_variant",
     "hb_higher",
+    "common_row",
     "hb_series",
     "recurrence_residual",
 ]
@@ -125,9 +131,15 @@ class MemoStore:
     literal with a nonzero denominator) but keeps each value as its text
     until ``get``, ``items`` or ``audit`` first reads it.  Duplicate keys
     must carry equal values or loading fails; they are decoded and compared
-    only when their texts differ.  ``save`` writes only when an entry was
-    added or a value changed since the last load or save, and writes a value
-    that was never decoded back as the text it was read from.
+    only when their texts differ, and so are a file's values against the
+    ones a non-empty store already holds.  ``save`` writes only when an entry
+    was added or a value changed since the last load or save, and writes a
+    value that was never decoded back as the text it was read from.
+
+    The store also keeps the rows ``common_row`` built from its values, one
+    per (N, r) family.  They are derived data: ``items``, ``len`` and the
+    saved file never show them, and ``put`` drops a family's kept row when it
+    changes a value inside it.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -136,6 +148,9 @@ class MemoStore:
         self._values: dict[HBKey, Fraction | str] = {}
         self._unsaved = False  # an entry added or a value changed since load or save
         self._seen: tuple[int, int, int] | None = None  # the file as last loaded or saved
+        # (N, r) -> that family's values 0..k over their lcm; never changed in
+        # place, so a reader keeps a consistent row while another call grows it
+        self._rows: dict[tuple[int, int], CommonDenominator] = {}
 
     def __len__(self) -> int:
         return len(self._values)
@@ -155,6 +170,10 @@ class MemoStore:
         if key not in self._values or self._decode(key) != value:
             self._values[key] = value
             self._unsaved = True
+            if self._rows:  # drop the family's kept row if it holds this index
+                kept = self._rows.get(key[:2])
+                if kept is not None and key.n < len(kept.nums):
+                    self._rows.pop(key[:2], None)
 
     def items(self) -> list[tuple[HBKey, Fraction]]:
         return sorted((key, self._decode(key)) for key in self._values)
@@ -169,8 +188,11 @@ class MemoStore:
         definition of which files are accepted, which reports each error at its
         line.  Both give the same records in the same order.
 
+        A record whose key the store already holds must carry an equal value.
+
         Returns the number of records read.  Raises :class:`CacheError` on
-        malformed lines, conflicting duplicates, or an audit mismatch.
+        malformed lines, conflicting duplicates, a value that conflicts with
+        the store's, or an audit mismatch.
         """
         if self.path is None:
             raise CacheError("store has no backing file")
@@ -180,6 +202,12 @@ class MemoStore:
         loaded = _saved_records(data)
         if loaded is None:
             loaded = self._read_lines(data)
+        if self._values:  # a fresh store has nothing to conflict with
+            key = self._conflict(loaded)
+            if key is not None:
+                raise CacheError(
+                    f"{self.path}: {_key_text(key)} conflicts with the value the store holds"
+                )
         self._values.update(loaded)
         self._unsaved = len(self._values) > len(loaded)
         self._seen = version
@@ -240,12 +268,9 @@ class MemoStore:
         if self._seen is not None and _version(self.path) not in (None, self._seen):
             disk = MemoStore(self.path)
             disk.load(audit_samples=0)
-            for key, value in disk._values.items():
-                mine = self._values.get(key)
-                if mine is not None and mine != value and _fraction(mine) != _fraction(value):
-                    raise CacheError(
-                        f"{self.path}: {_key_text(key)} was saved with another value"
-                    )
+            key = self._conflict(disk._values)
+            if key is not None:
+                raise CacheError(f"{self.path}: {_key_text(key)} was saved with another value")
             self._values = {**disk._values, **self._values}
         # write a sibling file, then rename it over the old one, so a crash
         # mid-save leaves the previous cache intact
@@ -262,6 +287,14 @@ class MemoStore:
             tmp.unlink(missing_ok=True)
             raise
         self._unsaved = False
+
+    def _conflict(self, records: dict[HBKey, Fraction | str]) -> HBKey | None:
+        """The first key of `records` that the store holds with another value."""
+        for key, value in records.items():
+            mine = self._values.get(key)
+            if mine is not None and mine != value and _fraction(mine) != _fraction(value):
+                return key
+        return None
 
     def audit(
         self,
@@ -408,6 +441,35 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
         if known is not None:
             known.append(value)
     return row
+
+
+def common_row(N: int, r: int, n: int, store: MemoStore | None = None) -> CommonDenominator:
+    """The (N, r) family's values at 0..n, or at 0..k for some k > n, over
+    their lcm.
+
+    Without a store the row is walked and built afresh.  With one, the row is
+    kept on the store: it is built once, a longer `n` extends a copy of it
+    with ``append`` from one walk of the row (which computes only the missing
+    values), and a shorter `n` reuses it as it is.  The returned row is
+    shared; callers read it, never change it.
+    """
+    HBKey(N, r, n)  # checks the indices, also where n < 0 leaves nothing to walk
+    if store is None:
+        return CommonDenominator(_row(N, r, n, None))
+    family = (N, r)
+    kept = store._rows.get(family)
+    if kept is not None and len(kept.nums) > n:
+        return kept
+    values = _row(N, r, n, store)
+    if kept is None:
+        grown = CommonDenominator(values)
+    else:
+        grown = CommonDenominator(())
+        grown.nums, grown.den = kept.nums[:], kept.den
+        for value in values[len(kept.nums) :]:
+            grown.append(value)
+    store._rows[family] = grown
+    return grown
 
 
 def _cached_or_row(N: int, r: int, n: int, store: MemoStore | None) -> Fraction:

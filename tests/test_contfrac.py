@@ -15,7 +15,8 @@ from hgbern.contfrac import (
     identity_odd,
 )
 from hgbern import cli, contfrac
-from hgbern.hbnum import HBKey, MemoStore, hb
+from hgbern.exactnum import CommonDenominator
+from hgbern.hbnum import CacheError, HBKey, MemoStore, hb
 from oracles import (
     naive_classical_reduced,
     naive_convergent,
@@ -355,3 +356,109 @@ def test_cli_reports_a_perturbed_defect_at_its_first_coefficient(capsys, monkeyp
         "P = 20160 - 7560x + 1080x^2 - 60x^3, Q = 20160 - 840x + 721/3x^2 + 6x^3\n"
         "defect ≠ 0 mod x^7: coefficient of x^2 is 1/3\n"
     )
+
+
+# Kept rows: on a store, each family's row over its lcm is built once and
+# kept; checks read it (or a longer kept row) instead of rebuilding it.
+
+
+def _checks(n):
+    """Every identity and classical check at index n, on its guaranteed range."""
+    for N in (1, 2, 4):
+        yield from ((identity_even, (N, n, h)) for h in range(2 * n + 1))
+        yield from ((identity_odd, (N, n, h)) for h in range(2 * n))
+    for variant, lo, hi in (
+        ("even", 0, 2 * n),
+        ("odd", 0, 2 * n - 1),
+        ("even-reduced", 1, 2 * n + 1),
+        ("odd-reduced", 1, 2 * n),
+    ):
+        yield from ((classical_identity, (variant, n, h)) for h in range(lo, hi + 1))
+
+
+def test_checks_agree_with_and_without_a_store_in_any_order_of_h():
+    checks = [check for n in (1, 4, 7) for check in _checks(n)]
+    checks.append((identity_odd, (3, 2, 4)))  # beyond its range: the sides differ
+    alone = {check: check[0](*check[1]) for check in checks}
+    by_h = sorted(checks, key=lambda check: check[1][-1])
+    for order in (checks, by_h, by_h[::-1]):  # as listed, shorter h first, longer h first
+        expected = [alone[check] for check in order]
+        assert [fn(*args, MemoStore()) for fn, args in order] == expected
+        store = MemoStore()
+        assert [fn(*args, store) for fn, args in order] == expected
+    pairs = [convergent_rec(N, k) for N in (1, 2, 3) for k in range(16)]
+    defects = [approximation_defect(pair) for pair in pairs]
+    assert [approximation_defect(pair, store) for pair in pairs[::-1]] == defects[::-1]
+    store = MemoStore()
+    assert [approximation_defect(pair, store) for pair in pairs] == defects
+
+
+def test_a_changed_value_inside_a_kept_row_reaches_the_next_check():
+    store = MemoStore()
+    assert identity_even(2, 4, 8, store) == identity_even(2, 4, 8)
+    assert classical_identity("odd-reduced", 4, 8, store) == classical_identity("odd-reduced", 4, 8)
+    store.put(HBKey(2, 1, 4), hb(2, 4) + 1)
+    series = [store.get(HBKey(2, 1, i)) / factorial(i) for i in range(9)]
+    P, Q = naive_convergent(2, 8)
+    for h in (5, 8):  # a shorter h than the kept row's, and its full length
+        lhs, rhs = identity_even(2, 4, h, store)
+        assert lhs == naive_product_coefficient(Q, series, h) != rhs
+    # the other family keeps its row; a value put back equal leaves it kept
+    assert classical_identity("odd-reduced", 4, 8, store) == classical_identity("odd-reduced", 4, 8)
+    store.put(HBKey(2, 1, 4), hb(2, 4))
+    assert identity_even(2, 4, 8, store) == identity_even(2, 4, 8)
+
+
+def test_a_conflicting_load_leaves_a_kept_row_as_it_was(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("3 1 4 1/7\n")
+    store = MemoStore(path)
+    expected = identity_odd(3, 3, 5)
+    assert identity_odd(3, 3, 5, store) == expected
+    with pytest.raises(CacheError, match="3 1 4 conflicts"):
+        store.load(audit_samples=0)
+    assert identity_odd(3, 3, 5, store) == expected
+
+
+def test_kept_rows_stay_out_of_the_store_entries_and_its_file(tmp_path):
+    plain, checked = MemoStore(tmp_path / "plain.txt"), MemoStore(tmp_path / "checked.txt")
+    for store in (plain, checked):
+        for N in range(1, 5):
+            hb(N, 13, store)
+    for fn, args in _checks(6):
+        fn(*args, checked)
+    approximation_defect(convergent_closed(3, 11), checked)
+    assert len(checked) == len(plain) == 56
+    assert checked.items() == plain.items()
+    plain.save()
+    checked.save()
+    assert checked.path.read_bytes() == plain.path.read_bytes()
+
+
+def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
+    n = 6
+    expected = {
+        (N, odd, h): family(N, n, h)
+        for N in range(1, 4)
+        for odd, family in ((0, identity_even), (1, identity_odd))
+        for h in range(2 * n + 1 - odd)
+    }
+    built = []
+    init = CommonDenominator.__init__
+
+    def counting(self, values):
+        values = list(values)
+        built.append(values)
+        init(self, values)
+
+    monkeypatch.setattr(CommonDenominator, "__init__", counting)
+    store = MemoStore()
+    for N in range(1, 4):
+        hb(N, 2 * n, store)  # every value stored, so no check computes one
+        built.clear()
+        for h in range(2 * n + 1):  # h up: the kept row grows by append
+            assert identity_even(N, n, h, store) == expected[N, 0, h]
+        for h in range(2 * n - 1, -1, -1):  # h down: the kept row serves as it is
+            assert identity_odd(N, n, h, store) == expected[N, 1, h]
+        # a row of the oracle starts at B_0 = 1; a Q list at a product >= 2
+        assert [len(values) for values in built if values[:1] == [1]] == [1], N

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hgbern.hbnum import (
     MemoStore,
     Series,
     classical,
+    common_row,
     hb,
     hb_higher,
     hb_series,
@@ -660,6 +662,45 @@ def test_memostore_save_refuses_a_conflicting_value(tmp_path):
     with pytest.raises(CacheError, match="2 1 3 was saved with another value"):
         a.save()
     assert path.read_bytes() == before
+
+
+def test_memostore_load_refuses_a_value_the_store_holds_otherwise(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("2 1 5 1/7\n")
+    store = MemoStore(path)
+    assert hb(2, 5, store) == Fraction(-5, 1134)
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: 2 1 5 conflicts"):
+        store.load(audit_samples=0)
+    assert store.get(HBKey(2, 1, 5)) == Fraction(-5, 1134)
+    # equal values merge, as text or decoded, and the file's new keys come in
+    path.write_text(f"2 1 4 -1/270\n2 1 5 -10/2268\n2 1 9 {format_rational(hb(2, 9))}\n")
+    assert store.load(audit_samples=0) == 3
+    assert store.get(HBKey(2, 1, 5)) == Fraction(-5, 1134)
+    assert store.get(HBKey(2, 1, 9)) == hb(2, 9)
+
+
+def test_common_row_is_the_row_over_its_lcm_and_kept_on_a_store():
+    for r in (1, 2):
+        values = [hb_higher(3, r, m) for m in range(9)]
+        alone = common_row(3, r, 8)
+        assert [Fraction(x, alone.den) for x in alone.nums] == values
+        store = MemoStore()
+        kept = common_row(3, r, 5, store)
+        assert [Fraction(x, kept.den) for x in kept.nums] == values[:6]
+        assert common_row(3, r, 2, store) is kept  # a longer kept row serves
+        longer = common_row(3, r, 8, store)
+        assert [Fraction(x, longer.den) for x in longer.nums] == values
+        assert len(kept.nums) == 6  # grown in a copy: a reader's row stays as it was
+        assert common_row(3, r, 7, store) is longer
+        store.put(HBKey(3, r, 9), Fraction(1))  # past the kept row: it stays
+        assert common_row(3, r, 8, store) is longer
+        store.put(HBKey(3, r, 8), values[8])  # an equal value: it stays
+        assert common_row(3, r, 8, store) is longer
+        store.put(HBKey(3, r, 8), Fraction(1))  # inside it, changed: built again
+        again = common_row(3, r, 8, store)
+        assert again is not longer and Fraction(again.nums[8], again.den) == 1
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        common_row(3, 1, -1, MemoStore())
 
 
 def test_top_key_lookup_reads_only_that_entry():
