@@ -8,6 +8,7 @@ rational.  This is the one-number version of `hgbern verify`.
 from fractions import Fraction
 
 from hgbern import (
+    MemoStore,
     hb,
     hb_descent_nested,
     hb_descent_step,
@@ -25,14 +26,20 @@ from hgbern import (
 N, n = 2, 6
 print(f"target: parameter N = {N}, index n = {n}\n")
 
+# the relations read rows of values: both descents B_{N-1,0..n}, the
+# convolution B_{N,0..n}, and the one-step descent also B_{N,0..n-1}
+store = MemoStore()
+prev = [hb(N - 1, i, store) for i in range(n + 1)]
+base = [hb(N, i, store) for i in range(n + 1)]
+
 routes = {
     "recurrence": hb(N, n),
     "explicit composition sum": hb_explicit_comp(N, n),
     "binomial-weighted sum": hb_explicit_binom(N, n),
     "Toeplitz-Hessenberg determinant": hb_det(N, n),
     "Trudi partition expansion": hb_trudi(N, 1, n),
-    "one-step descent from N-1": hb_descent_step(N, n),
-    "nested descent (N-1 values only)": hb_descent_nested(N, n),
+    "one-step descent from N-1": hb_descent_step(prev, base[:n], N),
+    "nested descent (N-1 values only)": hb_descent_nested(prev, N),
 }
 for name, value in routes.items():
     print(f"  {name:36s} {format_rational(value)}")
@@ -47,7 +54,7 @@ higher = {
     "explicit weight sum": hb_higher_explicit(N, r, n),
     "determinant": hb_higher_det(N, r, n),
     "Trudi expansion": hb_trudi(N, r, n),
-    "convolution of the base row": hb_higher_convolution(N, r, n),
+    "convolution of the base row": hb_higher_convolution(base, r),
 }
 for name, value in higher.items():
     print(f"  {name:36s} {format_rational(value)}")

@@ -32,10 +32,8 @@ sum takes each vector's power product, part count k and multinomial
 k! / prod t_i! (from a factorial table built once per call) in one pass over
 its multiplicities, the plain tuple the partition enumerator yields.
 
-The routes that read the numbers themselves (descent, convolution and the
-two inversion checks) take an optional :class:`hbnum.MemoStore`; a call
-without one keeps the values it reads in a store of its own, so each value
-is walked once per call.
+The relations over the numbers themselves (descent, convolution and the two
+inversion checks) take the row of values they read; n is its last index.
 """
 
 from __future__ import annotations
@@ -44,12 +42,12 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, lcm, prod
 from operator import mul
+from typing import Sequence
 
 from .exactnum import CompositionSpec, binom, enumerate_compositions
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hbnum import MemoStore, hb, hb_higher
 from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
@@ -71,10 +69,17 @@ class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(L, nums)`` with ``values[i] = nums[i] / L``, L the lcm of the denominators."""
     L = reduce(lcm, (v.denominator for v in values), 1)
     return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def _top(row: Sequence[Fraction]) -> int:
+    """The index n of the row of values at 0..n a relation reads, n >= 1."""
+    if len(row) < 2:
+        raise ValueError("n must be >= 1")
+    return len(row) - 1
 
 
 def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
@@ -150,17 +155,15 @@ def hb_explicit_binom(N: int, n: int) -> Fraction:
     return factorial(n) * total
 
 
-def reciprocal_binom_inverse(N: int, n: int, store: MemoStore | None = None) -> Fraction:
-    """Alternating multinomial convolution of the numbers themselves:
+def reciprocal_binom_inverse(row: Sequence[Fraction]) -> Fraction:
+    """Alternating multinomial convolution of the numbers row = B_{N,0..n}:
 
         sum_k (-1)^k sum_{i_1+...+i_k = n, i_j >= 1}
             multinomial(i) B_{N,i_1} ... B_{N,i_k}
 
     which collapses to 1 / binom(N+n, N)."""
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
-    store = MemoStore() if store is None else store
-    P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
+    n = _top(row)
+    P, p = _over_lcm(row)
     p[0] = 0  # positive parts only
     power = p  # k-fold convolution, over P^k
     total = Fraction(0)
@@ -214,46 +217,43 @@ def _composition_products(
             _composition_products(w, ends, remaining - part, k, head * w[part], groups)
 
 
-def hb_higher_convolution(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
+def hb_higher_convolution(base: Sequence[Fraction], r: int) -> Fraction:
     """Order-r value as the multinomial convolution of r copies of the base
-    sequence: sum over n_1+...+n_r = n of multinomial(n_i) B_{N,n_1}...B_{N,n_r},
-    taken as r-1 binomial convolutions of the values' numerators over their
-    lcm P, so the result is one integer over P^r."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    sequence base = B_{N,0..n}: sum over n_1+...+n_r = n of multinomial(n_i)
+    B_{N,n_1}...B_{N,n_r}, taken as r-1 binomial convolutions of the values'
+    numerators over their lcm P, so the result is one integer over P^r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if n < 0:
+    if not base:
         raise ValueError("n must be >= 0")
-    store = MemoStore() if store is None else store
-    P, p = _over_lcm([hb(N, i, store) for i in range(n + 1)])
+    P, p = _over_lcm(base)
     power = p
     for _ in range(r - 1):
         power = _binomial_convolution(power, p)
-    return Fraction(power[n], P**r)
+    return Fraction(power[-1], P**r)
 
 
-def hb_descent_step(N: int, n: int, store: MemoStore | None = None) -> Fraction:
+def hb_descent_step(prev: Sequence[Fraction], row: Sequence[Fraction], N: int) -> Fraction:
     """One-step descent in the parameter:
 
         B_{N,n} = N/(N+n) { B_{N-1,n}
                             + sum_{m=1}^{n-1} binom(n, n-m+1) B_{N,m} B_{N-1,n-m+1} }
 
-    consuming parameter-(N-1) values and smaller parameter-N values."""
+    consuming prev = B_{N-1,0..n} and row = B_{N,0..n-1}."""
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    store = MemoStore() if store is None else store
-    acc = hb(N - 1, n, store)
+    n = _top(prev)
+    if len(row) != n:
+        raise ValueError(f"row must hold B_(N,0..{n - 1}), {n} values, not {len(row)}")
+    acc = prev[n]
     for m in range(1, n):
-        acc += binom(n, n - m + 1) * hb(N, m, store) * hb(N - 1, n - m + 1, store)
+        acc += binom(n, n - m + 1) * row[m] * prev[n - m + 1]
     return Fraction(N, N + n) * acc
 
 
-def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fraction:
-    """Fully unrolled descent: expresses the value through parameter N-1 only,
-    summing over strictly decreasing index chains n = i_0 > i_1 > ... > i_m >= 1.
+def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
+    """Fully unrolled descent: expresses the value through prev = B_{N-1,0..n}
+    only, summing over strictly decreasing index chains n = i_0 > ... > i_m >= 1.
 
     A chain's term is prev[i_m] times one factor per link; over the common
     denominators of the parameter-(N-1) values and of the N/(N+i) both are
@@ -262,12 +262,10 @@ def hb_descent_nested(N: int, n: int, store: MemoStore | None = None) -> Fractio
     term into its length m's group; each group is reduced once."""
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    store = MemoStore() if store is None else store
+    n = _top(prev)
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
     # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
-    P, p = _over_lcm([hb(N - 1, i, store) for i in range(n + 1)])
+    P, p = _over_lcm(prev)
     L = reduce(lcm, range(N + 1, N + n), 1)
     f = [
         [0, *(p[a - b + 1] * binom(a, a - b + 1) * N * (L // (N + b)) for b in range(1, a))]
@@ -317,17 +315,12 @@ def hb_trudi(N: int, r: int, n: int) -> Fraction:
     return (-1) ** n * factorial(n) * trudi_expand(ToeplitzHessenbergSpec(Fraction(1), weights))
 
 
-def recover_mr_det(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:
+def recover_mr_det(row: Sequence[Fraction]) -> Fraction:
     """Inverse direction of the determinant route: rebuild the convolution
-    weight at e = n from the numbers themselves, as the Toeplitz-Hessenberg
-    determinant with entries (-1)^k B^{(r)}_{N,k} / k!.
+    weight at e = n from the numbers themselves, row = B^{(r)}_{N,0..n}, as
+    the Toeplitz-Hessenberg determinant with entries (-1)^k B^{(r)}_{N,k} / k!.
 
     At r = 1 this recovers 1/((N+1)...(N+n)); at r = N = 1 it is 1/(n+1)!.
     """
-    if N < 1 or r < 1 or n < 1:
-        raise ValueError("N, r and n must be >= 1")
-    store = MemoStore() if store is None else store
-    entries = tuple(
-        (-1) ** k * hb_higher(N, r, k, store) / factorial(k) for k in range(1, n + 1)
-    )
+    entries = tuple((-1) ** k * row[k] / factorial(k) for k in range(1, _top(row) + 1))
     return toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), entries))

@@ -75,6 +75,8 @@ class Route:
     the family from that row instead of calling ``compute`` once per n.
     ``max_n(r)`` bounds an exponential route at the n where one call takes
     about ten seconds (see README), so it refuses what it cannot finish.
+    The relations ``descent``, ``descent-nested`` and ``convolution`` read
+    rows that ``_oracle_row`` fills from the oracle, through the store.
     """
 
     compute: Callable[[int, int, int, MemoStore], Fraction]
@@ -113,6 +115,12 @@ def _trudi_max_n(r: int) -> int:
     return n
 
 
+def _oracle_row(N: int, n: int, store: MemoStore) -> list[Fraction]:
+    """B_{N,0..n} from the oracle through `store`, the top index read first,
+    so a family missing from the store is walked once."""
+    return [hbnum.hb(N, i, store) for i in range(n, -1, -1)][::-1]
+
+
 ROUTES = {
     "recurrence": Route(
         lambda N, r, n, store: hbnum.hb_higher(N, r, n, store),
@@ -134,15 +142,17 @@ ROUTES = {
         min_n=1,
     ),
     "descent": Route(
-        lambda N, r, n, store: altforms.hb_descent_step(N, n, store),
+        lambda N, r, n, store: altforms.hb_descent_step(
+            _oracle_row(N - 1, n, store), _oracle_row(N, n - 1, store), N
+        ),
         r_one_only=True, min_N=2, min_n=1,
     ),
     "descent-nested": Route(
-        lambda N, r, n, store: altforms.hb_descent_nested(N, n, store),
+        lambda N, r, n, store: altforms.hb_descent_nested(_oracle_row(N - 1, n, store), N),
         r_one_only=True, min_N=2, min_n=1, max_n=lambda r: 22,
     ),
     "convolution": Route(
-        lambda N, r, n, store: altforms.hb_higher_convolution(N, r, n, store)
+        lambda N, r, n, store: altforms.hb_higher_convolution(_oracle_row(N, n, store), r)
     ),
 }
 
@@ -322,12 +332,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     routes = tuple(args.routes.split(","))
-    config = SweepConfig(
-        n_values=args.n,
-        r_values=args.r,
-        big_n_values=args.N,
-        routes=routes,
-    )
+    config = SweepConfig(n_values=args.n, r_values=args.r, big_n_values=args.N, routes=routes)
     code, report = run_sweep(config, _make_store(args))
     print(report)
     return code

@@ -72,19 +72,23 @@ def test_criterion_3_route_agreement_sweep():
     store = MemoStore()
     points = 0
     for N in range(1, 6):
+        # the rows the relations read, each family's built once
+        base = [hb(N, i, store) for i in range(15)]
+        prev = [hb(N - 1, i, store) for i in range(15)] if N >= 2 else []
         for r in range(1, 4):
             for n in range(1, 15):
                 reference = hb_higher(N, r, n, store)
                 assert hb_higher_explicit(N, r, n) == reference, (N, r, n, "explicit")
                 assert hb_trudi(N, r, n) == reference, (N, r, n, "trudi")
                 assert hb_higher_det(N, r, n) == reference, (N, r, n, "det")
-                assert hb_higher_convolution(N, r, n, store) == reference, (N, r, n, "conv")
+                assert hb_higher_convolution(base[: n + 1], r) == reference, (N, r, n, "conv")
                 if r == 1:
                     assert hb_explicit_comp(N, n) == reference, (N, n, "comp")
                     assert hb_explicit_binom(N, n) == reference, (N, n, "binom")
                     if N >= 2:
-                        assert hb_descent_step(N, n, store) == reference, (N, n, "descent")
-                        assert hb_descent_nested(N, n, store) == reference, (N, n, "nested")
+                        step = hb_descent_step(prev[: n + 1], base[:n], N)
+                        assert step == reference, (N, n, "descent")
+                        assert hb_descent_nested(prev[: n + 1], N) == reference, (N, n, "nested")
                 points += 1
     # determinant route is O(n^2); push it deeper against the recurrence
     for N in range(1, 6):
@@ -97,10 +101,12 @@ def test_criterion_3_route_agreement_sweep():
 
 def test_criterion_4_inversion_duality():
     started = time.time()
+    store = MemoStore()
     for N in range(1, 5):
         for r in range(1, 4):
+            row = [hb_higher(N, r, k, store) for k in range(11)]
             for n in range(1, 11):
-                assert recover_mr_det(N, r, n) == mr(N, r, n), (N, r, n)
+                assert recover_mr_det(row[: n + 1]) == mr(N, r, n), (N, r, n)
     # banded unit-lower-triangular product at n = 12
     for N, r in ((1, 1), (2, 1), (2, 2), (3, 3)):
         n = 12

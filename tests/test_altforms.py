@@ -1,5 +1,9 @@
+import ast
+import inspect
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from hgbern.altforms import (
     recover_mr_det,
 )
 from hgbern.exactnum import binom, rising
-from hgbern.hbnum import MemoStore, classical, hb, hb_higher, weight_row
+from hgbern.hbnum import classical, hb, hb_higher, weight_row
 from oracles import (
     naive_hb_descent_nested,
     naive_hb_explicit_comp,
@@ -29,6 +33,13 @@ from oracles import (
     naive_reciprocal_binom_inverse,
     weak_composition_weight_sum,
 )
+
+
+def _values(N, n, r=1):
+    """The row B^(r)_{N,0..n} a relation reads, from one walk of the family."""
+    row = []
+    hb_higher(N, r, n, None, row)
+    return row
 
 
 def test_mr_values():
@@ -78,12 +89,13 @@ def test_explicit_binom_inner_sums_match_literal_enumeration():
 
 
 def test_reciprocal_binom_inverse():
-    assert reciprocal_binom_inverse(2, 1) == Fraction(1, 3)
-    assert reciprocal_binom_inverse(1, 2) == Fraction(1, 3)
-    assert reciprocal_binom_inverse(2, 3) == Fraction(1, 10)
+    assert reciprocal_binom_inverse(_values(2, 1)) == Fraction(1, 3)
+    assert reciprocal_binom_inverse(_values(1, 2)) == Fraction(1, 3)
+    assert reciprocal_binom_inverse(_values(2, 3)) == Fraction(1, 10)
     for N in range(1, 7):
+        row = _values(N, 10)
         for n in range(1, 11):
-            assert reciprocal_binom_inverse(N, n) * binom(N + n, N) == 1
+            assert reciprocal_binom_inverse(row[: n + 1]) * binom(N + n, N) == 1
 
 
 def test_higher_explicit_values():
@@ -93,37 +105,34 @@ def test_higher_explicit_values():
 
 
 def test_convolution_route():
-    assert hb_higher_convolution(1, 3, 1) == Fraction(-3, 2)  # r * B_{N,1}
+    assert hb_higher_convolution(_values(1, 1), 3) == Fraction(-3, 2)  # r * B_{N,1}
     for N in (1, 2, 3):
+        base = _values(N, 7)
         for n in range(0, 8):
-            assert hb_higher_convolution(N, 1, n) == hb(N, n)
-    assert hb_higher_convolution(2, 2, 2) == hb_higher(2, 2, 2)
+            assert hb_higher_convolution(base[: n + 1], 1) == hb(N, n)
+    assert hb_higher_convolution(_values(2, 2), 2) == hb_higher(2, 2, 2)
     # r B_{N,2} + r(r-1) B_{N,1}^2, the quadratic convolution shape
     for N in (1, 2):
+        base = _values(N, 2)
         for r in (2, 3, 4):
-            assert hb_higher_convolution(N, r, 2) == r * hb(N, 2) + r * (r - 1) * hb(N, 1) ** 2
+            assert hb_higher_convolution(base, r) == r * hb(N, 2) + r * (r - 1) * hb(N, 1) ** 2
 
 
 def test_descent_step():
-    assert hb_descent_step(3, 1) == Fraction(-1, 4)  # N/(N+1) * B_{N-1,1}
-    assert hb_descent_step(2, 2) == Fraction(1, 18)
-    assert hb_descent_step(4, 7) == hb(4, 7)
-    with pytest.raises(RoutePreconditionError):
-        hb_descent_step(1, 3)
-    with pytest.raises(ValueError):
-        hb_descent_step(2, 0)
+    # N/(N+1) * B_{N-1,1}
+    assert hb_descent_step(_values(2, 1), _values(3, 0), 3) == Fraction(-1, 4)
+    assert hb_descent_step(_values(1, 2), _values(2, 1), 2) == Fraction(1, 18)
+    assert hb_descent_step(_values(3, 7), _values(4, 6), 4) == hb(4, 7)
 
 
 def test_descent_nested():
     # hand expansion: (1/2) B_2 + (1/3) B_1 B_2
     expected = Fraction(1, 2) * classical(2) + Fraction(1, 3) * classical(1) * classical(2)
-    assert hb_descent_nested(2, 2) == expected == Fraction(1, 18)
+    assert hb_descent_nested(_values(1, 2), 2) == expected == Fraction(1, 18)
     # (3/5) B_2^2 + (2/5) B_1 B_2^2
     expected = Fraction(3, 5) * classical(2) ** 2 + Fraction(2, 5) * classical(1) * classical(2) ** 2
-    assert hb_descent_nested(2, 3) == expected == Fraction(1, 90)
-    assert hb_descent_nested(3, 4) == hb(3, 4)
-    with pytest.raises(RoutePreconditionError):
-        hb_descent_nested(1, 2)
+    assert hb_descent_nested(_values(1, 3), 2) == expected == Fraction(1, 90)
+    assert hb_descent_nested(_values(2, 4), 3) == hb(3, 4)
 
 
 def test_trudi_route():
@@ -137,58 +146,104 @@ def test_trudi_route():
 
 
 def test_recover_mr_det():
-    assert recover_mr_det(1, 1, 2) == Fraction(1, 6)  # 1/3!
-    assert recover_mr_det(4, 1, 1) == Fraction(1, 5)
-    assert recover_mr_det(2, 2, 3) == mr(2, 2, 3)
+    assert recover_mr_det(_values(1, 2)) == Fraction(1, 6)  # 1/3!
+    assert recover_mr_det(_values(4, 1)) == Fraction(1, 5)
+    assert recover_mr_det(_values(2, 3, r=2)) == mr(2, 2, 3)
     # order-one case collapses to the shifted factorial reciprocal
     for N in range(1, 5):
+        row = _values(N, 6)
         for n in range(1, 7):
-            assert recover_mr_det(N, 1, n) == Fraction(1, rising(N + 1, n))
+            assert recover_mr_det(row[: n + 1]) == Fraction(1, rising(N + 1, n))
     # classical case: 1/(n+1)!
+    row = _values(1, 8)
     for n in range(1, 9):
-        assert recover_mr_det(1, 1, n) == Fraction(1, factorial(n + 1))
+        assert recover_mr_det(row[: n + 1]) == Fraction(1, factorial(n + 1))
 
 
 @pytest.mark.parametrize("N", (1, 2, 3))
 @pytest.mark.parametrize("r", (1, 2))
 def test_route_agreement_small_grid(N, r):
+    base = _values(N, 8)
+    prev = _values(N - 1, 8) if N >= 2 else None
     for n in range(1, 9):
         reference = hb_higher(N, r, n)
         assert hb_higher_explicit(N, r, n) == reference
         assert hb_trudi(N, r, n) == reference
-        assert hb_higher_convolution(N, r, n) == reference
+        assert hb_higher_convolution(base[: n + 1], r) == reference
         if r == 1:
             assert hb_explicit_comp(N, n) == reference
             assert hb_explicit_binom(N, n) == reference
             if N >= 2:
-                assert hb_descent_step(N, n) == reference
-                assert hb_descent_nested(N, n) == reference
+                assert hb_descent_step(prev[: n + 1], base[:n], N) == reference
+                assert hb_descent_nested(prev[: n + 1], N) == reference
+
+
+def test_relations_read_only_the_rows_they_are_given():
+    # altforms imports nothing from the oracle's module, and no public route
+    # takes a store: a relation's values come in as its row argument
+    tree = ast.parse(Path(altforms.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if "hbnum" in name.split(".")]
+    functions = [getattr(altforms, name) for name in altforms.__all__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    relations = {
+        reciprocal_binom_inverse, hb_higher_convolution, hb_descent_step, hb_descent_nested,
+        recover_mr_det,
+    }
+    assert relations <= set(functions)
+    for function in functions:
+        assert "store" not in inspect.signature(function).parameters, function.__name__
+
+
+ONE = [Fraction(1)]  # a row with n = 0
+PRECONDITION = (RoutePreconditionError, "descent requires N >= 2")
 
 
 @pytest.mark.parametrize(
-    "route, args",
+    "call, error, message",
     [
-        (reciprocal_binom_inverse, (3, 12)),
-        (hb_higher_convolution, (3, 2, 12)),
-        (hb_descent_step, (3, 12)),
-        (hb_descent_nested, (3, 12)),
-        (recover_mr_det, (3, 2, 12)),
+        pytest.param(
+            lambda: reciprocal_binom_inverse(ONE), ValueError, "n must be >= 1", id="inverse-n"
+        ),
+        pytest.param(
+            lambda: hb_higher_convolution([], 2), ValueError, "n must be >= 0", id="conv-n"
+        ),
+        pytest.param(
+            lambda: hb_higher_convolution(_values(2, 3), 0), ValueError, "r must be >= 1",
+            id="conv-r",
+        ),
+        pytest.param(
+            lambda: hb_descent_step(ONE, [], 2), ValueError, "n must be >= 1", id="step-n"
+        ),
+        pytest.param(
+            lambda: hb_descent_step(_values(2, 3), _values(2, 2), 1), *PRECONDITION, id="step-N"
+        ),
+        pytest.param(
+            lambda: hb_descent_nested(ONE, 2), ValueError, "n must be >= 1", id="nested-n"
+        ),
+        pytest.param(lambda: hb_descent_nested(_values(2, 3), 1), *PRECONDITION, id="nested-N"),
+        pytest.param(lambda: recover_mr_det(ONE), ValueError, "n must be >= 1", id="recover-n"),
     ],
 )
-def test_storeless_routes_compute_each_value_once(route, args, monkeypatch):
-    # with no store passed, a route that reads many values keeps them in one
-    # store for the call rather than walking a fresh row per value
-    computed = []
-    put = MemoStore.put
+def test_relations_reject_rows_outside_their_domain(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
-    def counted_put(self, key, value):
-        computed.append(key)
-        put(self, key, value)
 
-    monkeypatch.setattr(MemoStore, "put", counted_put)
-    value = route(*args)
-    assert computed and len(computed) == len(set(computed))
-    assert value == route(*args, MemoStore())
+@pytest.mark.parametrize("short", range(3))
+def test_descent_step_rejects_a_short_row(short):
+    # prev = B_{2,0..3} fixes n = 3, so row must be B_{3,0..2}; a shorter one
+    # raises rather than reading a value that is not there
+    prev = _values(2, 3)
+    with pytest.raises(ValueError, match=r"^row must hold B_\(N,0\.\.2\)"):
+        hb_descent_step(prev, _values(3, 3)[:short], 3)
+    assert hb_descent_step(prev, _values(3, 2), 3) == hb(3, 3)
 
 
 def test_validation():
@@ -231,7 +286,7 @@ def test_trudi_matches_per_term_fraction_loop(N, r):
 def test_descent_nested_matches_per_term_fraction_loop(N):
     prev = [hb(N - 1, i) for i in range(11)]
     for n in range(1, 11):
-        assert hb_descent_nested(N, n) == naive_hb_descent_nested(prev, N, n)
+        assert hb_descent_nested(prev[: n + 1], N) == naive_hb_descent_nested(prev, N, n)
 
 
 def test_witness_routes_at_n_one():
@@ -243,7 +298,7 @@ def test_witness_routes_at_n_one():
             assert mr(N, r, 1) == Fraction(r, N + 1)
         if N >= 2:
             prev = [hb(N - 1, i) for i in range(2)]
-            assert hb_descent_nested(N, 1) == hb(N, 1) == naive_hb_descent_nested(prev, N, 1)
+            assert hb_descent_nested(prev, N) == hb(N, 1) == naive_hb_descent_nested(prev, N, 1)
 
 
 @pytest.mark.parametrize("N", (1, 2, 3, 4))
@@ -258,14 +313,18 @@ def test_convolutions_match_per_term_fraction_loops(N):
     values = [hb(N, i) for i in range(11)]
     for n in range(0, 11):
         for r in (1, 2, 3, 4):
-            assert hb_higher_convolution(N, r, n) == naive_hb_higher_convolution(values, r, n)
+            assert hb_higher_convolution(values[: n + 1], r) == naive_hb_higher_convolution(
+                values, r, n
+            )
         if n >= 1:
-            assert reciprocal_binom_inverse(N, n) == naive_reciprocal_binom_inverse(values, n)
+            assert reciprocal_binom_inverse(values[: n + 1]) == naive_reciprocal_binom_inverse(
+                values, n
+            )
 
 
 def test_convolution_route_is_polynomial_in_r():
     # C(27, 7) = 888030 weak compositions: 21.8 s as a per-term Fraction loop
-    assert hb_higher_convolution(1, 8, 20) == hb_higher(1, 8, 20)
+    assert hb_higher_convolution(_values(1, 20), 8) == hb_higher(1, 8, 20)
 
 
 def test_explicit_sum_visits_every_composition(monkeypatch):
@@ -302,9 +361,10 @@ def test_nested_descent_visits_every_chain(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(altforms, "_chain_products", counted)
+    prev = _values(2, 12)
     for n in range(2, 13):
         calls.clear()
-        hb_descent_nested(3, n)
+        hb_descent_nested(prev[: n + 1], 3)
         assert len(calls) == 2 ** (n - 2)
 
 

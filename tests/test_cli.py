@@ -565,6 +565,49 @@ def test_cache_round_trip_via_cli(tmp_path, capsys):
     assert code == EXIT_VERIFY
 
 
+@pytest.mark.parametrize(
+    "route, families",
+    [("descent", ((2, 6), (3, 5))), ("descent-nested", ((2, 6),)), ("convolution", ((3, 6),))],
+)
+def test_relation_routes_read_their_rows_through_the_cache(route, families, tmp_path, capsys):
+    # a relation takes the rows it reads, filled from the oracle through the
+    # caller's store, so the cache holds exactly those rows: B_{2,0..6} for
+    # the descents, with B_{3,0..5} for the one-step descent, and B_{3,0..6}
+    # for the convolution
+    cache = tmp_path / "cache.txt"
+    code, out, err = run(
+        capsys, "compute", "-N", "3", "-n", "6", "--route", route, "--cache", str(cache)
+    )
+    assert (code, out, err) == (EXIT_OK, f"{format_rational(hb_higher(3, 1, 6))}\n", "")
+    assert cache.read_text() == "".join(
+        f"{N} 1 {n} {format_rational(hb_higher(N, 1, n))}\n"
+        for N, top in families
+        for n in range(top + 1)
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, waits for item 1")
+def test_a_corrupted_cache_record_fails_recurrence_against_convolution(tmp_path, capsys):
+    # convolution reads its base row from the same cache as recurrence, and
+    # at r = 1 it returns that row's top value, so the bad record agrees with
+    # itself and the sweep passes
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(
+        capsys, "table", "-N", "1..3", "-r", "1", "-n", "0..12", "--cache", str(cache)
+    )
+    assert code == EXIT_OK
+    text = cache.read_text()
+    record = f"2 1 5 {format_rational(hb_higher(2, 1, 5))}\n"
+    assert record in text
+    cache.write_text(text.replace(record, "2 1 5 1/7\n"))
+    code, out, _ = run(
+        capsys, "verify", "-N", "1..3", "-r", "1", "-n", "0..12",
+        "--routes", "recurrence,convolution", "--cache", str(cache),
+    )
+    assert code == EXIT_VERIFY
+    assert "MISMATCH at N=2 r=1 n=5: recurrence = 1/7" in out
+
+
 def test_cache_audit_reports_every_mismatch_in_key_order(tmp_path, capsys):
     # with three records a three-sample spot audit at load would draw both bad
     # ones and stop at whichever came first; the full audit reports both
