@@ -67,7 +67,6 @@ from .hbnum import (
 )
 from .hessenberg import (
     InversionVerdict,
-    ToeplitzHessenbergSpec,
     hb_det,
     hb_higher_det,
     inversion_pair_check,

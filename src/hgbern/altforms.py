@@ -13,10 +13,11 @@ Trudi and order-r explicit routes share no weight row with the oracle
 (:func:`hbnum.weight_row` builds the row by Cauchy products instead).
 
 Every composition, partition, chain and convolution sum is computed in
-integers: its terms are integer numerators over one common denominator (an
-lcm or a product of the N+i computed here, not with the oracle's helpers),
+integers: its terms are integer numerators over one common denominator,
 summed per group -- part count, chain length or convolution power -- and
-each group is reduced once into a ``Fraction``.
+each group is reduced once into a ``Fraction``.  A row's lcm comes from
+``hessenberg._over_lcm``, the helper the Trudi sum uses too; a product of
+the N+i is computed here.  Neither is one of the oracle's helpers.
 
 The order-r explicit sum and the nested descent walk their index sets depth
 first: the compositions of n, carrying each prefix's product, and the
@@ -48,7 +49,7 @@ from .exactnum import CompositionSpec, binom, enumerate_compositions
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hessenberg import ToeplitzHessenbergSpec, toeplitz_hessenberg_det, trudi_expand
+from .hessenberg import _over_lcm, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
     "RoutePreconditionError",
@@ -67,12 +68,6 @@ __all__ = [
 
 class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
-
-
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(L, nums)`` with ``values[i] = nums[i] / L``, L the lcm of the denominators."""
-    L = reduce(lcm, (v.denominator for v in values), 1)
-    return L, [v.numerator * (L // v.denominator) for v in values]
 
 
 def _top(row: Sequence[Fraction]) -> int:
@@ -312,7 +307,7 @@ def hb_trudi(N: int, r: int, n: int) -> Fraction:
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
     weights = [mr(N, r, e) for e in range(1, n + 1)]
-    return (-1) ** n * factorial(n) * trudi_expand(ToeplitzHessenbergSpec(Fraction(1), weights))
+    return (-1) ** n * factorial(n) * trudi_expand(1, weights)
 
 
 def recover_mr_det(row: Sequence[Fraction]) -> Fraction:
@@ -322,5 +317,5 @@ def recover_mr_det(row: Sequence[Fraction]) -> Fraction:
 
     At r = 1 this recovers 1/((N+1)...(N+n)); at r = N = 1 it is 1/(n+1)!.
     """
-    entries = tuple((-1) ** k * row[k] / factorial(k) for k in range(1, _top(row) + 1))
-    return toeplitz_hessenberg_det(ToeplitzHessenbergSpec(Fraction(1), entries))
+    entries = [Fraction((-1) ** k * row[k], factorial(k)) for k in range(1, _top(row) + 1)]
+    return toeplitz_hessenberg_det(1, entries)

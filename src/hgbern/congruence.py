@@ -13,7 +13,6 @@ reporting a meaningless verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
@@ -44,20 +43,28 @@ class HypothesisViolation(ValueError):
     """A congruence statement's hypothesis is not met; the message names it."""
 
 
-_SMALL_PRIME_LIMIT = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _miller_rabin(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Division by the 13 primes up to 41, then Miller-Rabin to those bases,
+    to each of which n is then coprime.
+
+    Deterministic for n < 3317044064679887385961981 by the known bound of the
+    witness set (the 12 primes up to 37 pass the composite
+    318665857834031151167461); a strong probabilistic test beyond.
+    """
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in _MR_WITNESSES:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -68,31 +75,6 @@ def _miller_rabin(n: int) -> bool:
         else:
             return False
     return True
-
-
-def is_prime(n: int) -> bool:
-    """Trial division up to 10^6, then Miller-Rabin for larger candidates.
-
-    Deterministic for n < 10^12, and for n < 3317044064679887385961981 by the
-    known bound of the witness set, the 13 primes up to 41 (the 12 primes up
-    to 37 pass the composite 318665857834031151167461); a strong
-    probabilistic test beyond.
-    """
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    limit = min(math.isqrt(n), _SMALL_PRIME_LIMIT)
-    f = 5
-    while f <= limit:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    if math.isqrt(n) <= _SMALL_PRIME_LIMIT:
-        return True
-    return _miller_rabin(n)
 
 
 def _require_prime(p: int) -> None:

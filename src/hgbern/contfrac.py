@@ -41,7 +41,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Iterable
 
-from .exactnum import CommonDenominator, binom, rising
+from .exactnum import CommonDenominator, _int_text, binom, rising
 from .hbnum import MemoStore, Series, common_row
 
 __all__ = [
@@ -58,7 +58,8 @@ __all__ = [
 
 
 def _fmt_coeff(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
 
 
 class Poly:
@@ -123,7 +124,11 @@ class Poly:
         return Poly(out)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        # the list's repr would call Fraction's, which stops at the digit limit
+        coeffs = ", ".join(
+            f"Fraction({_int_text(c.numerator)}, {_int_text(c.denominator)})" for c in self._coeffs
+        )
+        return f"Poly([{coeffs}])"
 
     def __str__(self) -> str:
         if not self._coeffs:

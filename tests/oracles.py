@@ -35,6 +35,17 @@ def cofactor_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
+def toeplitz_hessenberg_matrix(
+    a0: Fraction, entries: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """The dense m x m matrix of a0 and a1..am: row i holds ..., a2, a1, a0, 0, ..."""
+    m = len(entries)
+    return [
+        [a0 if j == i + 1 else entries[i - j] if j <= i else 0 for j in range(m)]
+        for i in range(m)
+    ]
+
+
 def brute_compositions(total: int, parts: int, minimum: int) -> set[tuple[int, ...]]:
     """All compositions by filtering the full cartesian product; exponential."""
     return {

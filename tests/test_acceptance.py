@@ -37,13 +37,12 @@ from hgbern.contfrac import (
 )
 from hgbern.hbnum import MemoStore, hb, hb_higher
 from hgbern.hessenberg import (
-    ToeplitzHessenbergSpec,
     hb_higher_det,
     inversion_pair_check,
     toeplitz_hessenberg_det,
     trudi_expand,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, toeplitz_hessenberg_matrix
 
 
 def _report(number: int, started: float, detail: str) -> None:
@@ -107,14 +106,15 @@ def test_criterion_4_inversion_duality():
             row = [hb_higher(N, r, k, store) for k in range(11)]
             for n in range(1, 11):
                 assert recover_mr_det(row[: n + 1]) == mr(N, r, n), (N, r, n)
-    # banded unit-lower-triangular product at n = 12
+    # the alternating convolution (the banded matrices are inverse) and both
+    # determinant directions at n = 12
     for N, r in ((1, 1), (2, 1), (2, 2), (3, 3)):
         n = 12
         alphas = [(-1) ** k * hb_higher(N, r, k) / factorial(k) for k in range(1, n + 1)]
         rs = [mr(N, r, e) for e in range(1, n + 1)]
         verdict = inversion_pair_check(alphas, rs)
         assert bool(verdict), (N, r, verdict.failures)
-    _report(4, started, "weights recovered by determinants; banded matrix product is the identity")
+    _report(4, started, "weights recovered by determinants; banded matrices are mutually inverse")
 
 
 def test_criterion_5_convergents():
@@ -201,16 +201,16 @@ def test_criterion_9_brute_force_oracles():
     def frac() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    # 200 random specs: structural determinant vs Trudi expansion (m <= 7)
+    # 200 random matrices: structural determinant vs Trudi expansion (m <= 7)
     for _ in range(200):
         m = rng.randint(1, 7)
-        spec = ToeplitzHessenbergSpec(frac(), tuple(frac() for _ in range(m)))
-        assert toeplitz_hessenberg_det(spec) == trudi_expand(spec)
+        a0, entries = frac(), [frac() for _ in range(m)]
+        assert toeplitz_hessenberg_det(a0, entries) == trudi_expand(a0, entries)
     # cofactor brute force (m <= 6), including non-unit superdiagonals
     for _ in range(60):
         m = rng.randint(1, 6)
-        spec = ToeplitzHessenbergSpec(frac(), tuple(frac() for _ in range(m)))
-        brute = cofactor_det(spec.matrix())
-        assert toeplitz_hessenberg_det(spec) == brute
-        assert trudi_expand(spec) == brute
+        a0, entries = frac(), [frac() for _ in range(m)]
+        brute = cofactor_det(toeplitz_hessenberg_matrix(a0, entries))
+        assert toeplitz_hessenberg_det(a0, entries) == brute
+        assert trudi_expand(a0, entries) == brute
     _report(9, started, "determinant recursion, Trudi expansion and cofactor oracle all agree")

@@ -149,6 +149,8 @@ def test_recover_mr_det():
     assert recover_mr_det(_values(1, 2)) == Fraction(1, 6)  # 1/3!
     assert recover_mr_det(_values(4, 1)) == Fraction(1, 5)
     assert recover_mr_det(_values(2, 3, r=2)) == mr(2, 2, 3)
+    # a row of ints stays exact: entries -1, 1/2, -1/6 give -1/6, not a float's
+    assert recover_mr_det([1, 1, 1, 1]) == Fraction(-1, 6)
     # order-one case collapses to the shifted factorial reciprocal
     for N in range(1, 5):
         row = _values(N, 6)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import inf
 
@@ -24,10 +25,48 @@ def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(101)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert not is_prime(10**6 + 4)
-    assert is_prime(2**61 - 1)  # beyond the trial-division window
+    assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)  # Mersenne composite
     # 399165290221 * 798330580441: strong pseudoprime to every base up to 37
     assert not is_prime(318665857834031151167461)
+    # Carmichael numbers (1152271 = 43 * 127 * 211 has no factor up to 41, so
+    # Miller-Rabin, not division, must reject it), and 151 * 751 * 28351, a
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 1152271, 3215031751):
+        assert not is_prime(n), n
+    # primes, and a product of two, past 10^12
+    assert is_prime(999999999989) and is_prime(10**12 + 39)
+    assert not is_prime(999999999989 * 1000003)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_cost_does_not_grow_with_the_candidate():
+    # 13 divisions, then Miller-Rabin: a prime near 10^12 runs about a hundred
+    # lines of is_prime; trial division to its square root would run 10^5 and more
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not is_prime.__code__:
+            return None
+        lines += event == "line"
+        return count
+
+    before = sys.gettrace()
+    sys.settrace(count)
+    try:
+        assert is_prime(10**12 + 39)
+    finally:
+        sys.settrace(before)
+    assert 0 < lines < 1000
 
 
 def test_ordp_values():

@@ -50,6 +50,20 @@ def test_poly_str():
     assert str(Poly([-1, 0, 2])) == "-1 + 2x^2"
 
 
+def test_poly_text_past_the_int_digit_limit(int_digit_limit):
+    # str and repr of a coefficient past the default limit, without lifting it
+    big = 10**int_digit_limit
+    digits = "1" + "0" * int_digit_limit
+    assert str(Poly([big, 0, -big])) == f"{digits} - {digits}x^2"
+    assert str(Poly([0, Fraction(3, big)])) == f"3/{digits}x"
+    assert repr(Poly([-big, Fraction(1, big)])) == (
+        f"Poly([Fraction(-{digits}, 1), Fraction(1, {digits})])"
+    )
+    # below the limit, the text of the coefficient list's own repr
+    assert repr(Poly([1, Fraction(-1, 2)])) == "Poly([Fraction(1, 1), Fraction(-1, 2)])"
+    assert repr(Poly([])) == "Poly([])"
+
+
 def test_initial_convergents():
     pair = convergent_rec(2, 1)
     assert str(pair.P) == "3 - x" and str(pair.Q) == "3"
