@@ -6,6 +6,13 @@ total.  ``math.inf`` serves as the +infinity marker for ord_p(0) and for the
 "exact equality" modulus that appears at N = 1; it is never used in
 arithmetic on values.
 
+The valuation is taken from the unreduced difference: ord_p(a - b) is
+ord_p(a.num b.den - b.num a.den) minus ord_p of both denominators, as ord_p
+is additive, so no gcd of the difference is ever taken.  The statements
+build each side as one ``Fraction`` from integer products (the Bernoulli
+value's numerator and denominator times the statement's factors), and the
+residues are those of these reduced sides.
+
 When a statement's hypotheses are violated the checks raise
 :class:`HypothesisViolation` with the failed hypothesis named, rather than
 reporting a meaningless verdict.
@@ -15,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf
+from itertools import accumulate
+from math import inf, prod
+from operator import mul
 
-from .exactnum import rising
 from .hbnum import MemoStore, classical, hb
 
 __all__ = [
@@ -111,9 +119,20 @@ def ordp(x: Fraction | int, p: int) -> PadicVal:
     return _ord_int(x.numerator, p) - _ord_int(x.denominator, p)
 
 
-def residue(x: Fraction | int, p: int, k: int) -> int | None:
-    """Canonical residue of x in [0, p^k), or None when p divides the denominator."""
-    x = Fraction(x)
+def _require_exponent(k: PadicVal) -> None:
+    """k is a nonnegative int (not a bool) or inf."""
+    if k != inf and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+        raise ValueError("k must be a nonnegative integer or inf")
+
+
+def residue(x: Fraction | int, p: int, k: PadicVal) -> int | None:
+    """Canonical residue of x in [0, p^k), or None when p divides the
+    denominator or k = inf (exact equality, as in a verdict)."""
+    _require_exponent(k)
+    return None if k == inf else _residue(Fraction(x), p, k)
+
+
+def _residue(x: Fraction, p: int, k: int) -> int | None:
     if x.denominator % p == 0:
         return None
     mod = p**k
@@ -144,18 +163,19 @@ def congruent(a: Fraction | int, b: Fraction | int, p: int, k: PadicVal) -> Cong
     """Check a ≡ b (mod p^k), i.e. ord_p(a - b) >= k.
 
     ``k = inf`` demands exact equality; ``k = 0`` merely checks that the
-    difference is p-integral.
+    difference is p-integral.  ord_p(a - b) comes from the unreduced cross
+    difference, less the valuations of both denominators.
     """
     _require_prime(p)
-    if k != inf and (not isinstance(k, int) or k < 0):
-        raise ValueError("k must be a nonnegative integer or inf")
+    _require_exponent(k)
     a, b = Fraction(a), Fraction(b)
-    diff_ord = ordp(a - b, p)
+    diff_ord = ordp(a.numerator * b.denominator - b.numerator * a.denominator, p)
+    if diff_ord != inf:
+        diff_ord -= _ord_int(a.denominator, p) + _ord_int(b.denominator, p)
     if k == inf or k == 0:
         lhs_res = rhs_res = None
     else:
-        lhs_res = residue(a, p, k)
-        rhs_res = residue(b, p, k)
+        lhs_res, rhs_res = _residue(a, p, k), _residue(b, p, k)
     return CongruenceVerdict(diff_ord >= k, p, k, diff_ord, lhs_res, rhs_res)
 
 
@@ -198,9 +218,14 @@ def kummer_classical(
     if nu < 0:
         raise ValueError("nu must be >= 0")
     _require_kummer_indices(p, m, n, nu)
-    lhs = (1 - p ** (m - 1)) * classical(m, store) / m
-    rhs = (1 - p ** (n - 1)) * classical(n, store) / n
+    lhs = _kummer_side(p, m, classical(m, store))
+    rhs = _kummer_side(p, n, classical(n, store))
     return congruent(lhs, rhs, p, nu + 1)
+
+
+def _kummer_side(p: int, m: int, value: Fraction) -> Fraction:
+    """(1 - p^{m-1}) value / m, reduced once."""
+    return Fraction((1 - p ** (m - 1)) * value.numerator, value.denominator * m)
 
 
 def ord_threshold(p: int, n: int, nu: int, m: int | None = None) -> int:
@@ -235,22 +260,24 @@ def hb_factorial_congruence(
         prod_{k=0..n} (N+k)!/N! * B_{N,n}  ≡  prod_{k=0..n} (1+k)! * B_n
                                               (mod p^{ord_p(N-1)}).
 
-    Each (N+k)!/N! is evaluated as (N+1)...(N+k) so huge N stays cheap.
-    N = 1 turns the modulus exponent into inf and the check into exact
-    equality."""
+    Each (N+k)!/N! is evaluated as (N+1)...(N+k), a running product over k,
+    so huge N stays cheap; (1+k)! is the same product at N = 1.  N = 1 turns
+    the modulus exponent into inf and the check into exact equality."""
     _require_prime(p)
     if N < 1:
         raise ValueError("N must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     t: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
-    lhs = hb(N, n, store)
-    for k in range(n + 1):
-        lhs *= rising(N + 1, k)
-    rhs = classical(n, store)
-    for k in range(n + 1):
-        rhs *= factorial(k + 1)
+    value, base = hb(N, n, store), classical(n, store)
+    lhs = Fraction(value.numerator * _ladder(N, n), value.denominator)
+    rhs = Fraction(base.numerator * _ladder(1, n), base.denominator)
     return congruent(lhs, rhs, p, t)
+
+
+def _ladder(N: int, n: int) -> int:
+    """prod_{k=0..n} (N+k)!/N!, each factor (N+1)...(N+k) one step of a running product."""
+    return prod(accumulate(range(N + 1, N + n + 1), mul, initial=1))
 
 
 def hb_kummer_corollary(
@@ -268,7 +295,10 @@ def hb_kummer_corollary(
             f"hypothesis n ≢ 0 (mod p-1) violated: {n} ≡ 0 (mod {p - 1})"
         )
     _require_threshold(p, N, ord_threshold(p, n, nu))
-    return congruent(hb(N, n, store) / n, classical(n, store) / n, p, nu + 1)
+    value, base = hb(N, n, store), classical(n, store)
+    lhs = Fraction(value.numerator, value.denominator * n)
+    rhs = Fraction(base.numerator, base.denominator * n)
+    return congruent(lhs, rhs, p, nu + 1)
 
 
 def hb_kummer_pair(
@@ -289,6 +319,6 @@ def hb_kummer_pair(
         raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
     _require_kummer_indices(p, m, n, nu)
     _require_threshold(p, N, ord_threshold(p, n, nu, m=m))
-    lhs = (1 - p ** (m - 1)) * hb(N, m, store) / m
-    rhs = (1 - p ** (n - 1)) * hb(N, n, store) / n
+    lhs = _kummer_side(p, m, hb(N, m, store))
+    rhs = _kummer_side(p, n, hb(N, n, store))
     return congruent(lhs, rhs, p, nu + 1)

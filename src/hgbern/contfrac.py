@@ -24,8 +24,11 @@ longer than h serves h as well, since the sum reads only indices <= h.
 Without a store each check walks and builds its own row.  Non-integral
 coefficient lists (a hand-built P or Q, the reduced classical weights) go
 over their own common denominator first; the reduced weights are built as
-integer (numerator, denominator) pairs.  Q lists are per call, O(min(h, n)^2)
-products each; no Q list is kept between calls.
+integer (numerator, denominator) pairs.  With a store the identity checks
+also keep the coefficient list of Q_{2n-odd}, for j <= n, on it, one per
+(N, n, odd): the first check of a family builds it, O(n^2) products, and
+every other h reads it.  Without a store a check builds only the
+coefficients j <= min(h, n) it reads.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -230,6 +233,11 @@ def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
     return total
 
 
+def _q_list(N: int, m: int, odd: int, top: int) -> list[int]:
+    """Coefficients x^0..x^top of Q_{2m-odd}."""
+    return [_q_coefficient(N, m, odd, j) for j in range(top + 1)]
+
+
 def convergent_closed(N: int, n: int) -> ConvergentPair:
     """Convergent from the closed coefficient formulas; identical to
     ``convergent_rec`` for every index."""
@@ -243,8 +251,7 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
         accumulate(range(N + m - odd + 1, N + 2 * m - odd + 1), mul, initial=_prod(N, 1, m - odd))
     )
     p_coeffs = [(-1) ** j * binom(m, j) * heads[m - j] for j in range(m + 1)]
-    q_coeffs = [_q_coefficient(N, m, odd, j) for j in range(m - odd + 1)]
-    return ConvergentPair(n, Poly(p_coeffs), Poly(q_coeffs), N)
+    return ConvergentPair(n, Poly(p_coeffs), Poly(_q_list(N, m, odd, m - odd)), N)
 
 
 def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
@@ -304,7 +311,12 @@ def _identity(
         raise ValueError("h must be >= 0")
     if N < 1:
         raise ValueError("N must be >= 1")
-    q = [_q_coefficient(N, n, odd, j) for j in range(min(h, n) + 1)]
+    if store is None:
+        q = _q_list(N, n, odd, min(h, n))
+    else:
+        q = store._q_lists.get((N, n, odd))
+        if q is None:
+            q = store._q_lists[N, n, odd] = _q_list(N, n, odd, n)
     series = common_row(N, 1, h, store)
     lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den)
     return lhs, Fraction(_p_coefficient(N, n, odd, h))  # binom(n, h) = 0 for h > n

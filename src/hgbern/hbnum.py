@@ -137,9 +137,12 @@ class MemoStore:
     value that was never decoded back as the text it was read from.
 
     The store also keeps the rows ``common_row`` built from its values, one
-    per (N, r) family.  They are derived data: ``items``, ``len`` and the
-    saved file never show them, and ``put`` drops a family's kept row when it
-    changes a value inside it.
+    per (N, r) family, and the integer coefficient lists of the convergent
+    denominators Q_{2n-odd} that the identity checks of :mod:`contfrac` read,
+    one per (N, n, odd).  Both are derived data: ``items``, ``len`` and the
+    saved file never show them.  ``put`` drops a family's kept row when it
+    changes a value inside it and leaves the Q lists alone, which depend on
+    no stored value.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -151,6 +154,8 @@ class MemoStore:
         # (N, r) -> that family's values 0..k over their lcm; never changed in
         # place, so a reader keeps a consistent row while another call grows it
         self._rows: dict[tuple[int, int], CommonDenominator] = {}
+        # (N, n, odd) -> the coefficients x^0..x^n of Q_{2n-odd}, kept by contfrac
+        self._q_lists: dict[tuple[int, int, int], list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._values)

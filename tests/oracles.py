@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import Sequence
 
 
@@ -368,3 +368,30 @@ def naive_classical_reduced(variant: str, n: int, h: int) -> tuple[Fraction, Fra
         top = 2 * n - h
     rhs = (-1) ** h * C(n, h) * factorial(top) if h <= n else Fraction(0)
     return lhs, rhs
+
+
+def _ord(m: int, p: int) -> int:
+    """ord_p of a nonzero integer, by repeated division."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def reference_verdict(a: Fraction, b: Fraction, p: int, k: int | float) -> tuple:
+    """The six fields of a mod-p^k congruence verdict, the plain way: ord_p of
+    the reduced difference a - b (inf at 0), and each side's residue in
+    [0, p^k) from its reduced numerator and denominator (None at k = 0 or
+    k = inf, or when p divides the denominator)."""
+    a, b = Fraction(a), Fraction(b)
+    diff = a - b
+    diff_ord = inf if diff == 0 else _ord(diff.numerator, p) - _ord(diff.denominator, p)
+
+    def residue(x: Fraction) -> int | None:
+        if k in (0, inf) or x.denominator % p == 0:
+            return None
+        mod = p**k
+        return x.numerator * pow(x.denominator, -1, mod) % mod
+
+    return diff_ord >= k, p, k, diff_ord, residue(a), residue(b)

@@ -1,6 +1,8 @@
+import dataclasses
+import random
 import sys
 from fractions import Fraction
-from math import inf
+from math import factorial, inf, prod
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,8 @@ from hgbern.congruence import (
     ordp,
     residue,
 )
-from hgbern.hbnum import classical, hb
+from hgbern.hbnum import MemoStore, classical, hb
+from oracles import reference_verdict
 
 
 def test_is_prime():
@@ -215,3 +218,129 @@ def test_pair_hypothesis_errors():
         hb_kummer_pair(5, 1 + 5**10, 2, 6, 0)
     with pytest.raises(HypothesisViolation, match="ord_5"):
         hb_kummer_pair(5, 626, 22, 2, 0)
+
+
+@pytest.mark.parametrize("k", (-1, True, False, 1.5, -inf))
+def test_exponent_must_be_a_nonnegative_integer_or_inf(k):
+    with pytest.raises(ValueError, match=r"^k must be a nonnegative integer or inf$"):
+        residue(Fraction(1, 3), 5, k)
+    with pytest.raises(ValueError, match=r"^k must be a nonnegative integer or inf$"):
+        congruent(1, 1, 5, k)
+
+
+def test_residue_at_infinite_exponent_is_omitted_as_in_a_verdict():
+    assert residue(Fraction(1, 3), 5, inf) is None
+
+
+# Verdicts against the plain Fraction reference: ord_p of the reduced
+# difference and the residues of the reduced sides.
+
+
+def _random_pairs(rng):
+    """Pairs of rationals: p in either denominator or both, equal sides,
+    zero on either side, negative values, differences divisible by p^j."""
+    for _ in range(1000):
+        p = rng.choice((2, 3, 5, 7, 13))
+        a = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        a *= Fraction(p) ** rng.randint(-3, 3)
+        b = rng.choice(
+            (
+                a,
+                -a,
+                0,
+                a + p ** rng.randint(0, 8),
+                a + Fraction(rng.randint(-99, 99), p ** rng.randint(1, 4)),
+                Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)),
+            )
+        )
+        yield (a, b, p) if rng.random() < 0.5 else (b, a, p)
+    yield 0, 0, 5
+    yield Fraction(-3, 25), Fraction(-3, 25), 5
+
+
+def test_congruent_matches_the_fraction_reference_on_random_pairs():
+    for a, b, p in _random_pairs(random.Random(20)):
+        for k in (0, 1, 3, inf):
+            expected = reference_verdict(a, b, p, k)
+            assert dataclasses.astuple(congruent(a, b, p, k)) == expected, (a, b, p, k)
+
+
+def _kummer_side(p, m, value):
+    return (1 - p ** (m - 1)) * value / m
+
+
+def _workload_checks():
+    """Every Kummer-grid, pair, corollary and ladder check of the benchmark's
+    cf-kummer workload, with its two sides built the plain way: a call, the
+    statement's sides, p and the modulus exponent."""
+    for p in (5, 7, 11, 13):
+        for nu in (0, 1):
+            step = (p - 1) * p**nu
+            for n in range(2, 121, 2):
+                if n % (p - 1) == 0:
+                    continue
+                for m in range(n, 121, 2):
+                    if m % (p - 1) != 0 and (m - n) % step == 0:
+                        sides = _kummer_side(p, m, classical(m)), _kummer_side(p, n, classical(n))
+                        yield (kummer_classical, (p, m, n, nu)), sides, p, nu + 1
+    big = 1 + 5**48
+    for nu in (0, 1):
+        sides = _kummer_side(5, 22, hb(big, 22)), _kummer_side(5, 2, hb(big, 2))
+        yield (hb_kummer_pair, (5, big, 22, 2, nu)), sides, 5, nu + 1
+    for n in (6, 2):
+        sides = hb(1 + 5**4, n) / n, classical(n) / n
+        yield (hb_kummer_corollary, (5, 1 + 5**4, n, 0)), sides, 5, 1
+    for p in (3, 5, 7):
+        for t in range(4):
+            N = 1 + p**t if t else 1
+            for n in (2, 4, 6, 8, 10):
+                lhs, rhs = hb(N, n), classical(n)
+                for k in range(n + 1):
+                    lhs *= prod(range(N + 1, N + k + 1))
+                    rhs *= factorial(k + 1)
+                yield (hb_factorial_congruence, (p, N, n)), (lhs, rhs), p, t if t else inf
+
+
+def test_statement_verdicts_match_the_fraction_reference_on_the_workload_checks():
+    store = MemoStore()
+    count = 0
+    for (statement, args), (lhs, rhs), p, k in _workload_checks():
+        verdict = statement(*args, store)
+        assert dataclasses.astuple(verdict) == reference_verdict(lhs, rhs, p, k), args
+        assert verdict.holds
+        count += 1
+    assert count == 1757 + 2 + 2 + 60
+
+
+@pytest.mark.parametrize(
+    "statement, args, message",
+    [
+        (kummer_classical, (5, 7, 3, 0), "hypothesis m positive even violated: m = 7"),
+        (kummer_classical, (5, 8, 4, 0), "hypothesis m ≢ 0 (mod p-1) violated: 8 ≡ 0 (mod 4)"),
+        (
+            kummer_classical,
+            (5, 6, 2, 1),
+            "hypothesis m ≡ n (mod (p-1)p^nu) violated: 6 ≢ 2 (mod 20)",
+        ),
+        (hb_kummer_pair, (5, 1 + 5**10, 2, 6, 0), "hypothesis m >= n violated: m = 2, n = 6"),
+        (
+            hb_kummer_pair,
+            (5, 626, 22, 2, 0),
+            "hypothesis ord_5(N-1) >= 47 violated: ord_5(N-1) = 4",
+        ),
+        (
+            hb_kummer_corollary,
+            (5, 126, 6, 0),
+            "hypothesis ord_5(N-1) >= 4 violated: ord_5(N-1) = 3",
+        ),
+        (
+            hb_kummer_corollary,
+            (5, 1 + 5**8, 4, 0),
+            "hypothesis n ≢ 0 (mod p-1) violated: 4 ≡ 0 (mod 4)",
+        ),
+    ],
+)
+def test_hypothesis_violation_texts(statement, args, message):
+    with pytest.raises(HypothesisViolation) as raised:
+        statement(*args)
+    assert str(raised.value) == message

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -442,6 +443,7 @@ def test_kept_rows_stay_out_of_the_store_entries_and_its_file(tmp_path):
     for fn, args in _checks(6):
         fn(*args, checked)
     approximation_defect(convergent_closed(3, 11), checked)
+    assert checked._q_lists  # the identity checks kept their Q lists on the store
     assert len(checked) == len(plain) == 56
     assert checked.items() == plain.items()
     plain.save()
@@ -476,3 +478,68 @@ def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
             assert identity_odd(N, n, h, store) == expected[N, 1, h]
         # a row of the oracle starts at B_0 = 1; a Q list at a product >= 2
         assert [len(values) for values in built if values[:1] == [1]] == [1], N
+
+
+# Kept Q lists: on a store, the coefficient list of Q_{2n-odd} for j <= n is
+# built once per (N, n, odd) and every h of the family reads it.
+
+
+def _counting_q(monkeypatch):
+    """Count the calls of ``contfrac._q_coefficient`` by (N, m, odd)."""
+    calls = {}
+    plain = contfrac._q_coefficient
+
+    def counting(N, m, odd, j):
+        calls[N, m, odd] = calls.get((N, m, odd), 0) + 1
+        return plain(N, m, odd, j)
+
+    monkeypatch.setattr(contfrac, "_q_coefficient", counting)
+    return calls
+
+
+def test_a_family_on_one_store_builds_each_q_list_once(monkeypatch):
+    calls = _counting_q(monkeypatch)
+    store = MemoStore()
+    families = [(N, n, odd) for N in (1, 3, 5) for n in (1, 2, 7, 12) for odd in (0, 1)]
+    for N, n, odd in families:
+        family = identity_odd if odd else identity_even
+        for h in range(2 * n + 1):
+            family(N, n, h, store)
+    assert calls == {family: family[1] + 1 for family in families}
+    # a second store builds its own lists; the first one's serve it nothing
+    calls.clear()
+    other = MemoStore()
+    for h in range(2 * 7 + 1):
+        identity_even(3, 7, h, other)
+        identity_even(3, 7, h, store)
+    assert calls == {(3, 7, 0): 8}
+
+
+def test_a_storeless_check_builds_only_the_coefficients_it_reads(monkeypatch):
+    calls = _counting_q(monkeypatch)
+    n = 6
+    for h in range(2 * n + 1):
+        identity_odd(2, n, h)
+    assert calls == {(2, n, 1): sum(min(h, n) + 1 for h in range(2 * n + 1))}
+
+
+def test_checks_agree_with_no_store_a_fresh_store_and_one_shared_store_in_any_order():
+    checks = []
+    for n in range(1, 22):
+        for N in range(1, 6):
+            # one h past each family's range, where the sides are computed but may differ
+            checks += [(identity_even, (N, n, h)) for h in range(2 * n + 2)]
+            checks += [(identity_odd, (N, n, h)) for h in range(2 * n + 1)]
+        for variant, lo, hi in (
+            ("even", 0, 2 * n),
+            ("odd", 0, 2 * n - 1),
+            ("even-reduced", 1, 2 * n + 1),
+            ("odd-reduced", 1, 2 * n),
+        ):
+            checks += [(classical_identity, (variant, n, h)) for h in range(lo, hi + 1)]
+    alone = [fn(*args) for fn, args in checks]
+    assert [fn(*args, MemoStore()) for fn, args in checks] == alone
+    order = list(range(len(checks)))
+    random.Random(21).shuffle(order)
+    shared = MemoStore()
+    assert {i: checks[i][0](*checks[i][1], shared) for i in order} == dict(enumerate(alone))
