@@ -35,12 +35,19 @@ its multiplicities, the plain tuple the partition enumerator yields.
 
 The relations over the numbers themselves (descent, convolution and the two
 inversion checks) take the row of values they read; n is its last index.
+
+The three exponential routes refuse an n past their limit with
+``RoutePreconditionError`` before any work: ``hb_explicit_comp`` and
+``hb_descent_nested`` above ``_COMP_MAX_N`` and ``_DESCENT_NESTED_MAX_N``,
+``hb_trudi`` above ``_trudi_max_n(r)``.  Each limit sits where one call takes
+about ten seconds (see README), and the CLI's route table reads these same
+limits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -68,6 +75,33 @@ __all__ = [
 
 class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
+
+
+# largest n of the 2^(n-2)-call walks of hb_explicit_comp and hb_descent_nested
+_COMP_MAX_N = 22
+_DESCENT_NESTED_MAX_N = 22
+
+
+@cache
+def _trudi_max_n(r: int) -> int:
+    """Largest n <= 52 whose trudi work stays within 5e6 steps: the
+    C(n+r, r) - 1 compositions behind its weights, plus its p(n) partition
+    vectors at 16 steps each.  A step is about 2 us at N = 5 (see README)."""
+    partitions = [1] + [0] * 52  # p(0)..p(52) by coin counting
+    for part in range(1, 53):
+        for total in range(part, 53):
+            partitions[total] += partitions[total - part]
+    r = max(r, 1)  # the route itself rejects r < 1
+    n = 52
+    while n > 0 and comb(n + r, r) + 16 * partitions[n] > 5_000_000:
+        n -= 1
+    return n
+
+
+def _refuse_past(name: str, n: int, limit: int) -> None:
+    """Raise before an exponential route starts a walk it cannot finish."""
+    if n > limit:
+        raise RoutePreconditionError(f"{name} requires n <= {limit}")
 
 
 def _top(row: Sequence[Fraction]) -> int:
@@ -123,6 +157,7 @@ def hb_explicit_comp(N: int, n: int) -> Fraction:
     (-1)^k / prod_j ((N+1)...(N+i_j)), the order-r explicit route at r = 1."""
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
+    _refuse_past("comp", n, _COMP_MAX_N)
     return hb_higher_explicit(N, 1, n)
 
 
@@ -258,6 +293,7 @@ def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
     n = _top(prev)
+    _refuse_past("descent-nested", n, _DESCENT_NESTED_MAX_N)
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
     # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
     P, p = _over_lcm(prev)
@@ -306,6 +342,7 @@ def hb_trudi(N: int, r: int, n: int) -> Fraction:
     weight(1..n)."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
+    _refuse_past("trudi", n, _trudi_max_n(r))
     weights = [mr(N, r, e) for e in range(1, n + 1)]
     return (-1) ** n * factorial(n) * trudi_expand(1, weights)
 

@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, inf
+from math import inf
 from typing import Callable
 
 from . import altforms, congruence, contfrac, hbnum, hessenberg
@@ -73,8 +73,10 @@ class Route:
     ``walk(N, r, top, store, row)``, where given, appends the (N, r) family's
     values at n = 0..top to `row` in one walk; a sweep then reads every n of
     the family from that row instead of calling ``compute`` once per n.
-    ``max_n(r)`` bounds an exponential route at the n where one call takes
-    about ten seconds (see README), so it refuses what it cannot finish.
+    ``max_n(r)`` is the limit an exponential route's function in
+    :mod:`altforms` declares and refuses past, read from there, so
+    ``compute`` refuses it with the route's name before the call and a sweep
+    leaves such points out.
     The relations ``descent``, ``descent-nested`` and ``convolution`` read
     rows that ``_oracle_row`` fills from the oracle, through the store.
     """
@@ -99,22 +101,6 @@ class Route:
         return None
 
 
-@functools.cache
-def _trudi_max_n(r: int) -> int:
-    """Largest n <= 52 whose trudi work stays within 5e6 steps: the
-    C(n+r, r) - 1 compositions behind its weights, plus its p(n) partition
-    vectors at 16 steps each.  A step is about 2 us at N = 5 (see README)."""
-    partitions = [1] + [0] * 52  # p(0)..p(52) by coin counting
-    for part in range(1, 53):
-        for total in range(part, 53):
-            partitions[total] += partitions[total - part]
-    r = max(r, 1)  # the route itself rejects r < 1
-    n = 52
-    while n > 0 and comb(n + r, r) + 16 * partitions[n] > 5_000_000:
-        n -= 1
-    return n
-
-
 def _oracle_row(N: int, n: int, store: MemoStore) -> list[Fraction]:
     """B_{N,0..n} from the oracle through `store`, the top index read first,
     so a family missing from the store is walked once."""
@@ -128,13 +114,14 @@ ROUTES = {
     ),
     "comp": Route(
         lambda N, r, n, store: altforms.hb_explicit_comp(N, n),
-        r_one_only=True, min_n=1, max_n=lambda r: 22,
+        r_one_only=True, min_n=1, max_n=lambda r: altforms._COMP_MAX_N,
     ),
     "binom": Route(
         lambda N, r, n, store: altforms.hb_explicit_binom(N, n), r_one_only=True, min_n=1
     ),
     "trudi": Route(
-        lambda N, r, n, store: altforms.hb_trudi(N, r, n), min_n=1, max_n=_trudi_max_n
+        lambda N, r, n, store: altforms.hb_trudi(N, r, n),
+        min_n=1, max_n=altforms._trudi_max_n,
     ),
     "det": Route(
         lambda N, r, n, store: hessenberg.hb_higher_det(N, r, n),
@@ -149,7 +136,7 @@ ROUTES = {
     ),
     "descent-nested": Route(
         lambda N, r, n, store: altforms.hb_descent_nested(_oracle_row(N - 1, n, store), N),
-        r_one_only=True, min_N=2, min_n=1, max_n=lambda r: 22,
+        r_one_only=True, min_N=2, min_n=1, max_n=lambda r: altforms._DESCENT_NESTED_MAX_N,
     ),
     "convolution": Route(
         lambda N, r, n, store: altforms.hb_higher_convolution(_oracle_row(N, n, store), r)

@@ -248,6 +248,38 @@ def test_descent_step_rejects_a_short_row(short):
     assert hb_descent_step(prev, _values(3, 2), 3) == hb(3, 3)
 
 
+class _Started(Exception):
+    """Raised by a patched helper: the route has begun its work."""
+
+
+@pytest.mark.parametrize(
+    "call, helper, limit, name",
+    [
+        pytest.param(lambda n: hb_explicit_comp(5, n), "mr", 22, "comp", id="comp"),
+        pytest.param(
+            lambda n: hb_descent_nested(_values(2, n), 3), "_chain_products", 22,
+            "descent-nested", id="descent-nested",
+        ),
+        pytest.param(
+            lambda n: hb_trudi(5, 10, n), "mr", altforms._trudi_max_n(10), "trudi", id="trudi"
+        ),
+    ],
+)
+def test_exponential_routes_refuse_past_their_limit_before_any_work(
+    call, helper, limit, name, monkeypatch
+):
+    # the limits the CLI refuses with exit 3 hold in library use too: one
+    # past the limit raises before the route's first helper call
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(altforms, helper, started)
+    with pytest.raises(_Started):
+        call(limit)
+    with pytest.raises(RoutePreconditionError, match=f"^{name} requires n <= {limit}$"):
+        call(limit + 1)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         mr(0, 1, 2)

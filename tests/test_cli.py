@@ -13,6 +13,7 @@ from hgbern import cli, hbnum, hessenberg
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, SweepConfig, main
 from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
+from oracles import naive_hb_higher_explicit
 
 
 @pytest.fixture(autouse=True)
@@ -623,15 +624,62 @@ def test_cache_audit_reports_every_mismatch_in_key_order(tmp_path, capsys):
 
 
 def test_cache_audit_walks_each_family_once(tmp_path, capsys, monkeypatch):
+    # an r = 1 family by the oracle's own walk, an r >= 2 family by Miller's
+    # power recurrence, which reads no weight row
     cache = tmp_path / "cache.txt"
     code, _, _ = run(
         capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..12", "--cache", str(cache)
     )
     assert code == EXIT_OK
     walks = _count_calls(monkeypatch, "_row")
+    power_walks = _count_calls(monkeypatch, "_power_row")
+    weight_rows = _count_calls(monkeypatch, "weight_row")
     code, out, _ = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_OK and out == "audited 78 entries: all match\n"
-    assert sorted(walks) == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
+    assert sorted(walks) == [(N, 1) for N in (1, 2)]
+    assert sorted(power_walks) == [(N, r) for N in (1, 2) for r in (2, 3)]
+    assert weight_rows == []
+
+
+def test_cache_audit_catches_a_wrong_weight_row(tmp_path, capsys, monkeypatch):
+    # with the oracle's r-fold weight row wrong for the whole test, a table
+    # writes wrong r >= 2 values; an audit that reran the oracle's walk would
+    # recompute the same wrong values and report all match
+    original = hbnum.weight_row
+
+    def wrong_weight_row(N, r, upto):
+        row = original(N, r, upto)
+        row[1] += 1
+        return row
+
+    monkeypatch.setattr(hbnum, "weight_row", wrong_weight_row)
+    cache = tmp_path / "cache.txt"
+    argv = ["table", "-N", "2", "-r", "2..3", "-n", "0..10", "--cache", str(cache)]
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    records = [line.split() for line in cache.read_text().splitlines()]
+    cached = {hbnum.HBKey(*map(int, fields[:3])): fields[3] for fields in records}
+    keys = [hbnum.HBKey(2, r, n) for r in (2, 3) for n in range(11)]
+    assert list(cached) == keys
+    truth = {key: naive_hb_higher_explicit(*key) if key.n else 1 for key in keys}
+    wrong = [key for key in keys if parse_rational(cached[key]) != truth[key]]
+    assert len(wrong) == 20  # every entry past n = 0
+    code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
+    assert (code, err) == (EXIT_VERIFY, "")
+    assert out.splitlines() == [
+        f"MISMATCH at 2 {key.r} {key.n}: cached {cached[key]}, "
+        f"recomputed {format_rational(truth[key])}"
+        for key in wrong
+    ]
+    # the spot audit of a load draws keys 12, 13 and 1 of the file's 22,
+    # the first of them 2 3 1
+    assert Random(0).sample(keys, 3)[0] == (2, 3, 1)
+    assert run(capsys, *argv) == (
+        EXIT_VERIFY,
+        "",
+        f"error: cache audit failed at 2 3 1: stored {cached[2, 3, 1]}, "
+        f"recomputed {format_rational(truth[2, 3, 1])}\n",
+    )
 
 
 def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch):

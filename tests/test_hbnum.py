@@ -110,6 +110,22 @@ def test_residual_vanishes_at_huge_parameter():
             assert recurrence_residual(N, r, n, store) == 0, (r, n)
 
 
+@pytest.mark.parametrize("N", range(1, 6))
+def test_power_row_equals_the_oracle_row(N):
+    # Miller's power recurrence, which the cache audit walks at r >= 2,
+    # against the weight-row recurrence that writes the values
+    for r in range(1, 8):
+        assert hbnum._power_row(N, r, 40) == hbnum._row(N, r, 40, None), r
+    assert hbnum._power_row(N, 2, 0) == [1]
+
+
+def test_power_row_equals_the_oracle_row_at_huge_parameter_and_depth():
+    N = 1 + 5**48
+    for r in (2, 3):
+        assert hbnum._power_row(N, r, 12) == hbnum._row(N, r, 12, None), r
+    assert hbnum._power_row(3, 3, 200) == hbnum._row(3, 3, 200, None)
+
+
 def test_row_resumes_across_a_sparse_cache():
     # values cached out of order force the row to rebuild its common
     # denominator and binomials mid-row; the result must not change
