@@ -300,11 +300,12 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
 
 
 def _identity(
-    N: int, n: int, h: int, odd: int, store: MemoStore | None
+    N: int, n: int, h: int, odd: int, store: MemoStore | None, scale: int = 1
 ) -> tuple[Fraction, Fraction]:
-    """Both sides of the x^h coefficient of Q_{2n-odd} S = P_{2n-odd}: the left
-    side sums Q's coefficients against the series of the parameter-N numbers,
-    the right side is P's coefficient."""
+    """Both sides of the x^h coefficient of Q_{2n-odd} S = P_{2n-odd}, each
+    divided by `scale` and reduced once: the left side sums Q's coefficients
+    against the series of the parameter-N numbers, the right side is P's
+    coefficient."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if h < 0:
@@ -318,8 +319,8 @@ def _identity(
         if q is None:
             q = store._q_lists[N, n, odd] = _q_list(N, n, odd, n)
     series = common_row(N, 1, h, store)
-    lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den)
-    return lhs, Fraction(_p_coefficient(N, n, odd, h))  # binom(n, h) = 0 for h > n
+    lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * scale)
+    return lhs, Fraction(_p_coefficient(N, n, odd, h), scale)  # binom(n, h) = 0 for h > n
 
 
 def identity_even(
@@ -375,9 +376,7 @@ def classical_identity(
             raise ValueError(f"variant {variant!r} needs 0 <= h <= {2 * n + 1 - odd}")
         # at N = 1 each product prod_{l=k+1..t} (1+l) is (t+1)!/(k+1)!, so
         # dividing by the largest of the (t+1)! leaves factorial ratios
-        lhs, rhs = _identity(1, n, h, odd, store)
-        scale = factorial(2 * n - h + 1 - odd)
-        return lhs / scale, rhs / scale
+        return _identity(1, n, h, odd, store, factorial(2 * n - h + 1 - odd))
 
     if variant == "even-reduced" and not 1 <= h <= 2 * n + 1:
         raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")

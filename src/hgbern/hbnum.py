@@ -38,16 +38,16 @@ its lcm as a ``CommonDenominator``; with a store it keeps that row on the
 store, builds it once and extends it with ``append`` when a longer prefix is
 asked for, so the checks in :mod:`contfrac` read it without rebuilding it.
 There is no default store: values are reused across calls only through a
-store the caller passes, and a call without one walks its row in a fresh
-store that it then drops.  Loading checks every record of the file but
-decodes a value only when it is first read, and refuses a value that
-conflicts with one the store already holds, so a kept row never goes stale
-under a load.  A file in the form ``save`` writes is checked by one
-whole-file pattern and split in one pass; any other file is checked line by
-line.  The pattern accepts only files the line-by-line check accepts, and
-reads the same records from them.  Saving writes only when an entry was
-added or a value changed, keeps what another store saved since, and writes
-values that were never read back as they were read.
+store the caller passes, and a call without one computes its whole row with
+no store at all, building, reading and storing no key.  Loading checks every
+record of the file but decodes a value only when it is first read, and
+refuses a value that conflicts with one the store already holds, so a kept
+row never goes stale under a load.  A file in the form ``save`` writes is
+checked by one whole-file pattern and split in one pass; any other file is
+checked line by line.  The pattern accepts only files the line-by-line check
+accepts, and reads the same records from them.  Saving writes only when an
+entry was added or a value changed, keeps what another store saved since,
+and writes values that were never read back as they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -424,20 +424,23 @@ def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
 
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     """Values for indices 0..n of the (N, r) family, consulting and filling
-    `store`, or a fresh one if it is None.
+    `store`; without one, every value is computed and no key is built.
 
     From the first value that must be computed on, the row is also kept over
     its running common denominator (and the weights over theirs), so each new
     value is one integer dot product reduced once into a ``Fraction``.
     """
-    store = MemoStore() if store is None else store
+    HBKey(N, r, n)  # checks the indices once, for the storeless walk too
     row: list[Fraction] = []
     known: CommonDenominator | None = None
     binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
     weights: CommonDenominator | None = None
     for m in range(n + 1):
-        key = HBKey(N, r, m)
-        value = store.get(key)
+        if store is None:
+            value = None
+        else:
+            key = HBKey(N, r, m)
+            value = store.get(key)
         if value is None:
             if m == 0:
                 value = Fraction(1)
@@ -462,7 +465,8 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                     falls = accumulate(range(m, 0, -1), mul)
                     terms = map(mul, map(mul, reversed(known.nums), falls), weights.nums[1:])
                     value = Fraction(-sum(terms), known.den * weights.den)
-            store.put(key, value)
+            if store is not None:
+                store.put(key, value)
         row.append(value)
         if known is not None:
             known.append(value)
@@ -567,7 +571,6 @@ def hb_higher(
     """
     if row is None:
         return _cached_or_row(N, r, n, store)
-    HBKey(N, r, n)  # checks the indices, also where n < 0 leaves nothing to walk
     row += _row(N, r, n, store)
     return row[-1]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hgbern import congruence
 from hgbern.congruence import (
     HypothesisViolation,
     congruent,
@@ -232,6 +233,44 @@ def test_residue_at_infinite_exponent_is_omitted_as_in_a_verdict():
     assert residue(Fraction(1, 3), 5, inf) is None
 
 
+def test_residue_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match=r"^p must be prime, got 1$"):
+        residue(Fraction(1, 3), 1, 2)
+    with pytest.raises(ValueError, match=r"^p must be prime, got 6$"):
+        residue(Fraction(1, 5), 6, 1)
+
+
+# A float is not read as its binary expansion: 0.2 is not 1/5 (ord_5 = -1,
+# no residue), and its expansion would give ord 0 and residue 8 mod 25.
+NOT_RATIONAL = (0.2, 1.0, float("nan"), complex(1, 0), "1/5")
+
+
+@pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
+def test_ordp_rejects_a_value_that_is_not_rational(x):
+    with pytest.raises(ValueError, match=r"^x must be a rational number \(int or Fraction\), got "):
+        ordp(x, 5)
+
+
+@pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
+def test_residue_rejects_a_value_that_is_not_rational(x):
+    with pytest.raises(ValueError, match=r"^x must be a rational number \(int or Fraction\), got "):
+        residue(x, 5, 2)
+
+
+@pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
+def test_congruent_rejects_a_value_that_is_not_rational(x):
+    with pytest.raises(ValueError, match=r"^a must be a rational number \(int or Fraction\), got "):
+        congruent(x, Fraction(1, 5), 5, 1)
+    with pytest.raises(ValueError, match=r"^b must be a rational number \(int or Fraction\), got "):
+        congruent(Fraction(1, 5), x, 5, 1)
+
+
+def test_rational_values_of_every_kind_are_accepted():
+    assert ordp(True, 5) == 0 and ordp(Fraction(2, 25), 5) == -2 and ordp(-50, 5) == 2
+    assert residue(Fraction(5, 10), 5, 2) == 13  # 1/2 mod 25
+    assert congruent(Fraction(6, 5), Fraction(1, 5), 5, 0).difference_ord == 0
+
+
 # Verdicts against the plain Fraction reference: ord_p of the reduced
 # difference and the residues of the reduced sides.
 
@@ -265,6 +304,42 @@ def test_congruent_matches_the_fraction_reference_on_random_pairs():
             assert dataclasses.astuple(congruent(a, b, p, k)) == expected, (a, b, p, k)
 
 
+def _unreduced_side(rng, p):
+    """An unreduced (numerator, positive denominator) pair: a random value,
+    sometimes zero or with powers of p in its denominator, whose numerator
+    and denominator are multiplied by a common factor that often holds powers
+    of p, so the verdict has to strip them."""
+    num = rng.choice((0, rng.randint(-10**9, 10**9), rng.randint(-99, 99)))
+    den = rng.randint(1, 10**6) * p ** rng.choice((0, 0, 1, 3))
+    common = p ** rng.randint(0, 5) * rng.randint(1, 10**4)
+    return num * common, den * common
+
+
+def test_verdict_kernel_matches_the_fraction_reference_on_unreduced_pairs():
+    rng = random.Random(22)
+    stripped = p_left = zeros = negatives = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        an, ad = _unreduced_side(rng, p)
+        bn, bd = rng.choice(
+            (
+                _unreduced_side(rng, p),
+                (an * 3, ad * 3),  # the same value, scaled otherwise
+                (-an * p**2, ad * p**2),
+                (an + ad * p ** rng.randint(0, 6), ad),  # a difference divisible by p^j
+            )
+        )
+        a, b = Fraction(an, ad), Fraction(bn, bd)
+        for k in (0, 1, 3, inf):
+            verdict = congruence._verdict(an, ad, bn, bd, p, k)
+            assert dataclasses.astuple(verdict) == reference_verdict(a, b, p, k), (an, ad, bn, bd)
+        stripped += ad % p == 0 and a.denominator % p != 0
+        p_left += a.denominator % p == 0
+        zeros += an == 0
+        negatives += an < 0
+    assert min(stripped, p_left, zeros, negatives) > 100
+
+
 def _kummer_side(p, m, value):
     return (1 - p ** (m - 1)) * value / m
 
@@ -283,10 +358,10 @@ def _workload_checks():
                     if m % (p - 1) != 0 and (m - n) % step == 0:
                         sides = _kummer_side(p, m, classical(m)), _kummer_side(p, n, classical(n))
                         yield (kummer_classical, (p, m, n, nu)), sides, p, nu + 1
-    big = 1 + 5**48
-    for nu in (0, 1):
-        sides = _kummer_side(5, 22, hb(big, 22)), _kummer_side(5, 2, hb(big, 2))
-        yield (hb_kummer_pair, (5, big, 22, 2, nu)), sides, 5, nu + 1
+    for p, N, m, n, nus in ((5, 1 + 5**48, 22, 2, (0, 1)), (7, 1 + 7**131, 44, 2, (1,))):
+        for nu in nus:
+            sides = _kummer_side(p, m, hb(N, m)), _kummer_side(p, n, hb(N, n))
+            yield (hb_kummer_pair, (p, N, m, n, nu)), sides, p, nu + 1
     for n in (6, 2):
         sides = hb(1 + 5**4, n) / n, classical(n) / n
         yield (hb_kummer_corollary, (5, 1 + 5**4, n, 0)), sides, 5, 1
@@ -309,7 +384,7 @@ def test_statement_verdicts_match_the_fraction_reference_on_the_workload_checks(
         assert dataclasses.astuple(verdict) == reference_verdict(lhs, rhs, p, k), args
         assert verdict.holds
         count += 1
-    assert count == 1757 + 2 + 2 + 60
+    assert count == 1757 + 3 + 2 + 60
 
 
 @pytest.mark.parametrize(

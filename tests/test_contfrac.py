@@ -220,13 +220,14 @@ def test_classical_identity_ranges():
 
 def test_classical_identities_are_the_n_one_identities_over_a_factorial():
     # "even" / "odd" divide both N = 1 sides by (2n-h+1)! resp. (2n-h)!,
-    # which leaves the bare signed binomial on the right
-    for n in range(1, 7):
+    # which leaves the bare signed binomial on the right; each side, built
+    # once over that scale, equals the reduced N = 1 side divided by it
+    for n in range(1, 16):
         for variant, family, top in (
             ("even", identity_even, 2 * n + 1),
             ("odd", identity_odd, 2 * n),
         ):
-            for h in range(0, top):
+            for h in range(0, top + 1):
                 lhs, rhs = classical_identity(variant, n, h)
                 scale = factorial(top - h)
                 assert (lhs, rhs) == tuple(side / scale for side in family(1, n, h))

@@ -126,6 +126,23 @@ def test_power_row_equals_the_oracle_row_at_huge_parameter_and_depth():
     assert hbnum._power_row(3, 3, 200) == hbnum._row(3, 3, 200, None)
 
 
+def test_a_storeless_walk_makes_no_store_and_returns_the_stored_walk(monkeypatch):
+    stored = {}
+    for N in range(1, 6):
+        store = MemoStore()
+        for r in range(1, 4):
+            stored[N, r] = hbnum._row(N, r, 60, store)
+
+    def no_store(*args, **kwargs):
+        raise AssertionError("a storeless walk made a MemoStore")
+
+    monkeypatch.setattr(hbnum, "MemoStore", no_store)
+    for (N, r), row in stored.items():
+        assert hbnum._row(N, r, 60, None) == row, (N, r)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        hbnum._row(0, 1, 3, None)
+
+
 def test_row_resumes_across_a_sparse_cache():
     # values cached out of order force the row to rebuild its common
     # denominator and binomials mid-row; the result must not change
