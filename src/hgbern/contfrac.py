@@ -23,12 +23,21 @@ builds each N's row over its lcm once and extends it as h grows; a kept row
 longer than h serves h as well, since the sum reads only indices <= h.
 Without a store each check walks and builds its own row.  Non-integral
 coefficient lists (a hand-built P or Q, the reduced classical weights) go
-over their own common denominator first; the reduced weights are built as
-integer (numerator, denominator) pairs.  With a store the identity checks
-also keep the coefficient list of Q_{2n-odd}, for j <= n, on it, one per
-(N, n, odd): the first check of a family builds it, O(n^2) products, and
-every other h reads it.  Without a store a check builds only the
-coefficients j <= min(h, n) it reads.
+over their own common denominator first, the reduced weights by
+``hessenberg._over_lcm``.
+
+With a store the checks also keep on it the lists that depend on no stored
+value, so ``MemoStore.put`` may leave them as they are: the coefficient
+lists of P_{2n-odd} and Q_{2n-odd}, for j <= n, one per (N, n, odd), and
+each reduced classical variant's weights over their lcm, one per
+(variant, n), built to the variant's widest h (2n+1 or 2n), since a weight
+depends on n and its index only.  The first check of a family builds them,
+O(n^2) products for Q, and every other h reads them; the classical variants
+read the N = 1 lists of P and Q.  Without a store a check builds only what
+it reads: Q's coefficients j <= min(h, n), P's coefficient at h alone, and
+the weights for k <= h.  Every index is checked to be an int, and not a
+bool, before a store is read: a float or a bool would hash equal to an int
+key and read that key's lists.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -40,12 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .exactnum import CommonDenominator, _int_text, binom, rising
 from .hbnum import MemoStore, Series, common_row
+from .hessenberg import _over_lcm
 
 __all__ = [
     "Poly",
@@ -174,7 +184,16 @@ class ConvergentPair:
             raise ValueError("convergent denominator must not vanish at x = 0")
 
 
+def _require_ints(**indices: int) -> None:
+    """Each index is an int and not a bool: a float or a bool would hash
+    equal to an int key of the store and read that key's kept data."""
+    for name, value in indices.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _validate(N: int, n: int) -> None:
+    _require_ints(N=N, n=n)
     if N < 1:
         raise ValueError("N must be >= 1")
     if n < 0:
@@ -206,6 +225,15 @@ def _prod(N: int, lo: int, hi: int) -> int:
 def _p_coefficient(N: int, m: int, odd: int, j: int) -> int:
     """x^j coefficient of P_{2m-odd}: (-1)^j binom(m, j) prod_{l=1..2m-j-odd} (N+l)."""
     return (-1) ** j * binom(m, j) * _prod(N, 1, 2 * m - j - odd)
+
+
+def _p_list(N: int, m: int, odd: int) -> list[int]:
+    """Coefficients x^0..x^m of P_{2m-odd}, for m >= 1."""
+    # heads[i] = prod_{l=1..m-odd+i} (N+l), the product of the x^(m-i) coefficient
+    heads = list(
+        accumulate(range(N + m - odd + 1, N + 2 * m - odd + 1), mul, initial=_prod(N, 1, m - odd))
+    )
+    return [(-1) ** j * binom(m, j) * heads[m - j] for j in range(m + 1)]
 
 
 def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
@@ -246,12 +274,7 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
         return ConvergentPair(0, Poly([1]), Poly([1]), N)
     odd = n % 2
     m = (n + odd) // 2
-    # heads[i] = prod_{l=1..m-odd+i} (N+l), the product of the x^(m-i) coefficient
-    heads = list(
-        accumulate(range(N + m - odd + 1, N + 2 * m - odd + 1), mul, initial=_prod(N, 1, m - odd))
-    )
-    p_coeffs = [(-1) ** j * binom(m, j) * heads[m - j] for j in range(m + 1)]
-    return ConvergentPair(n, Poly(p_coeffs), Poly(_q_list(N, m, odd, m - odd)), N)
+    return ConvergentPair(n, Poly(_p_list(N, m, odd)), Poly(_q_list(N, m, odd, m - odd)), N)
 
 
 def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
@@ -263,14 +286,6 @@ def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
     width = min(h + 1, len(nums))
     falls = accumulate(range(h, h + 1 - width, -1), mul, initial=1)
     return sum(map(mul, map(mul, nums[:width], falls), series.nums[h::-1]))
-
-
-def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Numerators of the fractions num/den in `pairs` over their lcm, and the lcm."""
-    common = 1
-    for _, den in pairs:
-        common = lcm(common, den)
-    return [num * (common // den) for num, den in pairs], common
 
 
 def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -> Series:
@@ -299,6 +314,24 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     return Series(tuple(coeffs), order)
 
 
+def _kept(store: MemoStore, key: tuple, build: Callable, *args: object):
+    """The derived list `key` kept on `store`, built by ``build(*args)`` the
+    first time it is asked for."""
+    kept = store._lists.get(key)
+    if kept is None:
+        kept = store._lists[key] = build(*args)
+    return kept
+
+
+def _p_at(N: int, n: int, odd: int, h: int, store: MemoStore | None) -> int:
+    """x^h coefficient of P_{2n-odd}: from the list kept on `store`, else
+    computed alone."""
+    if store is None:
+        return _p_coefficient(N, n, odd, h)  # binom(n, h) = 0 for h > n
+    p = _kept(store, ("P", N, n, odd), _p_list, N, n, odd)
+    return p[h] if h <= n else 0
+
+
 def _identity(
     N: int, n: int, h: int, odd: int, store: MemoStore | None, scale: int = 1
 ) -> tuple[Fraction, Fraction]:
@@ -306,6 +339,7 @@ def _identity(
     divided by `scale` and reduced once: the left side sums Q's coefficients
     against the series of the parameter-N numbers, the right side is P's
     coefficient."""
+    _require_ints(N=N, n=n, h=h)
     if n < 1:
         raise ValueError("n must be >= 1")
     if h < 0:
@@ -315,12 +349,10 @@ def _identity(
     if store is None:
         q = _q_list(N, n, odd, min(h, n))
     else:
-        q = store._q_lists.get((N, n, odd))
-        if q is None:
-            q = store._q_lists[N, n, odd] = _q_list(N, n, odd, n)
+        q = _kept(store, ("Q", N, n, odd), _q_list, N, n, odd, n)
     series = common_row(N, 1, h, store)
     lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * scale)
-    return lhs, Fraction(_p_coefficient(N, n, odd, h), scale)  # binom(n, h) = 0 for h > n
+    return lhs, Fraction(_p_at(N, n, odd, h, store), scale)
 
 
 def identity_even(
@@ -352,6 +384,30 @@ def identity_odd(
 CLASSICAL_VARIANTS = ("even", "odd", "even-reduced", "odd-reduced")
 
 
+def _reduced_weights(variant: str, n: int, top: int) -> tuple[int, list[int]]:
+    """``(L, nums)``: the weights of B_{h-k}/(h-k)!, k = 0..top, in the left
+    side of a reduced classical variant at index n, over their lcm L.  A
+    weight depends on n and k only, so one list serves every h <= top."""
+    weights: list[Fraction | int] = [0] * (top + 1)
+    if variant == "even-reduced":
+        # one term for each k: k = 2j, k = 1, and k = 2j+1 with j >= 1
+        for j in range(top // 2 + 1):
+            weights[2 * j] = Fraction(factorial(2 * n - 2 * j + 1) * binom(n, 2 * j), 2 * j + 1)
+        weights[1] = Fraction(factorial(2 * n), 2)
+        for j in range(1, (top - 1) // 2 + 1):
+            weights[2 * j + 1] = Fraction(
+                factorial(2 * n - 2 * j) * binom(n - j - 1, j) * binom(n, j),
+                4 * (2 * j + 1) * binom(2 * j - 1, j),
+            )
+    else:  # odd-reduced
+        for j in range(top // 2 + 1):
+            weights[2 * j] = Fraction(
+                factorial(j) ** 2 * factorial(2 * n - 2 * j) * binom(n, j) * binom(n - j - 1, j),
+                factorial(2 * j + 1),
+            )
+    return _over_lcm(weights)
+
+
 def classical_identity(
     variant: str, n: int, h: int, store: MemoStore | None = None
 ) -> tuple[Fraction, Fraction]:
@@ -362,10 +418,12 @@ def classical_identity(
     h <= 2n resp. h <= 2n-1.  ``even-reduced`` / ``odd-reduced`` replace the
     inner alternating sums by their closed forms split on the parity of j;
     these hold on the wider ranges 1 <= h <= 2n+1 resp. 1 <= h <= 2n (the
-    extension leans on the falling-factorial binomial conventions).
+    extension leans on the falling-factorial binomial conventions).  Their
+    right side is P_{2n} resp. P_{2n-1}'s x^h coefficient at N = 1.
     """
     if variant not in CLASSICAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {CLASSICAL_VARIANTS}")
+    _require_ints(n=n, h=h)
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -382,31 +440,11 @@ def classical_identity(
         raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")
     if variant == "odd-reduced" and not 1 <= h <= 2 * n:
         raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
-    # weights[k] = (num, den) is the weight of B_{h-k}/(h-k)! in the left side
-    weights = [(0, 1)] * (h + 1)
-    if variant == "even-reduced":
-        # one term for each k: k = 2j, k = 1, and k = 2j+1 with j >= 1
-        for j in range(h // 2 + 1):
-            weights[2 * j] = (factorial(2 * n - 2 * j + 1) * binom(n, 2 * j), 2 * j + 1)
-        weights[1] = (factorial(2 * n), 2)
-        for j in range(1, (h - 1) // 2 + 1):
-            weights[2 * j + 1] = (
-                factorial(2 * n - 2 * j) * binom(n - j - 1, j) * binom(n, j),
-                4 * (2 * j + 1) * binom(2 * j - 1, j),
-            )
-        rhs = (
-            Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h + 1))
-            if h <= n
-            else Fraction(0)
-        )
-    else:  # odd-reduced
-        for j in range(h // 2 + 1):
-            weights[2 * j] = (
-                factorial(j) ** 2 * factorial(2 * n - 2 * j) * binom(n, j) * binom(n - j - 1, j),
-                factorial(2 * j + 1),
-            )
-        rhs = Fraction((-1) ** h * binom(n, h) * factorial(2 * n - h)) if h <= n else Fraction(0)
-    nums, den = _over_lcm(weights)
+    odd = int(variant == "odd-reduced")
+    if store is None:
+        den, nums = _reduced_weights(variant, n, h)
+    else:  # built to the variant's widest h
+        den, nums = _kept(store, (variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
     series = common_row(1, 1, h, store)
     lhs = Fraction(_against_series(nums, series, h), factorial(h) * series.den * den)
-    return lhs, rhs
+    return lhs, Fraction(_p_at(1, n, odd, h, store))

@@ -147,13 +147,15 @@ class MemoStore:
     was added or a value changed since the last load or save, and writes a
     value that was never decoded back as the text it was read from.
 
-    The store also keeps the rows ``common_row`` built from its values, one
-    per (N, r) family, and the integer coefficient lists of the convergent
-    denominators Q_{2n-odd} that the identity checks of :mod:`contfrac` read,
-    one per (N, n, odd).  Both are derived data: ``items``, ``len`` and the
-    saved file never show them.  ``put`` drops a family's kept row when it
-    changes a value inside it and leaves the Q lists alone, which depend on
-    no stored value.
+    The store also keeps derived data that ``items``, ``len`` and the saved
+    file never show: the rows ``common_row`` built from its values, one per
+    (N, r) family, and the value-free lists the identity checks of
+    :mod:`contfrac` read, keyed by tuple: the integer coefficient lists of
+    the convergent numerators and denominators P_{2n-odd} and Q_{2n-odd},
+    one per (N, n, odd), and each reduced classical variant's weights over
+    their lcm, one per (variant, n).  ``put`` drops a family's kept row when
+    it changes a value inside it and leaves the lists alone: they are built
+    from N, n and the variant only, never from a stored value.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -165,8 +167,10 @@ class MemoStore:
         # (N, r) -> that family's values 0..k over their lcm; never changed in
         # place, so a reader keeps a consistent row while another call grows it
         self._rows: dict[tuple[int, int], CommonDenominator] = {}
-        # (N, n, odd) -> the coefficients x^0..x^n of Q_{2n-odd}, kept by contfrac
-        self._q_lists: dict[tuple[int, int, int], list[int]] = {}
+        # value-free lists kept by contfrac: ("P" or "Q", N, n, odd) -> the
+        # coefficients x^0..x^n of P_{2n-odd} or Q_{2n-odd}, and
+        # (variant, n) -> a reduced classical variant's (lcm, weights)
+        self._lists: dict[tuple, list[int] | tuple[int, list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self._values)

@@ -270,6 +270,40 @@ def test_identity_input_validation():
         identity_even(0, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (identity_even, (True, 2, 1)),
+        (identity_even, (2, 2, False)),
+        (identity_odd, (2.0, 2, 1)),
+        (identity_odd, (2, 2.0, 1)),
+        (identity_odd, (2, 2, 1.0)),
+        (classical_identity, ("even-reduced", 2, 2.0)),
+        (classical_identity, ("odd-reduced", True, 1)),
+        (classical_identity, ("even", 2.0, 1)),
+        (classical_identity, ("odd", 2, True)),
+        (convergent_rec, (True, 3)),
+        (convergent_rec, (2, 3.0)),
+        (convergent_closed, (2.0, 3)),
+        (convergent_closed, (2, False)),
+    ],
+)
+def test_checks_refuse_a_bool_or_non_int_index_before_touching_the_store(call, args):
+    # a float or a bool hashes equal to an int key, so it would read that
+    # key's kept lists and rows; it is refused up front instead
+    store = MemoStore()
+    for h in range(5):
+        identity_even(2, 2, h, store)
+        identity_odd(2, 2, h, store)
+    for h in range(1, 5):
+        classical_identity("odd-reduced", 2, h, store)
+        classical_identity("even-reduced", 2, h, store)
+    before = (store.items(), dict(store._lists), dict(store._rows))
+    with pytest.raises(ValueError, match=r"must be an int, got (True|False|[0-9.]+)$"):
+        call(*args) if call in (convergent_rec, convergent_closed) else call(*args, store)
+    assert (store.items(), store._lists, store._rows) == before
+
+
 def test_lhs_uses_generating_series_values():
     # the even identity at h <= n is the x^h coefficient match of Q*S = P
     N, n, h = 2, 2, 1
@@ -444,7 +478,7 @@ def test_kept_rows_stay_out_of_the_store_entries_and_its_file(tmp_path):
     for fn, args in _checks(6):
         fn(*args, checked)
     approximation_defect(convergent_closed(3, 11), checked)
-    assert checked._q_lists  # the identity checks kept their Q lists on the store
+    assert checked._lists  # the identity checks kept their P, Q and weight lists on the store
     assert len(checked) == len(plain) == 56
     assert checked.items() == plain.items()
     plain.save()
@@ -485,43 +519,109 @@ def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
 # built once per (N, n, odd) and every h of the family reads it.
 
 
-def _counting_q(monkeypatch):
-    """Count the calls of ``contfrac._q_coefficient`` by (N, m, odd)."""
+def _counting(monkeypatch, name):
+    """Count the calls of ``contfrac.<name>`` by their arguments."""
     calls = {}
-    plain = contfrac._q_coefficient
+    plain = getattr(contfrac, name)
 
-    def counting(N, m, odd, j):
-        calls[N, m, odd] = calls.get((N, m, odd), 0) + 1
-        return plain(N, m, odd, j)
+    def counting(*args):
+        calls[args] = calls.get(args, 0) + 1
+        return plain(*args)
 
-    monkeypatch.setattr(contfrac, "_q_coefficient", counting)
+    monkeypatch.setattr(contfrac, name, counting)
     return calls
 
 
 def test_a_family_on_one_store_builds_each_q_list_once(monkeypatch):
-    calls = _counting_q(monkeypatch)
+    calls = _counting(monkeypatch, "_q_coefficient")
     store = MemoStore()
     families = [(N, n, odd) for N in (1, 3, 5) for n in (1, 2, 7, 12) for odd in (0, 1)]
     for N, n, odd in families:
         family = identity_odd if odd else identity_even
         for h in range(2 * n + 1):
             family(N, n, h, store)
-    assert calls == {family: family[1] + 1 for family in families}
+    assert calls == {(*family, j): 1 for family in families for j in range(family[1] + 1)}
     # a second store builds its own lists; the first one's serve it nothing
     calls.clear()
     other = MemoStore()
     for h in range(2 * 7 + 1):
         identity_even(3, 7, h, other)
         identity_even(3, 7, h, store)
-    assert calls == {(3, 7, 0): 8}
+    assert calls == {(3, 7, 0, j): 1 for j in range(8)}
 
 
 def test_a_storeless_check_builds_only_the_coefficients_it_reads(monkeypatch):
-    calls = _counting_q(monkeypatch)
+    calls = _counting(monkeypatch, "_q_coefficient")
     n = 6
     for h in range(2 * n + 1):
         identity_odd(2, n, h)
-    assert calls == {(2, n, 1): sum(min(h, n) + 1 for h in range(2 * n + 1))}
+    assert calls == {(2, n, 1, j): 2 * n + 1 - j for j in range(n + 1)}  # once for each h >= j
+
+
+# Kept P lists and reduced weights: on a store, the coefficient list of
+# P_{2n-odd} is built once per (N, n, odd) and a reduced classical variant's
+# weights once per (variant, n), to its widest h; without a store a check
+# builds P's coefficient at h alone and the weights for k <= h only.
+
+
+def test_a_family_on_one_store_builds_each_p_list_and_weight_list_once(monkeypatch):
+    p_lists = _counting(monkeypatch, "_p_list")
+    weights = _counting(monkeypatch, "_reduced_weights")
+    singles = _counting(monkeypatch, "_p_coefficient")
+    store = MemoStore()
+    indices = (1, 2, 7, 12)
+    families = [(N, n, odd) for N in (1, 3, 5) for n in indices for odd in (0, 1)]
+    for N, n, odd in families:
+        family = identity_odd if odd else identity_even
+        for h in range(2 * n + 1):
+            family(N, n, h, store)
+    for n in indices:
+        for variant, top in (("even-reduced", 2 * n + 1), ("odd-reduced", 2 * n)):
+            for h in range(1, top + 1):
+                classical_identity(variant, n, h, store)
+        for variant, top in (("even", 2 * n), ("odd", 2 * n - 1)):
+            for h in range(top, -1, -1):
+                classical_identity(variant, n, h, store)
+    # the classical variants read the N = 1 families' P lists
+    assert p_lists == {family: 1 for family in families}
+    assert weights == {
+        (variant, n, 2 * n + 1 - odd): 1
+        for n in indices
+        for variant, odd in (("even-reduced", 0), ("odd-reduced", 1))
+    }
+    assert singles == {}
+    # a second store builds its own lists; the first one's serve it nothing
+    p_lists.clear()
+    weights.clear()
+    other = MemoStore()
+    for h in range(1, 2 * 7 + 1):
+        for target in (store, other):
+            identity_odd(3, 7, h, target)
+            classical_identity("odd-reduced", 7, h, target)
+    assert p_lists == {(3, 7, 1): 1, (1, 7, 1): 1}
+    assert weights == {("odd-reduced", 7, 14): 1}
+
+
+def test_a_storeless_check_builds_only_the_p_coefficient_and_weights_it_reads(monkeypatch):
+    p_lists = _counting(monkeypatch, "_p_list")
+    weights = _counting(monkeypatch, "_reduced_weights")
+    singles = _counting(monkeypatch, "_p_coefficient")
+    n = 6
+    for h in range(2 * n + 1):
+        identity_even(2, n, h)
+    for variant, odd in (("even-reduced", 0), ("odd-reduced", 1)):
+        for h in range(1, 2 * n + 2 - odd):
+            classical_identity(variant, n, h)
+    assert p_lists == {}
+    assert singles == {
+        **{(2, n, 0, h): 1 for h in range(2 * n + 1)},
+        **{(1, n, 0, h): 1 for h in range(1, 2 * n + 2)},
+        **{(1, n, 1, h): 1 for h in range(1, 2 * n + 1)},
+    }
+    assert weights == {
+        **{("even-reduced", n, h): 1 for h in range(1, 2 * n + 2)},
+        **{("odd-reduced", n, h): 1 for h in range(1, 2 * n + 1)},
+    }
 
 
 def test_checks_agree_with_no_store_a_fresh_store_and_one_shared_store_in_any_order():
@@ -540,7 +640,19 @@ def test_checks_agree_with_no_store_a_fresh_store_and_one_shared_store_in_any_or
             checks += [(classical_identity, (variant, n, h)) for h in range(lo, hi + 1)]
     alone = [fn(*args) for fn, args in checks]
     assert [fn(*args, MemoStore()) for fn, args in checks] == alone
-    order = list(range(len(checks)))
-    random.Random(21).shuffle(order)
-    shared = MemoStore()
-    assert {i: checks[i][0](*checks[i][1], shared) for i in order} == dict(enumerate(alone))
+    shuffled = list(range(len(checks)))
+    random.Random(21).shuffle(shuffled)
+    by_h = sorted(range(len(checks)), key=lambda i: checks[i][1][-1])
+    # shuffled, shorter h first and longer h first: the first check of a
+    # family that builds a kept P list or weight list may sit at any h
+    for order in (shuffled, by_h, by_h[::-1]):
+        shared = MemoStore()
+        assert {i: checks[i][0](*checks[i][1], shared) for i in order} == dict(enumerate(alone))
+        # one P and one Q list per (N, n, odd), one weight list per reduced (variant, n)
+        assert set(shared._lists) == {
+            (kind, N, n, odd)
+            for kind in "PQ"
+            for N in range(1, 6)
+            for n in range(1, 22)
+            for odd in (0, 1)
+        } | {(variant, n) for variant in ("even-reduced", "odd-reduced") for n in range(1, 22)}
