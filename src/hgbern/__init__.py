@@ -36,6 +36,7 @@ from .congruence import (
 from .contfrac import (
     ConvergentPair,
     Poly,
+    Series,
     approximation_defect,
     classical_identity,
     convergent_closed,
@@ -57,13 +58,10 @@ from .hbnum import (
     CacheError,
     HBKey,
     MemoStore,
-    Series,
     classical,
     hb,
     hb_higher,
-    hb_series,
     recurrence_residual,
-    signed_variant,
 )
 from .hessenberg import (
     InversionVerdict,

@@ -18,26 +18,24 @@ in :mod:`hbnum` and :mod:`exactnum`: each takes the parameter-N row
 B_{N,0..h} over its lcm from ``hbnum.common_row`` and turns the x^h
 coefficient of C(x) S(x) into one integer dot product over h! times the
 common denominators (h!/(h-j)! = falling(h, j)), reduced once into a
-``Fraction``.  With a store the row is kept on it, so a family of checks
-builds each N's row over its lcm once and extends it as h grows; a kept row
-longer than h serves h as well, since the sum reads only indices <= h.
-Without a store each check walks and builds its own row.  Non-integral
-coefficient lists (a hand-built P or Q, the reduced classical weights) go
-over their own common denominator first, the reduced weights by
-``hessenberg._over_lcm``.
+``Fraction``.  Every check runs on a store: the one it is given, or a
+throwaway ``MemoStore()`` when it is given none.  The row is kept on the
+store, so a family of checks builds each N's row over its lcm once and
+extends it as h grows; a kept row longer than h serves h as well, since the
+sum reads only indices <= h.  Non-integral coefficient lists (a hand-built P
+or Q, the reduced classical weights) go over their own common denominator
+first, the reduced weights by ``hessenberg._over_lcm``.
 
-With a store the checks also keep on it the lists that depend on no stored
-value, so ``MemoStore.put`` may leave them as they are: the coefficient
-lists of P_{2n-odd} and Q_{2n-odd}, for j <= n, one per (N, n, odd), and
-each reduced classical variant's weights over their lcm, one per
-(variant, n), built to the variant's widest h (2n+1 or 2n), since a weight
-depends on n and its index only.  The first check of a family builds them,
-O(n^2) products for Q, and every other h reads them; the classical variants
-read the N = 1 lists of P and Q.  Without a store a check builds only what
-it reads: Q's coefficients j <= min(h, n), P's coefficient at h alone, and
-the weights for k <= h.  Every index is checked to be an int, and not a
-bool, before a store is read: a float or a bool would hash equal to an int
-key and read that key's lists.
+The checks also keep on the store the lists that depend on no stored value,
+so ``MemoStore.put`` may leave them as they are: the coefficient lists of
+P_{2n-odd} and Q_{2n-odd}, for j <= n, one per (N, n, odd), and each reduced
+classical variant's weights over their lcm, one per (variant, n), built to
+the variant's widest h (2n+1 or 2n), since a weight depends on n and its
+index only.  The first check of a family builds them, O(n^2) products for Q,
+and every other h reads them; the classical variants read the N = 1 lists of
+P and Q.  Every index goes through an ``HBKey`` before a store is read, so a
+float or a bool, which would hash equal to an int key and read that key's
+lists, is refused with a ``ValueError``.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -54,11 +52,12 @@ from operator import mul
 from typing import Callable, Iterable
 
 from .exactnum import CommonDenominator, _int_text, binom, rising
-from .hbnum import MemoStore, Series, common_row
+from .hbnum import HBKey, MemoStore, common_row
 from .hessenberg import _over_lcm
 
 __all__ = [
     "Poly",
+    "Series",
     "ConvergentPair",
     "convergent_rec",
     "convergent_closed",
@@ -164,6 +163,21 @@ class Poly:
 
 
 @dataclass(frozen=True)
+class Series:
+    """Truncated power series: coefficients[i] is the x^i coefficient, plus O(x^order)."""
+
+    coefficients: tuple[Fraction, ...]
+    order: int
+
+    def __post_init__(self) -> None:
+        if len(self.coefficients) != self.order:
+            raise ValueError("a series carries exactly `order` coefficients")
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coefficients)
+
+
+@dataclass(frozen=True)
 class ConvergentPair:
     """Numerator/denominator polynomials of the index-n convergent for parameter N.
 
@@ -184,26 +198,10 @@ class ConvergentPair:
             raise ValueError("convergent denominator must not vanish at x = 0")
 
 
-def _require_ints(**indices: int) -> None:
-    """Each index is an int and not a bool: a float or a bool would hash
-    equal to an int key of the store and read that key's kept data."""
-    for name, value in indices.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def _validate(N: int, n: int) -> None:
-    _require_ints(N=N, n=n)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-
 def convergent_rec(N: int, n: int) -> ConvergentPair:
     """Convergent by the three-term recurrence with P_0 = Q_0 = 1,
     P_1 = (N+1) - x, Q_1 = N+1."""
-    _validate(N, n)
+    HBKey(N, 1, n)  # N >= 1 and n >= 0, both ints
     p_prev, p = Poly([1]), Poly([N + 1, -1])
     q_prev, q = Poly([1]), Poly([N + 1])
     if n == 0:
@@ -222,13 +220,9 @@ def _prod(N: int, lo: int, hi: int) -> int:
     return rising(N + lo, hi - lo + 1) if hi >= lo else 1
 
 
-def _p_coefficient(N: int, m: int, odd: int, j: int) -> int:
-    """x^j coefficient of P_{2m-odd}: (-1)^j binom(m, j) prod_{l=1..2m-j-odd} (N+l)."""
-    return (-1) ** j * binom(m, j) * _prod(N, 1, 2 * m - j - odd)
-
-
 def _p_list(N: int, m: int, odd: int) -> list[int]:
-    """Coefficients x^0..x^m of P_{2m-odd}, for m >= 1."""
+    """Coefficients x^0..x^m of P_{2m-odd}, for m >= 1: the x^j coefficient
+    is (-1)^j binom(m, j) prod_{l=1..2m-j-odd} (N+l)."""
     # heads[i] = prod_{l=1..m-odd+i} (N+l), the product of the x^(m-i) coefficient
     heads = list(
         accumulate(range(N + m - odd + 1, N + 2 * m - odd + 1), mul, initial=_prod(N, 1, m - odd))
@@ -261,20 +255,20 @@ def _q_coefficient(N: int, m: int, odd: int, j: int) -> int:
     return total
 
 
-def _q_list(N: int, m: int, odd: int, top: int) -> list[int]:
-    """Coefficients x^0..x^top of Q_{2m-odd}."""
-    return [_q_coefficient(N, m, odd, j) for j in range(top + 1)]
+def _q_list(N: int, m: int, odd: int) -> list[int]:
+    """Coefficients x^0..x^m of Q_{2m-odd}; the last is 0 for Q_{2m-1}."""
+    return [_q_coefficient(N, m, odd, j) for j in range(m + 1)]
 
 
 def convergent_closed(N: int, n: int) -> ConvergentPair:
     """Convergent from the closed coefficient formulas; identical to
     ``convergent_rec`` for every index."""
-    _validate(N, n)
+    HBKey(N, 1, n)  # N >= 1 and n >= 0, both ints
     if n == 0:
         return ConvergentPair(0, Poly([1]), Poly([1]), N)
     odd = n % 2
     m = (n + odd) // 2
-    return ConvergentPair(n, Poly(_p_list(N, m, odd)), Poly(_q_list(N, m, odd, m - odd)), N)
+    return ConvergentPair(n, Poly(_p_list(N, m, odd)), Poly(_q_list(N, m, odd)), N)
 
 
 def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
@@ -295,12 +289,9 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
 
     Coefficient h is one integer sum over the row's, Q's and P's common
     denominators and h!, reduced once."""
+    store = MemoStore() if store is None else store
+    series = common_row(pair.N, 1, pair.n, store)  # N >= 1 and n >= 0, both ints
     order = pair.n + 1
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if pair.N < 1:
-        raise ValueError("N must be >= 1")
-    series = common_row(pair.N, 1, order - 1, store)
     q = CommonDenominator(pair.Q.coefficients)
     p = CommonDenominator(pair.P.coefficients)
     coeffs = []
@@ -323,34 +314,26 @@ def _kept(store: MemoStore, key: tuple, build: Callable, *args: object):
     return kept
 
 
-def _p_at(N: int, n: int, odd: int, h: int, store: MemoStore | None) -> int:
-    """x^h coefficient of P_{2n-odd}: from the list kept on `store`, else
-    computed alone."""
-    if store is None:
-        return _p_coefficient(N, n, odd, h)  # binom(n, h) = 0 for h > n
+def _p_at(N: int, n: int, odd: int, h: int, store: MemoStore) -> int:
+    """x^h coefficient of P_{2n-odd}, from the list kept on `store`."""
     p = _kept(store, ("P", N, n, odd), _p_list, N, n, odd)
     return p[h] if h <= n else 0
 
 
 def _identity(
-    N: int, n: int, h: int, odd: int, store: MemoStore | None, scale: int = 1
+    N: int, n: int, h: int, odd: int, store: MemoStore | None, classical: bool = False
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the x^h coefficient of Q_{2n-odd} S = P_{2n-odd}, each
-    divided by `scale` and reduced once: the left side sums Q's coefficients
-    against the series of the parameter-N numbers, the right side is P's
-    coefficient."""
-    _require_ints(N=N, n=n, h=h)
+    reduced once: the left side sums Q's coefficients against the series of
+    the parameter-N numbers, the right side is P's coefficient.  For a
+    classical variant both are divided by (2n-h+1-odd)! first."""
+    HBKey(N, 1, n)  # N >= 1, and n is an int, before a kept list is read
     if n < 1:
         raise ValueError("n must be >= 1")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if store is None:
-        q = _q_list(N, n, odd, min(h, n))
-    else:
-        q = _kept(store, ("Q", N, n, odd), _q_list, N, n, odd, n)
-    series = common_row(N, 1, h, store)
+    store = MemoStore() if store is None else store
+    series = common_row(N, 1, h, store)  # h >= 0 is an int, before anything is kept
+    q = _kept(store, ("Q", N, n, odd), _q_list, N, n, odd)
+    scale = factorial(2 * n - h + 1 - odd) if classical else 1
     lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * scale)
     return lhs, Fraction(_p_at(N, n, odd, h, store), scale)
 
@@ -423,7 +406,7 @@ def classical_identity(
     """
     if variant not in CLASSICAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {CLASSICAL_VARIANTS}")
-    _require_ints(n=n, h=h)
+    HBKey(1, 1, n)  # n is an int before the ranges below read it
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -434,17 +417,16 @@ def classical_identity(
             raise ValueError(f"variant {variant!r} needs 0 <= h <= {2 * n + 1 - odd}")
         # at N = 1 each product prod_{l=k+1..t} (1+l) is (t+1)!/(k+1)!, so
         # dividing by the largest of the (t+1)! leaves factorial ratios
-        return _identity(1, n, h, odd, store, factorial(2 * n - h + 1 - odd))
+        return _identity(1, n, h, odd, store, classical=True)
 
     if variant == "even-reduced" and not 1 <= h <= 2 * n + 1:
         raise ValueError("variant 'even-reduced' needs 1 <= h <= 2n+1")
     if variant == "odd-reduced" and not 1 <= h <= 2 * n:
         raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
     odd = int(variant == "odd-reduced")
-    if store is None:
-        den, nums = _reduced_weights(variant, n, h)
-    else:  # built to the variant's widest h
-        den, nums = _kept(store, (variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
-    series = common_row(1, 1, h, store)
+    store = MemoStore() if store is None else store
+    series = common_row(1, 1, h, store)  # h is an int before anything is kept
+    # built to the variant's widest h
+    den, nums = _kept(store, (variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
     lhs = Fraction(_against_series(nums, series, h), factorial(h) * series.den * den)
     return lhs, Fraction(_p_at(1, n, odd, h, store))

@@ -32,14 +32,17 @@ n = 400, so the audit keeps the oracle's walk there.
 
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
-``hb`` and ``hb_higher`` return a stored value directly and walk the row only
-when the requested key is missing.  ``common_row`` gives a family's row over
-its lcm as a ``CommonDenominator``; with a store it keeps that row on the
-store, builds it once and extends it with ``append`` when a longer prefix is
-asked for, so the checks in :mod:`contfrac` read it without rebuilding it.
-There is no default store: values are reused across calls only through a
-store the caller passes, and a call without one computes its whole row with
-no store at all, building, reading and storing no key.  Loading checks every
+``HBKey`` is also the one index guard: every entry point builds one from its
+indices before it reads a store, and refuses an index that is a bool or not
+an int.  ``hb`` and ``hb_higher`` return a stored value directly and walk the
+row only when the requested key is missing.  ``common_row`` gives a family's
+row over its lcm as a ``CommonDenominator`` kept on the store it is given:
+built once and extended with ``append`` when a longer prefix is asked for,
+so the checks in :mod:`contfrac` read it without rebuilding it.  There is no
+default store: values are reused across calls only through a store the
+caller passes.  ``hb`` and ``hb_higher`` without one walk their row with no
+store at all, building, reading and storing no key; the cache audit's r = 1
+walk is that same storeless walk.  Loading checks every
 record of the file but decodes a value only when it is first read, and
 refuses a value that conflicts with one the store already holds, so a kept
 row never goes stale under a load.  A file in the form ``save`` writes is
@@ -61,7 +64,6 @@ import random
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
@@ -83,15 +85,12 @@ from .exactnum import (
 __all__ = [
     "CacheError",
     "HBKey",
-    "Series",
     "MemoStore",
     "weight_row",
     "hb",
     "classical",
-    "signed_variant",
     "hb_higher",
     "common_row",
-    "hb_series",
     "recurrence_residual",
 ]
 
@@ -104,12 +103,18 @@ class HBKey(namedtuple("HBKey", "N r n")):
     """Index triple (N, r, n) of a higher-order hypergeometric Bernoulli number.
 
     A ``tuple``, so hashing, equality and order are the plain tuple
-    ``(N, r, n)``'s, computed in C, and a key equals that tuple.
+    ``(N, r, n)``'s, computed in C, and a key equals that tuple.  Each index
+    must therefore be an int, and not a bool: a float or a bool would hash
+    equal to an int key and read that key's value, kept row or kept lists.
     """
 
     __slots__ = ()
 
     def __new__(cls, N: int, r: int, n: int) -> HBKey:
+        if type(N) is not int or type(r) is not int or type(n) is not int:
+            for field, value in zip(cls._fields, (N, r, n)):
+                if type(value) is not int:
+                    raise ValueError(f"{field} must be an int, got {value!r}")
         if N < 1:
             raise ValueError("N must be >= 1")
         if r < 1:
@@ -117,21 +122,6 @@ class HBKey(namedtuple("HBKey", "N r n")):
         if n < 0:
             raise ValueError("n must be >= 0")
         return tuple.__new__(cls, (N, r, n))
-
-
-@dataclass(frozen=True)
-class Series:
-    """Truncated power series: coefficients[i] is the x^i coefficient, plus O(x^order)."""
-
-    coefficients: tuple[Fraction, ...]
-    order: int
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.order:
-            raise ValueError("a series carries exactly `order` coefficients")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
 
 class MemoStore:
@@ -155,7 +145,8 @@ class MemoStore:
     one per (N, n, odd), and each reduced classical variant's weights over
     their lcm, one per (variant, n).  ``put`` drops a family's kept row when
     it changes a value inside it and leaves the lists alone: they are built
-    from N, n and the variant only, never from a stored value.
+    from N, n and the variant only, never from a stored value.  A check
+    given no store keeps them on a throwaway one, for that call only.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -443,7 +434,7 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
         if store is None:
             value = None
         else:
-            key = HBKey(N, r, m)
+            key = tuple.__new__(HBKey, (N, r, m))  # checked above: skip HBKey.__new__
             value = store.get(key)
         if value is None:
             if m == 0:
@@ -507,19 +498,16 @@ def _power_row(N: int, r: int, n: int) -> list[Fraction]:
     return row
 
 
-def common_row(N: int, r: int, n: int, store: MemoStore | None = None) -> CommonDenominator:
+def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
     """The (N, r) family's values at 0..n, or at 0..k for some k > n, over
-    their lcm.
+    their lcm, kept on `store`.
 
-    Without a store the row is walked and built afresh.  With one, the row is
-    kept on the store: it is built once, a longer `n` extends a copy of it
-    with ``append`` from one walk of the row (which computes only the missing
-    values), and a shorter `n` reuses it as it is.  The returned row is
-    shared; callers read it, never change it.
+    The row is built once, a longer `n` extends a copy of it with ``append``
+    from one walk of the row (which computes only the missing values), and a
+    shorter `n` reuses it as it is.  The returned row is shared; callers read
+    it, never change it.
     """
-    HBKey(N, r, n)  # checks the indices, also where n < 0 leaves nothing to walk
-    if store is None:
-        return CommonDenominator(_row(N, r, n, None))
+    HBKey(N, r, n)  # checks the indices before the store is read
     family = (N, r)
     kept = store._rows.get(family)
     if kept is not None and len(kept.nums) > n:
@@ -559,11 +547,6 @@ def classical(n: int, store: MemoStore | None = None) -> Fraction:
     return hb(1, n, store)
 
 
-def signed_variant(n: int, store: MemoStore | None = None) -> Fraction:
-    """Bernoulli numbers of x/(1 - e^{-x}); equals (-1)^n times ``classical(n)``."""
-    return (-1) ** n * classical(n, store)
-
-
 def hb_higher(
     N: int, r: int, n: int, store: MemoStore | None = None, row: list[Fraction] | None = None
 ) -> Fraction:
@@ -577,16 +560,6 @@ def hb_higher(
         return _cached_or_row(N, r, n, store)
     row += _row(N, r, n, store)
     return row[-1]
-
-
-def hb_series(N: int, r: int, order: int, store: MemoStore | None = None) -> Series:
-    """Truncated generating series: coefficient i is the index-i value over i!."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
-    row = _row(N, r, order - 1, store)
-    return Series(tuple(v / factorial(i) for i, v in enumerate(row)), order)
 
 
 def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) -> Fraction:

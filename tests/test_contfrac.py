@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,6 +9,7 @@ from hgbern.contfrac import (
     CLASSICAL_VARIANTS,
     ConvergentPair,
     Poly,
+    Series,
     approximation_defect,
     classical_identity,
     convergent_closed,
@@ -17,7 +19,7 @@ from hgbern.contfrac import (
 )
 from hgbern import cli, contfrac
 from hgbern.exactnum import CommonDenominator
-from hgbern.hbnum import CacheError, HBKey, MemoStore, hb
+from hgbern.hbnum import CacheError, HBKey, MemoStore, common_row, hb, hb_higher
 from oracles import (
     naive_classical_reduced,
     naive_convergent,
@@ -130,6 +132,13 @@ def test_degree_pattern(N):
             expected_q -= 1
         assert pair.Q.degree == expected_q, (N, n)
         assert pair.Q[0] != 0
+
+
+def test_series_validation():
+    assert Series((Fraction(0), Fraction(0)), 2).is_zero()
+    assert not Series((Fraction(0), Fraction(1, 3)), 2).is_zero()
+    with pytest.raises(ValueError):
+        Series((Fraction(1),), 2)
 
 
 def test_convergent_pair_rejects_vanishing_denominator():
@@ -286,11 +295,18 @@ def test_identity_input_validation():
         (convergent_rec, (2, 3.0)),
         (convergent_closed, (2.0, 3)),
         (convergent_closed, (2, False)),
+        # the oracle and its rows take the same guard, HBKey
+        (hb, (2.0, 3)),
+        (hb, (True, 2)),
+        (hb, (2, 3.5)),
+        (hb_higher, (2, 1.0, 3)),
+        (common_row, (2.0, 1, 3)),
+        (approximation_defect, (replace(convergent_rec(2, 3), N=2.0),)),
     ],
 )
 def test_checks_refuse_a_bool_or_non_int_index_before_touching_the_store(call, args):
     # a float or a bool hashes equal to an int key, so it would read that
-    # key's kept lists and rows; it is refused up front instead
+    # key's value, kept lists and rows; it is refused up front instead
     store = MemoStore()
     for h in range(5):
         identity_even(2, 2, h, store)
@@ -390,10 +406,13 @@ def test_defects_equal_the_term_by_term_reference(N):
 
 
 def test_defect_validation_is_unchanged():
+    # the row's key checks the pair's indices: N first, then n = order - 1
     with pytest.raises(ValueError, match="^N must be >= 1$"):
         approximation_defect(ConvergentPair(2, Poly([1]), Poly([1]), 0))
-    with pytest.raises(ValueError, match="order must be >= 1"):
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
         approximation_defect(ConvergentPair(-1, Poly([1]), Poly([1]), 0))
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        approximation_defect(ConvergentPair(-1, Poly([1]), Poly([1]), 2))
 
 
 def test_cli_reports_a_perturbed_defect_at_its_first_coefficient(capsys, monkeypatch):
@@ -550,24 +569,14 @@ def test_a_family_on_one_store_builds_each_q_list_once(monkeypatch):
     assert calls == {(3, 7, 0, j): 1 for j in range(8)}
 
 
-def test_a_storeless_check_builds_only_the_coefficients_it_reads(monkeypatch):
-    calls = _counting(monkeypatch, "_q_coefficient")
-    n = 6
-    for h in range(2 * n + 1):
-        identity_odd(2, n, h)
-    assert calls == {(2, n, 1, j): 2 * n + 1 - j for j in range(n + 1)}  # once for each h >= j
-
-
 # Kept P lists and reduced weights: on a store, the coefficient list of
 # P_{2n-odd} is built once per (N, n, odd) and a reduced classical variant's
-# weights once per (variant, n), to its widest h; without a store a check
-# builds P's coefficient at h alone and the weights for k <= h only.
+# weights once per (variant, n), to its widest h.
 
 
 def test_a_family_on_one_store_builds_each_p_list_and_weight_list_once(monkeypatch):
     p_lists = _counting(monkeypatch, "_p_list")
     weights = _counting(monkeypatch, "_reduced_weights")
-    singles = _counting(monkeypatch, "_p_coefficient")
     store = MemoStore()
     indices = (1, 2, 7, 12)
     families = [(N, n, odd) for N in (1, 3, 5) for n in indices for odd in (0, 1)]
@@ -589,7 +598,6 @@ def test_a_family_on_one_store_builds_each_p_list_and_weight_list_once(monkeypat
         for n in indices
         for variant, odd in (("even-reduced", 0), ("odd-reduced", 1))
     }
-    assert singles == {}
     # a second store builds its own lists; the first one's serve it nothing
     p_lists.clear()
     weights.clear()
@@ -600,28 +608,6 @@ def test_a_family_on_one_store_builds_each_p_list_and_weight_list_once(monkeypat
             classical_identity("odd-reduced", 7, h, target)
     assert p_lists == {(3, 7, 1): 1, (1, 7, 1): 1}
     assert weights == {("odd-reduced", 7, 14): 1}
-
-
-def test_a_storeless_check_builds_only_the_p_coefficient_and_weights_it_reads(monkeypatch):
-    p_lists = _counting(monkeypatch, "_p_list")
-    weights = _counting(monkeypatch, "_reduced_weights")
-    singles = _counting(monkeypatch, "_p_coefficient")
-    n = 6
-    for h in range(2 * n + 1):
-        identity_even(2, n, h)
-    for variant, odd in (("even-reduced", 0), ("odd-reduced", 1)):
-        for h in range(1, 2 * n + 2 - odd):
-            classical_identity(variant, n, h)
-    assert p_lists == {}
-    assert singles == {
-        **{(2, n, 0, h): 1 for h in range(2 * n + 1)},
-        **{(1, n, 0, h): 1 for h in range(1, 2 * n + 2)},
-        **{(1, n, 1, h): 1 for h in range(1, 2 * n + 1)},
-    }
-    assert weights == {
-        **{("even-reduced", n, h): 1 for h in range(1, 2 * n + 2)},
-        **{("odd-reduced", n, h): 1 for h in range(1, 2 * n + 1)},
-    }
 
 
 def test_checks_agree_with_no_store_a_fresh_store_and_one_shared_store_in_any_order():

@@ -4,7 +4,6 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from random import Random
 
@@ -13,19 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgbern import hbnum
-from hgbern.exactnum import binom, format_rational
+from hgbern.exactnum import format_rational
 from hgbern.hbnum import (
     CacheError,
     HBKey,
     MemoStore,
-    Series,
     classical,
     common_row,
     hb,
     hb_higher,
-    hb_series,
     recurrence_residual,
-    signed_variant,
 )
 from oracles import bernoulli_akiyama_tanigawa
 
@@ -56,23 +52,6 @@ def test_classical_matches_independent_oracle():
 def test_odd_classical_values_vanish():
     for k in range(1, 11):
         assert classical(2 * k + 1) == 0
-
-
-def test_signed_variant():
-    assert signed_variant(1) == Fraction(1, 2)
-    assert signed_variant(0) == 1
-    for n in range(12):
-        assert signed_variant(n) == (-1) ** n * classical(n)
-
-
-def test_signed_variant_shifted_sum():
-    # sum_{m<=n} binom(n+1, m) * signed(m) == n + 1
-    for n in range(1, 31):
-        total = sum(
-            (Fraction(binom(n + 1, m)) * signed_variant(m) for m in range(n + 1)),
-            Fraction(0),
-        )
-        assert total == n + 1
 
 
 def test_defining_relation_vanishes():
@@ -184,26 +163,6 @@ def test_order_one_reduces_to_base():
             assert hb_higher(N, 1, n) == hb(N, n)
 
 
-def test_series_coefficients():
-    s = hb_series(1, 1, 3)
-    assert s.coefficients == (Fraction(1), Fraction(-1, 2), Fraction(1, 12))
-    s = hb_series(2, 1, 2)
-    assert s.coefficients == (Fraction(1), Fraction(-1, 3))
-    for N, r in ((1, 1), (3, 2)):
-        assert hb_series(N, r, 5).coefficients[0] == 1
-    s = hb_series(2, 2, 6)
-    assert all(
-        s.coefficients[i] == hb_higher(2, 2, i) / factorial(i) for i in range(6)
-    )
-
-
-def test_series_validation():
-    with pytest.raises(ValueError):
-        Series((Fraction(1),), 2)
-    with pytest.raises(ValueError):
-        hb_series(1, 1, 0)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         hb(0, 3)
@@ -219,11 +178,26 @@ def test_input_validation():
 
 @pytest.mark.parametrize(
     "indices, message",
-    [((0, 1, 0), "N must be >= 1"), ((1, 0, 0), "r must be >= 1"), ((1, 1, -1), "n must be >= 0")],
+    [
+        ((0, 1, 0), "N must be >= 1"),
+        ((1, 0, 0), "r must be >= 1"),
+        ((1, 1, -1), "n must be >= 0"),
+        # a float or a bool would hash equal to an int key
+        ((2.0, 1, 3), "N must be an int, got 2.0"),
+        ((True, 1, 3), "N must be an int, got True"),
+        ((2, 1.0, 3), "r must be an int, got 1.0"),
+        ((2, 1, 3.5), "n must be an int, got 3.5"),
+        ((2, 1, False), "n must be an int, got False"),
+        ((2, 1, "3"), "n must be an int, got '3'"),
+        ((0.5, 0, -1), "N must be an int, got 0.5"),  # the type, before any range
+    ],
 )
 def test_hbkey_rejects_bad_indices(indices, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         HBKey(*indices)
+    # the oracle builds its key before it walks, also without a store
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hb_higher(*indices)
 
 
 def test_hbkey_is_an_immutable_ordered_triple():
@@ -715,7 +689,7 @@ def test_memostore_load_refuses_a_value_the_store_holds_otherwise(tmp_path):
 def test_common_row_is_the_row_over_its_lcm_and_kept_on_a_store():
     for r in (1, 2):
         values = [hb_higher(3, r, m) for m in range(9)]
-        alone = common_row(3, r, 8)
+        alone = common_row(3, r, 8, MemoStore())
         assert [Fraction(x, alone.den) for x in alone.nums] == values
         store = MemoStore()
         kept = common_row(3, r, 5, store)
