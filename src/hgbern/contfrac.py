@@ -26,16 +26,16 @@ sum reads only indices <= h.  Non-integral coefficient lists (a hand-built P
 or Q, the reduced classical weights) go over their own common denominator
 first, the reduced weights by ``hessenberg._over_lcm``.
 
-The checks also keep on the store the lists that depend on no stored value,
-so ``MemoStore.put`` may leave them as they are: the coefficient lists of
-P_{2n-odd} and Q_{2n-odd}, for j <= n, one per (N, n, odd), and each reduced
-classical variant's weights over their lcm, one per (variant, n), built to
-the variant's widest h (2n+1 or 2n), since a weight depends on n and its
-index only.  The first check of a family builds them, O(n^2) products for Q,
-and every other h reads them; the classical variants read the N = 1 lists of
-P and Q.  Every index goes through an ``HBKey`` before a store is read, so a
-float or a bool, which would hash equal to an int key and read that key's
-lists, is refused with a ``ValueError``.
+The checks also keep, through ``MemoStore.kept``, the lists that depend on
+no stored value: the coefficients of P_{2n-odd} and Q_{2n-odd}, and each
+reduced classical variant's weights over their lcm, built to the variant's
+widest h (2n+1 or 2n), since a weight depends on n and its index only.  The
+first check of a family builds them, O(n^2) products for Q, and every other
+h reads them; the classical variants read the N = 1 lists of P and Q.  What
+the store keeps, and when it drops it, is described in :class:`MemoStore`.
+Every index is refused with a ``ValueError`` before a store is read if it is
+a bool or not an int, since it would hash equal to an int key and read that
+key's kept data: N and n through an ``HBKey``, h by a check of its own.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 from operator import mul
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .exactnum import CommonDenominator, _int_text, binom, rising
 from .hbnum import HBKey, MemoStore, common_row
@@ -164,14 +164,10 @@ class Poly:
 
 @dataclass(frozen=True)
 class Series:
-    """Truncated power series: coefficients[i] is the x^i coefficient, plus O(x^order)."""
+    """Truncated power series: coefficients[i] is the x^i coefficient, plus
+    O(x^len(coefficients))."""
 
     coefficients: tuple[Fraction, ...]
-    order: int
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.order:
-            raise ValueError("a series carries exactly `order` coefficients")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -291,33 +287,33 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     denominators and h!, reduced once."""
     store = MemoStore() if store is None else store
     series = common_row(pair.N, 1, pair.n, store)  # N >= 1 and n >= 0, both ints
-    order = pair.n + 1
     q = CommonDenominator(pair.Q.coefficients)
     p = CommonDenominator(pair.P.coefficients)
     coeffs = []
     fact = 1  # h!
-    for h in range(order):
+    for h in range(pair.n + 1):
         fact *= h or 1
         scale = fact * series.den * q.den
         p_h = p.nums[h] if h < len(p.nums) else 0
         num = _against_series(q.nums, series, h) * p.den - p_h * scale
         coeffs.append(Fraction(num, scale * p.den))
-    return Series(tuple(coeffs), order)
-
-
-def _kept(store: MemoStore, key: tuple, build: Callable, *args: object):
-    """The derived list `key` kept on `store`, built by ``build(*args)`` the
-    first time it is asked for."""
-    kept = store._lists.get(key)
-    if kept is None:
-        kept = store._lists[key] = build(*args)
-    return kept
+    return Series(tuple(coeffs))
 
 
 def _p_at(N: int, n: int, odd: int, h: int, store: MemoStore) -> int:
     """x^h coefficient of P_{2n-odd}, from the list kept on `store`."""
-    p = _kept(store, ("P", N, n, odd), _p_list, N, n, odd)
+    p = store.kept(("P", N, n, odd), _p_list, N, n, odd)
     return p[h] if h <= n else 0
+
+
+def _check_indices(N: int, n: int, h: int) -> None:
+    """Refuse N < 1, n < 1 and an N, n or h that is a bool or not an int,
+    before h is compared or a store is read."""
+    HBKey(N, 1, n)
+    if type(h) is not int:
+        raise ValueError(f"h must be an int, got {h!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def _identity(
@@ -327,12 +323,12 @@ def _identity(
     reduced once: the left side sums Q's coefficients against the series of
     the parameter-N numbers, the right side is P's coefficient.  For a
     classical variant both are divided by (2n-h+1-odd)! first."""
-    HBKey(N, 1, n)  # N >= 1, and n is an int, before a kept list is read
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_indices(N, n, h)
+    if h < 0:
+        raise ValueError("h must be >= 0")
     store = MemoStore() if store is None else store
-    series = common_row(N, 1, h, store)  # h >= 0 is an int, before anything is kept
-    q = _kept(store, ("Q", N, n, odd), _q_list, N, n, odd)
+    series = common_row(N, 1, h, store)
+    q = store.kept(("Q", N, n, odd), _q_list, N, n, odd)
     scale = factorial(2 * n - h + 1 - odd) if classical else 1
     lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * scale)
     return lhs, Fraction(_p_at(N, n, odd, h, store), scale)
@@ -406,9 +402,7 @@ def classical_identity(
     """
     if variant not in CLASSICAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {CLASSICAL_VARIANTS}")
-    HBKey(1, 1, n)  # n is an int before the ranges below read it
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_indices(1, n, h)
 
     if variant == "even" or variant == "odd":
         odd = int(variant == "odd")
@@ -425,8 +419,8 @@ def classical_identity(
         raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
     odd = int(variant == "odd-reduced")
     store = MemoStore() if store is None else store
-    series = common_row(1, 1, h, store)  # h is an int before anything is kept
+    series = common_row(1, 1, h, store)
     # built to the variant's widest h
-    den, nums = _kept(store, (variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
+    den, nums = store.kept((variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
     lhs = Fraction(_against_series(nums, series, h), factorial(h) * series.den * den)
     return lhs, Fraction(_p_at(1, n, odd, h, store))

@@ -36,16 +36,16 @@ its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
 indices before it reads a store, and refuses an index that is a bool or not
 an int.  ``hb`` and ``hb_higher`` return a stored value directly and walk the
 row only when the requested key is missing.  ``common_row`` gives a family's
-row over its lcm as a ``CommonDenominator`` kept on the store it is given:
-built once and extended with ``append`` when a longer prefix is asked for,
-so the checks in :mod:`contfrac` read it without rebuilding it.  There is no
-default store: values are reused across calls only through a store the
-caller passes.  ``hb`` and ``hb_higher`` without one walk their row with no
-store at all, building, reading and storing no key; the cache audit's r = 1
-walk is that same storeless walk.  Loading checks every
-record of the file but decodes a value only when it is first read, and
-refuses a value that conflicts with one the store already holds, so a kept
-row never goes stale under a load.  A file in the form ``save`` writes is
+row over its lcm as a ``CommonDenominator`` kept on the store it is given,
+built once and extended with ``append`` when a longer prefix is asked for;
+what a store keeps beside its values, and when it drops it, is described
+once, in :class:`MemoStore`.  There is no default store: values are reused
+across calls only through a store the caller passes.  ``hb`` and
+``hb_higher`` without one walk their row with no store at all, building,
+reading and storing no key; the cache audit's r = 1 walk is that same
+storeless walk.  Loading checks every record of the file but decodes a value
+only when it is first read, and refuses a value that conflicts with one the
+store already holds.  A file in the form ``save`` writes is
 checked by one whole-file pattern and split in one pass; any other file is
 checked line by line.  The pattern accepts only files the line-by-line check
 accepts, and reads the same records from them.  Saving writes only when an
@@ -69,6 +69,7 @@ from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul
 from pathlib import Path
+from typing import Callable
 
 from .exactnum import (
     CommonDenominator,
@@ -105,7 +106,7 @@ class HBKey(namedtuple("HBKey", "N r n")):
     A ``tuple``, so hashing, equality and order are the plain tuple
     ``(N, r, n)``'s, computed in C, and a key equals that tuple.  Each index
     must therefore be an int, and not a bool: a float or a bool would hash
-    equal to an int key and read that key's value, kept row or kept lists.
+    equal to an int key and read that key's value or kept data.
     """
 
     __slots__ = ()
@@ -137,16 +138,15 @@ class MemoStore:
     was added or a value changed since the last load or save, and writes a
     value that was never decoded back as the text it was read from.
 
-    The store also keeps derived data that ``items``, ``len`` and the saved
-    file never show: the rows ``common_row`` built from its values, one per
-    (N, r) family, and the value-free lists the identity checks of
-    :mod:`contfrac` read, keyed by tuple: the integer coefficient lists of
-    the convergent numerators and denominators P_{2n-odd} and Q_{2n-odd},
-    one per (N, n, odd), and each reduced classical variant's weights over
-    their lcm, one per (variant, n).  ``put`` drops a family's kept row when
-    it changes a value inside it and leaves the lists alone: they are built
-    from N, n and the variant only, never from a stored value.  A check
-    given no store keeps them on a throwaway one, for that call only.
+    The store also keeps derived data, which ``items``, ``len`` and the
+    saved file never show, in one dict: ``kept(key, build, *args)`` returns
+    the object kept under `key`, built by ``build(*args)`` the first time,
+    and ``common_row`` keeps each (N, r) family's row over its lcm there
+    under ("row", N, r).  One rule keeps it true: a ``put`` that changes a
+    value the store holds empties the dict, and a new key or an equal value
+    leaves it.  That suffices because whatever is kept reads only keys the
+    store holds, ``load`` refuses a value that conflicts with one the store
+    holds, and ``save``'s merge only adds keys.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -155,13 +155,9 @@ class MemoStore:
         self._values: dict[HBKey, Fraction | str] = {}
         self._unsaved = False  # an entry added or a value changed since load or save
         self._seen: tuple[int, int, int] | None = None  # the file as last loaded or saved
-        # (N, r) -> that family's values 0..k over their lcm; never changed in
-        # place, so a reader keeps a consistent row while another call grows it
-        self._rows: dict[tuple[int, int], CommonDenominator] = {}
-        # value-free lists kept by contfrac: ("P" or "Q", N, n, odd) -> the
-        # coefficients x^0..x^n of P_{2n-odd} or Q_{2n-odd}, and
-        # (variant, n) -> a reduced classical variant's (lcm, weights)
-        self._lists: dict[tuple, list[int] | tuple[int, list[int]]] = {}
+        # derived data by tuple key, never changed in place, so a reader keeps
+        # a consistent object while another call replaces it
+        self._kept: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._values)
@@ -178,13 +174,20 @@ class MemoStore:
         return value
 
     def put(self, key: HBKey, value: Fraction) -> None:
-        if key not in self._values or self._decode(key) != value:
+        held = key in self._values
+        if not held or self._decode(key) != value:
             self._values[key] = value
             self._unsaved = True
-            if self._rows:  # drop the family's kept row if it holds this index
-                kept = self._rows.get(key[:2])
-                if kept is not None and key.n < len(kept.nums):
-                    self._rows.pop(key[:2], None)
+            if held:  # a changed value: anything kept may read the old one
+                self._kept.clear()
+
+    def kept(self, key: tuple, build: Callable, *args: object):
+        """The object kept under `key`, built by ``build(*args)`` the first
+        time it is asked for."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build(*args)
+        return value
 
     def items(self) -> list[tuple[HBKey, Fraction]]:
         return sorted((key, self._decode(key)) for key in self._values)
@@ -508,8 +511,8 @@ def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
     it, never change it.
     """
     HBKey(N, r, n)  # checks the indices before the store is read
-    family = (N, r)
-    kept = store._rows.get(family)
+    key = ("row", N, r)
+    kept = store._kept.get(key)
     if kept is not None and len(kept.nums) > n:
         return kept
     values = _row(N, r, n, store)
@@ -520,7 +523,7 @@ def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
         grown.nums, grown.den = kept.nums[:], kept.den
         for value in values[len(kept.nums) :]:
             grown.append(value)
-    store._rows[family] = grown
+    store._kept[key] = grown
     return grown
 
 

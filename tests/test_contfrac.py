@@ -1,4 +1,6 @@
+import inspect
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
@@ -135,10 +137,8 @@ def test_degree_pattern(N):
 
 
 def test_series_validation():
-    assert Series((Fraction(0), Fraction(0)), 2).is_zero()
-    assert not Series((Fraction(0), Fraction(1, 3)), 2).is_zero()
-    with pytest.raises(ValueError):
-        Series((Fraction(1),), 2)
+    assert Series((Fraction(0), Fraction(0))).is_zero()
+    assert not Series((Fraction(0), Fraction(1, 3))).is_zero()
 
 
 def test_convergent_pair_rejects_vanishing_denominator():
@@ -150,7 +150,7 @@ def test_defect_hand_expansion():
     # N=1, n=2: x^2 coefficient of Q*S - P is 6*(1/12) + 1*(-1/2) = 0
     pair = convergent_rec(1, 2)
     defect = approximation_defect(pair)
-    assert defect.order == 3
+    assert len(defect.coefficients) == 3
     assert defect.coefficients == (0, 0, 0)
 
 
@@ -302,11 +302,25 @@ def test_identity_input_validation():
         (hb_higher, (2, 1.0, 3)),
         (common_row, (2.0, 1, 3)),
         (approximation_defect, (replace(convergent_rec(2, 3), N=2.0),)),
+        # h is named as h, not as the row index it becomes
+        (identity_odd, (2, 2, 1.0)),
+        (identity_odd, (1, 2, -1)),
+        (classical_identity, ("odd", 2, "1")),
     ],
 )
 def test_checks_refuse_a_bool_or_non_int_index_before_touching_the_store(call, args):
     # a float or a bool hashes equal to an int key, so it would read that
-    # key's value, kept lists and rows; it is refused up front instead
+    # key's value and kept data; it is refused up front instead, by the name
+    # of the first index that is not an int >= 0
+    if call is approximation_defect:
+        indices = {"N": args[0].N}
+    else:
+        indices = dict(zip(inspect.signature(call).parameters, args))
+        indices.pop("variant", None)
+    name, value = next((k, v) for k, v in indices.items() if type(v) is not int or v < 0)
+    message = f"{name} must be an int, got {value!r}"
+    if type(value) is int:
+        message = f"{name} must be >= 0"
     store = MemoStore()
     for h in range(5):
         identity_even(2, 2, h, store)
@@ -314,10 +328,10 @@ def test_checks_refuse_a_bool_or_non_int_index_before_touching_the_store(call, a
     for h in range(1, 5):
         classical_identity("odd-reduced", 2, h, store)
         classical_identity("even-reduced", 2, h, store)
-    before = (store.items(), dict(store._lists), dict(store._rows))
-    with pytest.raises(ValueError, match=r"must be an int, got (True|False|[0-9.]+)$"):
+    before = (store.items(), dict(store._kept))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(*args) if call in (convergent_rec, convergent_closed) else call(*args, store)
-    assert (store.items(), store._lists, store._rows) == before
+    assert (store.items(), store._kept) == before
 
 
 def test_lhs_uses_generating_series_values():
@@ -472,10 +486,36 @@ def test_a_changed_value_inside_a_kept_row_reaches_the_next_check():
     for h in (5, 8):  # a shorter h than the kept row's, and its full length
         lhs, rhs = identity_even(2, 4, h, store)
         assert lhs == naive_product_coefficient(Q, series, h) != rhs
-    # the other family keeps its row; a value put back equal leaves it kept
+    # the change dropped everything kept: the N = 1 family builds its row
+    # again from values that did not change, and putting the true value back
+    # is a change too, which the next check reads
     assert classical_identity("odd-reduced", 4, 8, store) == classical_identity("odd-reduced", 4, 8)
     store.put(HBKey(2, 1, 4), hb(2, 4))
     assert identity_even(2, 4, 8, store) == identity_even(2, 4, 8)
+
+
+def test_only_a_changed_value_empties_what_the_store_keeps():
+    checks = [(identity_even, (N, 4, h)) for N in (2, 3) for h in range(9)]
+    checks += [(identity_odd, (N, 4, h)) for N in (2, 3) for h in range(8)]
+    checks += [(classical_identity, ("even-reduced", 4, h)) for h in range(1, 10)]
+    checks += [(classical_identity, ("odd-reduced", 4, h)) for h in range(1, 9)]
+    store = MemoStore()
+    for fn, args in checks:
+        fn(*args, store)
+    kept = dict(store._kept)
+    assert {key[0] for key in kept} == {"row", "P", "Q", "even-reduced", "odd-reduced"}
+    store.put(HBKey(3, 1, 20), hb(3, 20))  # a new key
+    store.put(HBKey(2, 1, 4), hb(2, 4))  # an equal value
+    assert store._kept.keys() == kept.keys()
+    assert all(store._kept[key] is value for key, value in kept.items())
+    store.put(HBKey(3, 1, 5), hb(3, 5) + 1)  # a changed value
+    assert store._kept == {}
+    fresh = MemoStore()
+    for key, value in store.items():
+        fresh.put(key, value)
+    after = [fn(*args, store) for fn, args in checks]
+    assert after == [fn(*args, fresh) for fn, args in checks]
+    assert identity_even(3, 4, 5, store) != identity_even(3, 4, 5)  # the change is read
 
 
 def test_a_conflicting_load_leaves_a_kept_row_as_it_was(tmp_path):
@@ -497,7 +537,7 @@ def test_kept_rows_stay_out_of_the_store_entries_and_its_file(tmp_path):
     for fn, args in _checks(6):
         fn(*args, checked)
     approximation_defect(convergent_closed(3, 11), checked)
-    assert checked._lists  # the identity checks kept their P, Q and weight lists on the store
+    assert checked._kept  # the checks kept their rows, P, Q and weight lists on the store
     assert len(checked) == len(plain) == 56
     assert checked.items() == plain.items()
     plain.save()
@@ -634,8 +674,9 @@ def test_checks_agree_with_no_store_a_fresh_store_and_one_shared_store_in_any_or
     for order in (shuffled, by_h, by_h[::-1]):
         shared = MemoStore()
         assert {i: checks[i][0](*checks[i][1], shared) for i in order} == dict(enumerate(alone))
-        # one P and one Q list per (N, n, odd), one weight list per reduced (variant, n)
-        assert set(shared._lists) == {
+        # one row per N, one P and one Q list per (N, n, odd), one weight
+        # list per reduced (variant, n)
+        assert set(shared._kept) == {("row", N, 1) for N in range(1, 6)} | {
             (kind, N, n, odd)
             for kind in "PQ"
             for N in range(1, 6)
