@@ -291,7 +291,7 @@ def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
     visits every chain once, carrying the product of its links, and adds each
     term into its length m's group; each group is reduced once."""
     if N < 2:
-        raise RoutePreconditionError("descent requires N >= 2")
+        raise RoutePreconditionError("descent-nested requires N >= 2")
     n = _top(prev)
     _refuse_past("descent-nested", n, _DESCENT_NESTED_MAX_N)
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,

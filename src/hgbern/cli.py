@@ -13,8 +13,9 @@ declaration order).  The exponential witnesses
 ``comp``, ``trudi`` and ``descent-nested`` declare a largest n, given r, as
 part of their domain.  The O(n^2) routes ``recurrence`` and ``det`` also
 declare a family walk, so a sweep takes each (N, r) family's values from one
-walk to the deepest n rather than one computation per n.  A sweep prints one
-``MISMATCH`` line per failing comparison.
+walk to the deepest n rather than one computation per n.  ``run_sweep``
+returns what a sweep found as data (grid points, comparisons, mismatches);
+``cmd_verify`` prints it and picks the exit code, as every ``cmd_*`` does.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
 error or a file that cannot be read or written, 3 route precondition
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import inf
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import altforms, congruence, contfrac, hbnum, hessenberg
 from .altforms import RoutePreconditionError
@@ -144,58 +145,49 @@ ROUTES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid and route selection for a cross-route verification sweep."""
-
-    n_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    big_n_values: tuple[int, ...]
-    routes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.n_values or not self.r_values or not self.big_n_values:
-            raise ValueError("sweep ranges must be nonempty")
-        if len(self.routes) < 2:
-            raise ValueError("a comparison sweep needs at least two routes")
-        unknown = [r for r in self.routes if r not in ROUTES]
-        if unknown:
-            raise ValueError(f"unknown routes: {', '.join(unknown)}")
-        repeated = sorted({r for r in self.routes if self.routes.count(r) > 1})
-        if repeated:
-            raise ValueError(f"routes listed more than once: {', '.join(repeated)}")
-        if not any(len(self.applicable(*point)) >= 2 for point in self.points()):
-            raise ValueError("no grid point has two applicable routes: nothing to compare")
-
-    def points(self) -> list[tuple[int, int, int]]:
-        """Grid points in (N, r, n) order."""
-        return list(product(self.big_n_values, self.r_values, self.n_values))
-
-    def applicable(self, N: int, r: int, n: int) -> list[str]:
-        """The selected routes whose domain holds (N, r, n), in selection order."""
-        return [name for name in self.routes if ROUTES[name].violation(N, r, n) is None]
+# one failing comparison: ((N, r, n), reference route, its value, route, its value)
+Mismatch = tuple[tuple[int, int, int], str, Fraction, str, Fraction]
 
 
-def run_sweep(config: SweepConfig, store: MemoStore) -> tuple[int, str]:
-    """Evaluate every selected route on every grid point and compare.
+def run_sweep(
+    big_n_values: Sequence[int], r_values: Sequence[int], n_values: Sequence[int],
+    routes: Sequence[str], store: MemoStore,
+) -> tuple[int, int, list[Mismatch]]:
+    """Evaluate the named routes on every (N, r, n) grid point and compare.
 
-    At each point the first applicable route is the reference.  A route
-    with a ``walk`` (``recurrence`` and ``det``) is walked once per (N, r)
-    family, to the deepest n of the grid, the first time it is asked for a
-    point of that family, and each point reads its value from that row; so
-    an invalid family still raises at the first point that asks for it.
-    Every other route computes each point on its own.  Returns (exit_code,
-    report); a failing report has one ``MISMATCH`` line per disagreeing
-    route, in (N, r, n) order.
+    The grid and the route list are checked before any route runs.  At each
+    point the first applicable route is the reference.  A route with a
+    ``walk`` (``recurrence`` and ``det``) is walked once per (N, r) family, to
+    the deepest n of the grid, the first time it is asked for a point of that
+    family, and each point reads its value from that row; so an invalid
+    family still raises at the first point that asks for it.  Every other
+    route computes each point on its own.  Returns (grid points, comparisons,
+    mismatches): one mismatch per disagreeing route, in (N, r, n) order.
     """
-    points = config.points()
-    top = max(config.n_values)
+    if not n_values or not r_values or not big_n_values:
+        raise ValueError("sweep ranges must be nonempty")
+    if len(routes) < 2:
+        raise ValueError("a comparison sweep needs at least two routes")
+    unknown = [r for r in routes if r not in ROUTES]
+    if unknown:
+        raise ValueError(f"unknown routes: {', '.join(unknown)}")
+    repeated = sorted({r for r in routes if routes.count(r) > 1})
+    if repeated:
+        raise ValueError(f"routes listed more than once: {', '.join(repeated)}")
+    # each point with the selected routes whose domain holds it, in selection order
+    plan = [
+        (point, [name for name in routes if ROUTES[name].violation(*point) is None])
+        for point in product(big_n_values, r_values, n_values)
+    ]
+    if all(len(names) < 2 for _, names in plan):
+        raise ValueError("no grid point has two applicable routes: nothing to compare")
+    top = max(n_values)
     comparisons = 0
-    mismatches = []
+    mismatches: list[Mismatch] = []
     rows: dict[tuple[str, int, int], list[Fraction]] = {}  # (route, N, r) -> values 0..top
-    for N, r, n in points:
+    for (N, r, n), names in plan:
         values = {}
-        for name in config.applicable(N, r, n):
+        for name in names:
             route = ROUTES[name]
             if route.walk is None:
                 values[name] = route.compute(N, r, n, store)
@@ -205,24 +197,12 @@ def run_sweep(config: SweepConfig, store: MemoStore) -> tuple[int, str]:
                 route.walk(N, r, top, store, row)
                 rows[name, N, r] = row
             values[name] = rows[name, N, r][n]
-        if len(values) < 2:
-            continue
-        (ref_name, ref), *others = values.items()
-        for name, value in others:
+        for name in names[1:]:
             comparisons += 1
+            ref, value = values[names[0]], values[name]
             if value != ref:
-                mismatches.append(
-                    f"MISMATCH at N={N} r={r} n={n}: "
-                    f"{ref_name} = {format_rational(ref)}, "
-                    f"{name} = {format_rational(value)}"
-                )
-    if mismatches:
-        return EXIT_VERIFY, "\n".join(mismatches)
-    report = (
-        f"OK: routes {','.join(config.routes)} agree on "
-        f"{len(points)} grid points ({comparisons} comparisons)"
-    )
-    return EXIT_OK, report
+                mismatches.append(((N, r, n), names[0], ref, name, value))
+    return len(plan), comparisons, mismatches
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -318,11 +298,19 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    routes = tuple(args.routes.split(","))
-    config = SweepConfig(n_values=args.n, r_values=args.r, big_n_values=args.N, routes=routes)
-    code, report = run_sweep(config, _make_store(args))
-    print(report)
-    return code
+    routes = args.routes.split(",")
+    points, comparisons, mismatches = run_sweep(args.N, args.r, args.n, routes, _make_store(args))
+    for (N, r, n), ref_name, ref, name, value in mismatches:
+        print(
+            f"MISMATCH at N={N} r={r} n={n}: {ref_name} = {format_rational(ref)}, "
+            f"{name} = {format_rational(value)}"
+        )
+    if mismatches:
+        return EXIT_VERIFY
+    print(
+        f"OK: routes {','.join(routes)} agree on {points} grid points ({comparisons} comparisons)"
+    )
+    return EXIT_OK
 
 
 def _verdict_line(verdict: CongruenceVerdict) -> str:

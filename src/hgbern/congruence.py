@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import inf, prod
-from numbers import Rational
 from operator import mul
 
+from .exactnum import _rational
 from .hbnum import MemoStore, classical, hb
 
 __all__ = [
@@ -115,14 +115,6 @@ def _ord_factorial(j: int, p: int) -> int:
         total += j // q
         q *= p
     return total
-
-
-def _rational(x: Fraction | int, name: str) -> tuple[int, int]:
-    """Numerator and denominator of x, which must be a ``numbers.Rational``
-    (int and ``Fraction`` first: their checks skip the ABC's)."""
-    if not isinstance(x, (int, Fraction, Rational)):
-        raise ValueError(f"{name} must be a rational number (int or Fraction), got {x!r}")
-    return x.numerator, x.denominator
 
 
 def ordp(x: Fraction | int, p: int) -> PadicVal:

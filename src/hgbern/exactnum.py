@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from numbers import Rational
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -101,6 +102,14 @@ def parse_rational(text: str) -> Fraction:
     check_rational(text)
     num, _, den = text.strip().partition("/")
     return Fraction(_text_int(num), _text_int(den) if den else 1)
+
+
+def _rational(x: Fraction | int, name: str) -> tuple[int, int]:
+    """Numerator and denominator of x, which must be a ``numbers.Rational``
+    (int and ``Fraction`` first: their checks skip the ABC's)."""
+    if not isinstance(x, (int, Fraction, Rational)):
+        raise ValueError(f"{name} must be a rational number (int or Fraction), got {x!r}")
+    return x.numerator, x.denominator
 
 
 def falling(a: int, k: int) -> int:

@@ -1,9 +1,10 @@
 """Exact determinants of Toeplitz-Hessenberg matrices.
 
 A superdiagonal constant a0 and first-column entries ``[a1..am]`` (ints or
-``Fraction``s) describe the m x m lower-Hessenberg matrix that is constant
-along diagonals: a1 on the main diagonal, a_{k+1} on the k-th subdiagonal and
-a0 on the superdiagonal.  Its determinant obeys the first-row expansion
+``Fraction``s; a float is refused before any work) describe the m x m
+lower-Hessenberg matrix that is constant along diagonals: a1 on the main
+diagonal, a_{k+1} on the k-th subdiagonal and a0 on the superdiagonal.  Its
+determinant obeys the first-row expansion
 
     D_m = sum_{l=1..m} (-a0)^(l-1) a_l D_{m-l},   D_0 = 1,
 
@@ -36,7 +37,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import CommonDenominator, enumerate_partition_vectors
+from .exactnum import CommonDenominator, _rational, enumerate_partition_vectors
 from .hbnum import weight_row
 
 __all__ = [
@@ -57,6 +58,13 @@ def _over_lcm(values: Sequence[Rational]) -> tuple[int, list[int]]:
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 
+def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:
+    """Refuse, naming it, an a0 or entry that is not rational (a float, say)."""
+    _rational(a0, "a0")
+    for i, a in enumerate(entries):
+        _rational(a, f"entries[{i}]")
+
+
 def toeplitz_hessenberg_det(
     a0: Rational, entries: Sequence[Rational], leading: list[Fraction] | None = None
 ) -> Fraction:
@@ -66,6 +74,7 @@ def toeplitz_hessenberg_det(
     determinant of the leading k x k submatrix, that of the first k entries,
     which the recursion computes on its way to D_m.
     """
+    _require_rationals(a0, entries)
     leading = leading if leading is not None else []
     signed = []
     power = 1
@@ -98,6 +107,7 @@ def trudi_expand(a0: Rational, entries: Sequence[Rational]) -> Fraction:
     and prod t_i!, and its multinomial is k! // prod t_i! from a factorial
     table built once per call.
     """
+    _require_rationals(a0, entries)
     m = len(entries)
     if m < 1:
         raise ValueError("dimension must be >= 1")

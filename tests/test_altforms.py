@@ -204,7 +204,8 @@ def test_relations_read_only_the_rows_they_are_given():
 
 
 ONE = [Fraction(1)]  # a row with n = 0
-PRECONDITION = (RoutePreconditionError, "descent requires N >= 2")
+STEP_N = (RoutePreconditionError, "descent requires N >= 2")
+NESTED_N = (RoutePreconditionError, "descent-nested requires N >= 2")
 
 
 @pytest.mark.parametrize(
@@ -224,12 +225,12 @@ PRECONDITION = (RoutePreconditionError, "descent requires N >= 2")
             lambda: hb_descent_step(ONE, [], 2), ValueError, "n must be >= 1", id="step-n"
         ),
         pytest.param(
-            lambda: hb_descent_step(_values(2, 3), _values(2, 2), 1), *PRECONDITION, id="step-N"
+            lambda: hb_descent_step(_values(2, 3), _values(2, 2), 1), *STEP_N, id="step-N"
         ),
         pytest.param(
             lambda: hb_descent_nested(ONE, 2), ValueError, "n must be >= 1", id="nested-n"
         ),
-        pytest.param(lambda: hb_descent_nested(_values(2, 3), 1), *PRECONDITION, id="nested-N"),
+        pytest.param(lambda: hb_descent_nested(_values(2, 3), 1), *NESTED_N, id="nested-N"),
         pytest.param(lambda: recover_mr_det(ONE), ValueError, "n must be >= 1", id="recover-n"),
     ],
 )

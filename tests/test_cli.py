@@ -3,14 +3,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from hgbern import cli, hbnum, hessenberg
-from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, SweepConfig, main
+from hgbern import altforms, cli, hbnum, hessenberg
+from hgbern.altforms import RoutePreconditionError
+from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
 from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
 from oracles import naive_hb_higher_explicit
@@ -104,6 +106,35 @@ def test_trudi_limit_leaves_r_below_one_to_the_route(capsys):
             capsys, "verify", "-N", "1", "-r", r, "-n", "3", "--routes", "recurrence,trudi"
         )
         assert code == EXIT_USAGE and err == "error: r must be >= 1\n"
+
+
+def test_route_table_and_library_refusals_say_the_same():
+    # one past each limit the library refuses, before any work, with the
+    # route's name and the reason the route table gives for that point; at the
+    # limit itself the table admits the point (and the route is not run there)
+    prev = [hbnum.hb(1, i) for i in range(24)]  # B_{1,0..23}
+    cases = [
+        ("comp", 2, 1, 22, lambda n: altforms.hb_explicit_comp(2, n)),
+        ("descent-nested", 2, 1, 22, lambda n: altforms.hb_descent_nested(prev[: n + 1], 2)),
+    ]
+    cases += [
+        ("trudi", 2, r, altforms._trudi_max_n(r), lambda n, r=r: altforms.hb_trudi(2, r, n))
+        for r in range(1, 21)
+    ]
+    for name, N, r, limit, call in cases:
+        assert cli.ROUTES[name].violation(N, r, limit) is None
+        why = cli.ROUTES[name].violation(N, r, limit + 1)
+        with pytest.raises(RoutePreconditionError, match=f"^{re.escape(f'{name} {why}')}$"):
+            call(limit + 1)
+    # descent and descent-nested at N = 1, where N = 2 is admitted
+    for name, call in [
+        ("descent", lambda: altforms.hb_descent_step(prev[:4], prev[:3], 1)),
+        ("descent-nested", lambda: altforms.hb_descent_nested(prev[:4], 1)),
+    ]:
+        assert cli.ROUTES[name].violation(2, 1, 3) is None
+        why = cli.ROUTES[name].violation(1, 1, 3)
+        with pytest.raises(RoutePreconditionError, match=f"^{re.escape(f'{name} {why}')}$"):
+            call()
 
 
 def test_output_is_deterministic(capsys):
@@ -319,23 +350,26 @@ def _corrupted_store(N, r, n):
 
 
 def test_verify_locates_injected_fault():
-    config = SweepConfig((0, 1, 2, 3, 4, 5), (1,), (1, 2, 3), tuple(cli.ROUTES))
-    code, report = cli.run_sweep(config, _corrupted_store(2, 1, 3))
-    assert code == EXIT_VERIFY
-    assert "MISMATCH at N=2 r=1 n=3" in report
+    points, comparisons, mismatches = cli.run_sweep(
+        (1, 2, 3), (1,), (0, 1, 2, 3, 4, 5), tuple(cli.ROUTES), _corrupted_store(2, 1, 3)
+    )
+    assert (points, comparisons) == (18, 98)
+    # the corrupted entry feeds later points through the store; none before it fails
+    assert min(point for point, *_ in mismatches) == (2, 1, 3)
 
 
 def test_verify_reports_every_mismatch():
     # a corrupted cache entry feeds the reference route and the routes that
-    # read the store, so several comparisons fail; each gets its own line
-    config = SweepConfig((0, 1, 2, 3, 4), (1,), (2,), ("recurrence", "comp", "descent"))
-    code, report = cli.run_sweep(config, _corrupted_store(2, 1, 3))
-    assert code == EXIT_VERIFY
-    assert report.splitlines() == [
-        "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, comp = 1/90",
-        "MISMATCH at N=2 r=1 n=3: recurrence = 91/90, descent = 1/90",
-        "MISMATCH at N=2 r=1 n=4: recurrence = -361/270, comp = -1/270",
-        "MISMATCH at N=2 r=1 n=4: recurrence = -361/270, descent = 89/270",
+    # read the store, so several comparisons fail; each is its own record
+    store = _corrupted_store(2, 1, 3)
+    routes = ("recurrence", "comp", "descent")
+    _, _, mismatches = cli.run_sweep((2,), (1,), (0, 1, 2, 3, 4), routes, store)
+    F = Fraction
+    assert mismatches == [
+        ((2, 1, 3), "recurrence", F(91, 90), "comp", F(1, 90)),
+        ((2, 1, 3), "recurrence", F(91, 90), "descent", F(1, 90)),
+        ((2, 1, 4), "recurrence", F(-361, 270), "comp", F(-1, 270)),
+        ((2, 1, 4), "recurrence", F(-361, 270), "descent", F(89, 270)),
     ]
 
 
@@ -402,30 +436,47 @@ def test_verify_rejects_vacuous_sweeps(capsys):
     assert err == "error: no grid point has two applicable routes: nothing to compare\n"
 
 
-def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig((), (1,), (1,), ("recurrence", "det"))
-    with pytest.raises(ValueError):
-        SweepConfig((1,), (1,), (1,), ("recurrence",))
-    with pytest.raises(ValueError):
-        SweepConfig((1,), (1,), (1,), ("recurrence", "nonsense"))
+def test_sweep_validation():
+    store = hbnum.MemoStore()
+    with pytest.raises(ValueError, match="must be nonempty"):
+        cli.run_sweep((1,), (1,), (), ("recurrence", "det"), store)
+    with pytest.raises(ValueError, match="at least two routes"):
+        cli.run_sweep((1,), (1,), (1,), ("recurrence",), store)
+    with pytest.raises(ValueError, match="unknown routes: nonsense"):
+        cli.run_sweep((1,), (1,), (1,), ("recurrence", "nonsense"), store)
     with pytest.raises(ValueError, match="more than once"):
-        SweepConfig((1,), (1,), (1,), ("recurrence", "det", "recurrence"))
+        cli.run_sweep((1,), (1,), (1,), ("recurrence", "det", "recurrence"), store)
     # n = 0 leaves det outside its domain, so nothing is compared
     with pytest.raises(ValueError, match="two applicable routes"):
-        SweepConfig((0,), (1,), (1, 2), ("recurrence", "det"))
+        cli.run_sweep((1, 2), (1,), (0,), ("recurrence", "det"), store)
+    assert len(store) == 0  # each refusal came before any route ran
 
 
-def test_sweep_skips_exponential_routes_beyond_their_limits():
-    config = SweepConfig((22, 23), (1,), (2,), ("recurrence", "comp", "descent-nested"))
-    assert config.applicable(2, 1, 22) == ["recurrence", "comp", "descent-nested"]
-    assert config.applicable(2, 1, 23) == ["recurrence"]
-    config = SweepConfig((15, 16), (10,), (1,), ("recurrence", "trudi", "convolution"))
-    assert config.applicable(1, 10, 15) == ["recurrence", "trudi", "convolution"]
-    assert config.applicable(1, 10, 16) == ["recurrence", "convolution"]
-    config = SweepConfig((52, 53), (3,), (5,), ("recurrence", "trudi"))
-    assert config.applicable(5, 3, 52) == ["recurrence", "trudi"]
-    assert config.applicable(5, 3, 53) == ["recurrence"]
+@pytest.mark.parametrize(
+    "N, r, n_values, routes, compared",
+    [
+        (2, 1, (22, 23), ("recurrence", "comp", "descent-nested"), [22, 22]),
+        (1, 10, (15, 16), ("recurrence", "trudi", "convolution"), [15, 15, 16]),
+        (5, 3, (52, 53), ("recurrence", "trudi"), [52]),
+    ],
+)
+def test_sweep_skips_exponential_routes_beyond_their_limits(
+    N, r, n_values, routes, compared, monkeypatch
+):
+    # every route but the walked recurrence records the n it is asked for and
+    # gives the oracle's value, so no exponential walk runs at its limit
+    asked = []
+    for name in routes[1:]:
+        monkeypatch.setitem(
+            cli.ROUTES,
+            name,
+            dataclasses.replace(
+                cli.ROUTES[name],
+                compute=lambda N, r, n, store: asked.append(n) or hb_higher(N, r, n),
+            ),
+        )
+    assert cli.run_sweep((N,), (r,), n_values, routes, hbnum.MemoStore()) == (2, len(compared), [])
+    assert asked == compared
 
 
 def test_congruence_hb_kummer(capsys):
