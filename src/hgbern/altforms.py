@@ -9,8 +9,9 @@ the recurrence oracle is the package's core consistency check.
 The composition-sum routes enumerate their index sets literally and are
 exponential in n; they are verification tools, not bulk-table producers.
 ``mr`` evaluates the convolution weights by that literal enumeration, so the
-Trudi and order-r explicit routes share no weight row with the oracle
-(:func:`hbnum.weight_row` builds the row by Cauchy products instead).
+Trudi and order-r explicit routes share no weight row with the oracle or
+with det (``hbnum._weights`` and ``hessenberg.weight_row`` each build theirs
+by Cauchy products instead).
 
 Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator,

@@ -161,8 +161,12 @@ def run_sweep(
     the deepest n of the grid, the first time it is asked for a point of that
     family, and each point reads its value from that row; so an invalid
     family still raises at the first point that asks for it.  Every other
-    route computes each point on its own.  Returns (grid points, comparisons,
-    mismatches): one mismatch per disagreeing route, in (N, r, n) order.
+    route computes each point on its own.  A point where one route applies
+    is counted but computes nothing, unless an index is invalid (N or r
+    below 1, n below 0): there that route runs and raises as it would alone,
+    so the first error is the same.  Returns
+    (grid points, comparisons, mismatches): one mismatch per disagreeing
+    route, in (N, r, n) order.
     """
     if not n_values or not r_values or not big_n_values:
         raise ValueError("sweep ranges must be nonempty")
@@ -186,6 +190,8 @@ def run_sweep(
     mismatches: list[Mismatch] = []
     rows: dict[tuple[str, int, int], list[Fraction]] = {}  # (route, N, r) -> values 0..top
     for (N, r, n), names in plan:
+        if len(names) == 1 and N >= 1 and r >= 1 and n >= 0:
+            continue  # nothing to compare; invalid indices still raise below
         values = {}
         for name in names:
             route = ROUTES[name]

@@ -9,22 +9,26 @@ reference oracle: every alternative route in :mod:`altforms`,
 
 Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
-``Fraction``.  For r >= 2 the recurrence weights come from ``weight_row``, the
-package's one copy of the r-fold weight row (r - 1 Cauchy products), which
-the determinant route in :mod:`hessenberg` reads too; it is rebuilt by every
-call that has to compute a value.  ``table`` therefore walks each (N, r)
-family once, to its deepest n, and reads every index from the store;
-``verify`` takes the whole row from one ``hb_higher(..., row=...)`` walk.
-``recurrence_residual`` re-evaluates the relations with one ``Fraction``
-operation per term, as a check on that integer inner loop (for r >= 2 it
-reads the same weight row).
+``Fraction``.  For r >= 2 the recurrence weights come from ``_weights``, the
+oracle's own r-fold weight row: integer numerators over their lcm, from
+r - 1 integer Cauchy products, each reduced by one gcd.  The determinant
+route builds its own row (``hessenberg.weight_row``, in ``Fraction``s), so
+recurrence and det share no weight-row code, only the generic
+``exactnum.cauchy_product`` and ``CommonDenominator`` on different inputs,
+and a wrong weight row in either shows as a mismatch between them.  The
+weights are rebuilt by every call that has to compute a value.  ``table``
+therefore walks each (N, r) family once, to its deepest n, and reads every
+index from the store; ``verify`` takes the whole row from one
+``hb_higher(..., row=...)`` walk.  ``recurrence_residual`` re-evaluates the
+relations with one ``Fraction`` operation per term, as a check on that
+integer inner loop (for r >= 2 it reads the same ``_weights``).
 
 The cache audit (``MemoStore.mismatches``, behind both the spot audit of
 every load and ``cache-audit``) recomputes an r = 1 family with the oracle's
 own recurrence, the binomial row stepped by Pascal's rule, and an r >= 2
 family with Miller's power recurrence for the (-r)-th power of 1F1(1; N+1;
 x) (``_power_row``).  At r >= 2 it calls none of the oracle's row functions
-(``_row``, ``weight_row``, ``cauchy_product``); it shares only the
+(``_row``, ``_weights``, ``cauchy_product``); it shares only the
 ``CommonDenominator`` holder.  So a wrong weight row fails the audit there
 instead of being rerun by it.  At r = 1 Miller's walk costs about twice
 the Pascal row at n <= 60, three times at n = 200 and five times at
@@ -66,7 +70,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add, mul
 from pathlib import Path
 from typing import Callable
@@ -80,14 +84,12 @@ from .exactnum import (
     check_rational,
     format_rational,
     parse_rational,
-    rising,
 )
 
 __all__ = [
     "CacheError",
     "HBKey",
     "MemoStore",
-    "weight_row",
     "hb",
     "classical",
     "hb_higher",
@@ -409,15 +411,32 @@ def _version(path: Path) -> tuple[int, int, int] | None:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
-    """Weights for e = 0..upto: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
-    over nonnegative r-part compositions of e, computed as an r-fold Cauchy
-    power of 1/((N+1)...(N+j)) so huge N stays factorial-free."""
-    base = [Fraction(1, rising(N + 1, j)) for j in range(upto + 1)]
-    row = base
+def _weights(N: int, r: int, upto: int) -> CommonDenominator:
+    """The oracle's r-fold weights for e = 0..upto over their lcm: entry e
+    collects (N!)^r / ((N+i_1)! ... (N+i_r)!) over nonnegative r-part
+    compositions of e, the r-fold Cauchy power of 1/((N+1)...(N+j)).
+
+    Over D = (N+1)...(N+upto) that factor is the integer c_j =
+    (N+j+1)...(N+upto), from one running product (c_0 = D), so huge N stays
+    factorial-free.  Each of the r - 1 rounds convolves the numerators with c
+    in integers and divides them and den·D by their gcd; the lcm of the
+    entries' reduced denominators is den·D over that gcd, so ``(den, nums)``
+    are the integers ``CommonDenominator`` gives over the reduced weights.
+    Reducing every round keeps the numerators small.
+    """
+    c = list(accumulate(range(N + upto, N, -1), mul, initial=1))[::-1]
+    D = den = c[0]
+    nums = c
     for _ in range(r - 1):
-        row = cauchy_product(row, base)
-    return row
+        den *= D
+        nums = [x.numerator for x in cauchy_product(nums, c)]
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    weights = CommonDenominator(())
+    weights.den, weights.nums = den, nums
+    return weights
 
 
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
@@ -459,7 +478,7 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                     # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
                     # and m!/k! = falling(m, m-k), the running product m(m-1)...
                     if weights is None:
-                        weights = CommonDenominator(weight_row(N, r, n))
+                        weights = _weights(N, r, n)
                     falls = accumulate(range(m, 0, -1), mul)
                     terms = map(mul, map(mul, reversed(known.nums), falls), weights.nums[1:])
                     value = Fraction(-sum(terms), known.den * weights.den)
@@ -474,7 +493,7 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
 def _power_row(N: int, r: int, n: int) -> list[Fraction]:
     """Values for indices 0..n of the (N, r) family by Miller's power
     recurrence (Knuth, TAOCP vol. 2, section 4.7); reads no store and calls
-    none of ``_row``, ``weight_row`` and ``cauchy_product``.
+    none of ``_row``, ``_weights`` and ``cauchy_product``.
 
     The coefficients g_m = B_m / m! of F^(-r), where F has the coefficients
     F_k = 1 / rising(N+1, k), satisfy m g_m = sum_{k=1..m} ((1-r)k - m)
@@ -574,7 +593,7 @@ def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) 
     is taken term by term in ``Fraction`` arithmetic, independently of the
     common-denominator inner loop that computes the row, so a zero here
     checks that loop rather than restating it (for r >= 2 both read the
-    same weight row).
+    weights of ``_weights``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -584,8 +603,8 @@ def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) 
         for m in range(n + 1):
             acc += binom(N + n, m) * row[m]
         return acc
-    weights = weight_row(N, r, n)
+    weights = _weights(N, r, n)
     acc = Fraction(0)
     for m in range(n + 1):
-        acc += row[m] * weights[n - m] / factorial(m)
-    return factorial(n) * acc
+        acc += row[m] * weights.nums[n - m] / factorial(m)
+    return factorial(n) * acc / weights.den

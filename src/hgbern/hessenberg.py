@@ -19,13 +19,18 @@ from ``_over_lcm``, the one helper that also puts the rows and weights of
 under which a sequence and its determinant transform swap roles, by their
 alternating convolution and by the determinant in each direction.
 
-``hb_higher_det`` specializes the entries to the r-fold weight row of
-:func:`hbnum.weight_row` to recover the hypergeometric Bernoulli numbers by a
-determinant route; ``hb_det`` is its r = 1 case.  The recursion computes the
-leading determinants D_0..D_{m-1} on its way to D_m, so one call can also
-hand back a whole family's values B_0..B_n (the optional ``leading`` and
-``row`` lists): ``verify`` reads each (N, r) family from one such walk, with
-one weight row, instead of one determinant per n.
+``hb_higher_det`` specializes the entries to det's own r-fold weight row,
+``weight_row`` (r - 1 ``Fraction`` Cauchy powers of 1/((N+1)...(N+j))), to
+recover the hypergeometric Bernoulli numbers by a determinant route;
+``hb_det`` is its r = 1 case.  The recurrence oracle in :mod:`hbnum` builds
+its weights with its own integer kernel, and this module imports nothing
+from it: the two routes share no weight-row code, only the generic
+``exactnum.cauchy_product`` and ``CommonDenominator`` on different inputs,
+so the determinant witnesses the recurrence's weights too.  The recursion
+computes the leading determinants D_0..D_{m-1} on its way to D_m, so one
+call can also hand back a whole family's values B_0..B_n (the optional
+``leading`` and ``row`` lists): ``verify`` reads each (N, r) family from one
+such walk, with one weight row, instead of one determinant per n.
 """
 
 from __future__ import annotations
@@ -37,14 +42,20 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import CommonDenominator, _rational, enumerate_partition_vectors
-from .hbnum import weight_row
+from .exactnum import (
+    CommonDenominator,
+    _rational,
+    cauchy_product,
+    enumerate_partition_vectors,
+    rising,
+)
 
 __all__ = [
     "toeplitz_hessenberg_det",
     "trudi_expand",
     "hb_det",
     "hb_higher_det",
+    "weight_row",
     "InversionVerdict",
     "inversion_pair_check",
 ]
@@ -135,6 +146,17 @@ def hb_det(N: int, n: int) -> Fraction:
     """Hypergeometric Bernoulli number as (-1)^n n! times the determinant with
     entries a_l = 1/((N+1)...(N+l)) and unit superdiagonal."""
     return hb_higher_det(N, 1, n)
+
+
+def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
+    """Weights for e = 0..upto: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
+    over nonnegative r-part compositions of e, computed as an r-fold Cauchy
+    power of 1/((N+1)...(N+j)) so huge N stays factorial-free."""
+    base = [Fraction(1, rising(N + 1, j)) for j in range(upto + 1)]
+    row = base
+    for _ in range(r - 1):
+        row = cauchy_product(row, base)
+    return row
 
 
 def hb_higher_det(N: int, r: int, n: int, row: list[Fraction] | None = None) -> Fraction:

@@ -22,7 +22,8 @@ from hgbern.altforms import (
     recover_mr_det,
 )
 from hgbern.exactnum import binom, rising
-from hgbern.hbnum import classical, hb, hb_higher, weight_row
+from hgbern.hbnum import classical, hb, hb_higher
+from hgbern.hessenberg import weight_row
 from oracles import (
     naive_hb_descent_nested,
     naive_hb_explicit_comp,

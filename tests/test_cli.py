@@ -283,11 +283,64 @@ def _count_calls(monkeypatch, name, module=hbnum):
 
 def test_table_walks_each_family_once(capsys, monkeypatch):
     walks = _count_calls(monkeypatch, "_row")
-    weight_rows = _count_calls(monkeypatch, "weight_row")
+    weight_rows = _count_calls(monkeypatch, "_weights")
     code, _, _ = run(capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..30")
     assert code == EXIT_OK
     assert walks == [(N, r) for N in (1, 2) for r in (1, 2, 3)]
     assert weight_rows == [(N, r) for N in (1, 2) for r in (2, 3)]
+
+
+def test_verify_walks_no_family_where_one_route_applies(capsys, monkeypatch):
+    # comp applies only at r = 1, so the r = 2 and 3 families compare nothing
+    walks = _count_calls(monkeypatch, "_row")
+    code, out, _ = run(
+        capsys, "verify", "-N", "1", "-r", "1..3", "-n", "0..5", "--routes", "recurrence,comp"
+    )
+    assert code == EXIT_OK
+    assert out == "OK: routes recurrence,comp agree on 18 grid points (5 comparisons)\n"
+    assert walks == [(1, 1)]
+
+
+def _corrupt_first_weight(monkeypatch, module, name, bump):
+    """Rebind <module>.<name>, a weight-row builder, to give w_1 + 1."""
+    original = getattr(module, name)
+
+    def wrong(N, r, upto):
+        row = original(N, r, upto)
+        bump(row)
+        return row
+
+    monkeypatch.setattr(module, name, wrong)
+
+
+def _oracle_w1_plus_one(weights):
+    weights.nums[1] += weights.den
+
+
+def _det_w1_plus_one(row):
+    row[1] += 1
+
+
+@pytest.mark.parametrize(
+    "module, name, bump",
+    [(hbnum, "_weights", _oracle_w1_plus_one), (hessenberg, "weight_row", _det_w1_plus_one)],
+    ids=["oracle kernel", "det weight row"],
+)
+def test_recurrence_and_det_each_catch_a_wrong_weight_row_in_the_other(
+    module, name, bump, capsys, monkeypatch
+):
+    # the two routes share no weight-row code, so w_1 + 1 in either one's
+    # row makes every order-r value past n = 0 disagree
+    _corrupt_first_weight(monkeypatch, module, name, bump)
+    code, out, err = run(
+        capsys, "verify", "-N", "2", "-r", "2..3", "-n", "0..10", "--routes", "recurrence,det"
+    )
+    assert (code, err) == (EXIT_VERIFY, "")
+    lines = out.splitlines()
+    assert len(lines) == 20
+    assert [line.split(":")[0] for line in lines] == [
+        f"MISMATCH at N=2 r={r} n={n}" for r in (2, 3) for n in range(1, 11)
+    ]
 
 
 def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):
@@ -684,7 +737,7 @@ def test_cache_audit_walks_each_family_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     walks = _count_calls(monkeypatch, "_row")
     power_walks = _count_calls(monkeypatch, "_power_row")
-    weight_rows = _count_calls(monkeypatch, "weight_row")
+    weight_rows = _count_calls(monkeypatch, "_weights")
     code, out, _ = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_OK and out == "audited 78 entries: all match\n"
     assert sorted(walks) == [(N, 1) for N in (1, 2)]
@@ -696,14 +749,7 @@ def test_cache_audit_catches_a_wrong_weight_row(tmp_path, capsys, monkeypatch):
     # with the oracle's r-fold weight row wrong for the whole test, a table
     # writes wrong r >= 2 values; an audit that reran the oracle's walk would
     # recompute the same wrong values and report all match
-    original = hbnum.weight_row
-
-    def wrong_weight_row(N, r, upto):
-        row = original(N, r, upto)
-        row[1] += 1
-        return row
-
-    monkeypatch.setattr(hbnum, "weight_row", wrong_weight_row)
+    _corrupt_first_weight(monkeypatch, hbnum, "_weights", _oracle_w1_plus_one)
     cache = tmp_path / "cache.txt"
     argv = ["table", "-N", "2", "-r", "2..3", "-n", "0..10", "--cache", str(cache)]
     code, _, _ = run(capsys, *argv)

@@ -4,6 +4,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import factorial, lcm
 from pathlib import Path
 from random import Random
 
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgbern import hbnum
-from hgbern.exactnum import format_rational
+from hgbern.altforms import mr
+from hgbern.exactnum import CommonDenominator, format_rational, rising
+from hgbern.hessenberg import weight_row
 from hgbern.hbnum import (
     CacheError,
     HBKey,
@@ -96,6 +99,43 @@ def test_power_row_equals_the_oracle_row(N):
     for r in range(1, 8):
         assert hbnum._power_row(N, r, 40) == hbnum._row(N, r, 40, None), r
     assert hbnum._power_row(N, 2, 0) == [1]
+
+
+HUGE_N = 1 + 5**48
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, HUGE_N])
+def test_weights_are_the_literal_composition_sums_over_their_lcm(N):
+    # the oracle's integer kernel against mr's enumeration of each composition
+    for r in range(1, 6):
+        literal = [mr(N, r, e) for e in range(11)]
+        for upto in range(11):
+            weights = hbnum._weights(N, r, upto)
+            expected = CommonDenominator(literal[: upto + 1])
+            assert weights.den == lcm(*(w.denominator for w in literal[: upto + 1]))
+            assert (weights.den, weights.nums) == (expected.den, expected.nums), (r, upto)
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_weights_equal_the_determinants_weight_row(N):
+    # two weight rows that share no code: the oracle's integers, read as
+    # Fractions, against det's Fraction Cauchy powers
+    for r in range(1, 5):
+        for upto in range(61):
+            weights = hbnum._weights(N, r, upto)
+            read = [Fraction(x, weights.den) for x in weights.nums]
+            assert read == weight_row(N, r, upto), (r, upto)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, HUGE_N])
+def test_power_row_at_orders_minus_one_and_zero(N):
+    # values no route computes, so they pin the audit's r >= 2 walk on its
+    # own: F^1 has B_k = k!/rising(N+1, k), and F^0 = 1
+    for n in range(41):
+        assert hbnum._power_row(N, -1, n) == [
+            Fraction(factorial(k), rising(N + 1, k)) for k in range(n + 1)
+        ], n
+        assert hbnum._power_row(N, 0, n) == [1] + [0] * n, n
 
 
 def test_power_row_equals_the_oracle_row_at_huge_parameter_and_depth():
