@@ -3,8 +3,8 @@
 Subcommands: ``compute`` (one value by any route), ``table`` (CSV/JSON value
 tables), ``verify`` (cross-route agreement sweeps), ``congruence`` (p-adic
 checks), ``convergents`` (continued-fraction convergents and their defect),
-and ``cache-audit`` (full recomputation of a cache file, one row per (N, r)
-family, with one ``MISMATCH`` line per differing entry in key order).
+and ``cache-audit`` (full recomputation of a cache file from one r = 1 row
+per N, with one ``MISMATCH`` line per differing entry in key order).
 
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a

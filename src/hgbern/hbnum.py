@@ -24,15 +24,17 @@ relations with one ``Fraction`` operation per term, as a check on that
 integer inner loop (for r >= 2 it reads the same ``_weights``).
 
 The cache audit (``MemoStore.mismatches``, behind both the spot audit of
-every load and ``cache-audit``) recomputes an r = 1 family with the oracle's
-own recurrence, the binomial row stepped by Pascal's rule, and an r >= 2
-family with Miller's power recurrence for the (-r)-th power of 1F1(1; N+1;
-x) (``_power_row``).  At r >= 2 it calls none of the oracle's row functions
-(``_row``, ``_weights``, ``cauchy_product``); it shares only the
-``CommonDenominator`` holder.  So a wrong weight row fails the audit there
-instead of being rerun by it.  At r = 1 Miller's walk costs about twice
-the Pascal row at n <= 60, three times at n = 200 and five times at
-n = 400, so the audit keeps the oracle's walk there.
+every load and ``cache-audit``) walks each N's r = 1 row once with the
+oracle's own storeless walk, the binomial row stepped by Pascal's rule, and
+recomputes an r >= 2 entry from that row by r - 1 steps of the
+order-raising relation B^(s+1)_m = ((sN - m) B^(s)_m - s m B^(s)_{m-1}) /
+(sN), which x F' = N + (x - N) F gives for F = 1F1(1; N+1; x)
+(``_order_step``).  The r >= 2 entries call none of ``_row``, ``_weights``
+and ``cauchy_product``: the audit shares the r = 1 walk and the
+``CommonDenominator`` holder with the oracle, and builds no weight row.  So
+a wrong weight row fails the audit instead of being rerun by it, and a
+wrong r = 1 walk fails every r >= 2 entry of its N that reads it.  A spot
+draw costs O(r^2) steps beside the r = 1 walk, a whole family O(r n).
 
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
@@ -66,7 +68,6 @@ import io
 import os
 import random
 import re
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -218,13 +219,15 @@ class MemoStore:
         loaded = _saved_records(data)
         if loaded is None:
             loaded = self._read_lines(data)
-        if self._values:  # a fresh store has nothing to conflict with
+        if not self._values:  # a fresh store has nothing to conflict with
+            self._values = loaded
+        else:
             key = self._conflict(loaded)
             if key is not None:
                 raise CacheError(
                     f"{self.path}: {_key_text(key)} conflicts with the value the store holds"
                 )
-        self._values.update(loaded)
+            self._values.update(loaded)
         self._unsaved = len(self._values) > len(loaded)
         self._seen = version
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
@@ -323,8 +326,8 @@ class MemoStore:
 
         Without `rng` the draw comes from ``random.Random(0)``, so the same
         keys in the same order always draw the same entries.  An r >= 2 entry
-        is recomputed by Miller's power recurrence, not by the weight-row
-        recurrence that wrote it.
+        is recomputed by order steps from its N's r = 1 row, not by the
+        weight-row recurrence that wrote it.
         """
         pool = list(keys) if keys is not None else list(self._values)
         rng = rng if rng is not None else random.Random(0)
@@ -339,24 +342,37 @@ class MemoStore:
         return chosen
 
     def mismatches(self, keys: list[HBKey]) -> list[tuple[HBKey, Fraction, Fraction]]:
-        """Recompute the entries at `keys` from scratch, walking each (N, r)
-        family's row once, to its largest n asked; returns (key, stored,
+        """Recompute the entries at `keys` from scratch; returns (key, stored,
         recomputed) for each entry that differs, in the order of `keys`.
 
-        An r = 1 family is walked by the oracle's recurrence (``_row``, its
-        binomial row stepped by Pascal's rule), an r >= 2 family by Miller's
-        power recurrence (``_power_row``), which reads no weight row: a wrong
-        r-fold weight row in the oracle shows here as a mismatch."""
-        tops: dict[tuple[int, int], int] = {}
-        for key in keys:
-            tops[key.N, key.r] = max(tops.get((key.N, key.r), 0), key.n)
-        rows = {
-            (N, r): _row(N, r, top, None) if r == 1 else _power_row(N, r, top)
-            for (N, r), top in tops.items()
-        }
+        Each N's r = 1 row is walked once, by the oracle's storeless walk
+        (``_row``, its binomial row stepped by Pascal's rule), to the largest
+        n asked for that N at any r.  An (N, r) family with r >= 2 takes r - 1
+        order steps (``_order_step``) from that row, over only the indices
+        its asked entries read: from its smallest asked n - r + 1 to its
+        largest.  So the r >= 2 entries call none of ``_row``, ``_weights``
+        and ``cauchy_product``: a wrong r-fold weight row in the oracle shows
+        here as a mismatch, and so does a wrong r = 1 walk, at every r >= 2
+        entry of that N that reads it."""
+        tops: dict[int, int] = {}
+        spans: dict[tuple[int, int], tuple[int, int]] = {}
+        for N, r, n in keys:
+            tops[N] = max(tops.get(N, 0), n)
+            low, high = spans.get((N, r), (n, n))
+            spans[N, r] = min(low, n), max(high, n)
+        bases = {N: _row(N, 1, top, None) for N, top in tops.items()}
+        rows = {}
+        for (N, r), (low, high) in spans.items():
+            start = max(low - r + 1, 0)
+            row = bases[N][start : high + 1]
+            for s in range(1, r):
+                row = _order_step(N, s, start, row)
+                start += start > 0
+            rows[N, r] = start, row
         found = []
         for key in keys:
-            stored, expected = self._decode(key), rows[key.N, key.r][key.n]
+            start, row = rows[key.N, key.r]
+            stored, expected = self._decode(key), row[key.n - start]
             if stored != expected:
                 found.append((key, stored, expected))
         return found
@@ -374,18 +390,20 @@ _SAVED_FILE = re.compile(
 def _saved_records(data: bytes) -> dict[HBKey, Fraction | str] | None:
     """The records of a file's bytes if they are in the form `save` writes
     and hold no key twice, read in one pass; None for any other file, which
-    ``MemoStore._read_lines`` reads and checks line by line.  Every file read
-    here holds exactly the records that loop would return."""
+    ``MemoStore._read_lines`` reads and checks line by line, and for a file
+    with a key too long for ``int()``.  Values stay text, so a value of any
+    length stays on this path.  Every file read here holds exactly the
+    records that loop would return."""
     if _SAVED_FILE.fullmatch(data) is None:
         return None
     fields = data.decode("ascii").split()
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and max(map(len, fields), default=0) > limit:
-        return None  # int() may refuse a field this long; the loop says where
     columns = (map(int, fields[i::4]) for i in range(3))
     # the pattern has checked N, r >= 1 and n >= 0, so keys skip HBKey.__new__
     keys = map(tuple.__new__, repeat(HBKey), zip(*columns))
-    records: dict[HBKey, Fraction | str] = dict(zip(keys, fields[3::4]))
+    try:
+        records: dict[HBKey, Fraction | str] = dict(zip(keys, fields[3::4]))
+    except ValueError:  # int() refuses a key past the int/str digit limit
+        return None
     return records if 4 * len(records) == len(fields) else None
 
 
@@ -490,34 +508,31 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     return row
 
 
-def _power_row(N: int, r: int, n: int) -> list[Fraction]:
-    """Values for indices 0..n of the (N, r) family by Miller's power
-    recurrence (Knuth, TAOCP vol. 2, section 4.7); reads no store and calls
-    none of ``_row``, ``_weights`` and ``cauchy_product``.
+def _order_step(N: int, s: int, start: int, values: list[Fraction]) -> list[Fraction]:
+    """Order s + 1's values from order s's `values` at indices start,
+    start + 1, ..., for s != 0, by the order-raising relation
+    B^(s+1)_m = ((sN - m) B^(s)_m - s m B^(s)_{m-1}) / (sN).
 
-    The coefficients g_m = B_m / m! of F^(-r), where F has the coefficients
-    F_k = 1 / rising(N+1, k), satisfy m g_m = sum_{k=1..m} ((1-r)k - m)
-    F_k g_{m-k}; times (m-1)! that is B_m = sum_k ((1-r)k - m)
-    falling(m-1, k-1) B_{m-k} / rising(N+1, k).  The g's are kept over
-    their running lcm L.  Over rising(N+1, m), F_k is the integer
-    (N+k+1)...(N+m), so each g_m is one integer sum over m L rising(N+1, m),
-    reduced once.
+    F = 1F1(1; N+1; x) satisfies x F' = N + (x - N) F, so G = F^(-s) has
+    x G' = -s F^(-s-1) x F' = -sN F^(-s-1) - s (x - N) G; the x^m / m!
+    coefficient of that is the relation.  Index m reads order s at m and
+    m - 1, so the result starts at index start + 1, or at 0 when `start` is
+    0: index 0 reads B^(s)_{-1} only times m = 0.  Each value is one
+    integer sum over sN times the lcm of the two denominators, reduced once
+    into a ``Fraction``; reads no store and calls none of ``_row``,
+    ``_weights`` and ``cauchy_product``.
     """
-    g = CommonDenominator([1])
-    row = [Fraction(1)]
-    scale = 1  # rising(N+1, m)
-    fact = 1  # m!
-    for m in range(1, n + 1):
-        scale *= N + m
-        fact *= m
-        # x[j] = L g_j (N+m-j+1)...(N+m), the k = m-j term without its
-        # coefficient (1-r)(m-j) - m = (r-1) j - r m
-        x = list(map(mul, g.nums, accumulate(range(N + m, N + 1, -1), mul, initial=1)))
-        acc = (r - 1) * sum(map(mul, x, range(m))) - r * m * sum(x)
-        coefficient = Fraction(acc, m * g.den * scale)
-        g.append(coefficient)
-        row.append(coefficient * fact)
-    return row
+    sN = s * N
+    if start == 0:
+        values = [Fraction(0), *values]
+    first = start + 1 if start else 0
+    stepped = []
+    for m, a, b in zip(range(first, first + len(values)), values, values[1:]):
+        g = gcd(a.denominator, b.denominator)
+        a_scale, b_scale = b.denominator // g, a.denominator // g
+        acc = (sN - m) * b.numerator * b_scale - s * m * a.numerator * a_scale
+        stepped.append(Fraction(acc, sN * a.denominator * a_scale))
+    return stepped
 
 
 def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:

@@ -728,21 +728,52 @@ def test_cache_audit_reports_every_mismatch_in_key_order(tmp_path, capsys):
 
 
 def test_cache_audit_walks_each_family_once(tmp_path, capsys, monkeypatch):
-    # an r = 1 family by the oracle's own walk, an r >= 2 family by Miller's
-    # power recurrence, which reads no weight row
+    # one storeless r = 1 walk per N, by the oracle's own walk, to the deepest
+    # n of that N; the r >= 2 families take order steps from it and build no
+    # weight row
     cache = tmp_path / "cache.txt"
     code, _, _ = run(
         capsys, "table", "-N", "1..2", "-r", "1..3", "-n", "0..12", "--cache", str(cache)
     )
     assert code == EXIT_OK
     walks = _count_calls(monkeypatch, "_row")
-    power_walks = _count_calls(monkeypatch, "_power_row")
     weight_rows = _count_calls(monkeypatch, "_weights")
     code, out, _ = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_OK and out == "audited 78 entries: all match\n"
     assert sorted(walks) == [(N, 1) for N in (1, 2)]
-    assert sorted(power_walks) == [(N, r) for N in (1, 2) for r in (2, 3)]
     assert weight_rows == []
+
+
+def test_cache_audit_catches_a_wrong_r1_walk_at_every_entry_that_reads_it(
+    tmp_path, capsys, monkeypatch
+):
+    # B^(s+1)_m reads B^(s)_m and B^(s)_{m-1}, so a wrong B_{2,5} in the
+    # audit's r = 1 walk reaches (2, 2, 5..6) and (2, 3, 5..7) and no other
+    # entry: the order steps check the walk they start from
+    cache = tmp_path / "cache.txt"
+    code, _, _ = run(
+        capsys, "table", "-N", "2", "-r", "1..3", "-n", "0..10", "--cache", str(cache)
+    )
+    assert code == EXIT_OK
+    cached = dict(line.rsplit(" ", 1) for line in cache.read_text().splitlines())
+    truth = hb_higher(2, 1, 5)
+    original = hbnum._row
+
+    def wrong(N, r, n, store):
+        row = original(N, r, n, store)
+        if (N, r, store) == (2, 1, None) and n >= 5:
+            row[5] += 1
+        return row
+
+    monkeypatch.setattr(hbnum, "_row", wrong)
+    code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
+    assert (code, err) == (EXIT_VERIFY, "")
+    lines = out.splitlines()
+    reached = [(1, 5), (2, 5), (2, 6), (3, 5), (3, 6), (3, 7)]
+    assert [line.split(", recomputed ")[0] for line in lines] == [
+        f"MISMATCH at 2 {r} {n}: cached {cached[f'2 {r} {n}']}" for r, n in reached
+    ]
+    assert lines[0].endswith(f", recomputed {format_rational(truth + 1)}")
 
 
 def test_cache_audit_catches_a_wrong_weight_row(tmp_path, capsys, monkeypatch):

@@ -26,7 +26,7 @@ from hgbern.hbnum import (
     hb_higher,
     recurrence_residual,
 )
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import bernoulli_akiyama_tanigawa, naive_hb_higher_explicit
 
 B2_ROW = [Fraction(1), Fraction(-1, 3), Fraction(1, 18), Fraction(1, 90), Fraction(-1, 270)]
 
@@ -92,15 +92,6 @@ def test_residual_vanishes_at_huge_parameter():
             assert recurrence_residual(N, r, n, store) == 0, (r, n)
 
 
-@pytest.mark.parametrize("N", range(1, 6))
-def test_power_row_equals_the_oracle_row(N):
-    # Miller's power recurrence, which the cache audit walks at r >= 2,
-    # against the weight-row recurrence that writes the values
-    for r in range(1, 8):
-        assert hbnum._power_row(N, r, 40) == hbnum._row(N, r, 40, None), r
-    assert hbnum._power_row(N, 2, 0) == [1]
-
-
 HUGE_N = 1 + 5**48
 
 
@@ -127,22 +118,51 @@ def test_weights_equal_the_determinants_weight_row(N):
             assert read == weight_row(N, r, upto), (r, upto)
 
 
+def _stepped(N, r, start, values):
+    """Order r's values from order 1's `values` at start, start + 1, ...,
+    by r - 1 order steps, and the index the result starts at."""
+    for s in range(1, r):
+        values = hbnum._order_step(N, s, start, values)
+        start += start > 0
+    return start, values
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, HUGE_N])
+def test_order_steps_from_the_r1_row_equal_the_oracle_row(N):
+    # the relation the cache audit steps by, from the r = 1 row the audit
+    # walks, against the weight-row recurrence that writes the values; from
+    # index 0, and from windows that start later and lose one index a step
+    base = hbnum._row(N, 1, 40, None)
+    windows = {start: (start, base[start:]) for start in (0, 1, 7, 20)}
+    for r in range(1, 8):
+        if r > 1:
+            windows = {
+                start: (first + (first > 0), hbnum._order_step(N, r - 1, first, values))
+                for start, (first, values) in windows.items()
+            }
+        oracle = hbnum._row(N, r, 40, None)
+        for start, (first, values) in windows.items():
+            assert first == (start + r - 1 if start else 0), (r, start)
+            assert values == oracle[first:], (r, start)
+
+
+def test_order_steps_equal_the_oracle_row_at_depth():
+    assert _stepped(3, 3, 0, hbnum._row(3, 1, 200, None)) == (0, hbnum._row(3, 3, 200, None))
+
+
 @pytest.mark.parametrize("N", [1, 2, 5, HUGE_N])
-def test_power_row_at_orders_minus_one_and_zero(N):
-    # values no route computes, so they pin the audit's r >= 2 walk on its
-    # own: F^1 has B_k = k!/rising(N+1, k), and F^0 = 1
-    for n in range(41):
-        assert hbnum._power_row(N, -1, n) == [
-            Fraction(factorial(k), rising(N + 1, k)) for k in range(n + 1)
-        ], n
-        assert hbnum._power_row(N, 0, n) == [1] + [0] * n, n
+def test_order_step_from_order_minus_one_gives_order_zero(N):
+    # values no route computes, so they pin the audit's step on its own:
+    # F^1 has B_k = k!/rising(N+1, k), and F^0 = 1
+    closed = [Fraction(factorial(k), rising(N + 1, k)) for k in range(41)]
+    assert hbnum._order_step(N, -1, 0, closed) == [1] + [0] * 40
 
 
-def test_power_row_equals_the_oracle_row_at_huge_parameter_and_depth():
-    N = 1 + 5**48
-    for r in (2, 3):
-        assert hbnum._power_row(N, r, 12) == hbnum._row(N, r, 12, None), r
-    assert hbnum._power_row(3, 3, 200) == hbnum._row(3, 3, 200, None)
+def test_order_steps_at_parameter_one_equal_the_literal_composition_sums():
+    base = hbnum._row(1, 1, 10, None)
+    for r in range(1, 5):
+        _, row = _stepped(1, r, 0, base)
+        assert row == [1] + [naive_hb_higher_explicit(1, r, n) for n in range(1, 11)], r
 
 
 def test_a_storeless_walk_makes_no_store_and_returns_the_stored_walk(monkeypatch):
@@ -422,8 +442,9 @@ def test_memostore_checks_duplicates_in_a_saved_file_line_by_line(tmp_path, dupl
 
 
 def test_memostore_reads_long_numbers_line_by_line(tmp_path, int_digit_limit):
-    # int() refuses fields this long, so the one-pass check leaves them to the
-    # loop, which converts them in halves; a malformed one is still refused
+    # int() refuses a key this long, so the one-pass check leaves the file to
+    # the loop, which converts it in halves; a long value stays text on either
+    # path until it is read; a malformed field is still refused
     path = tmp_path / "cache.txt"
     digits = "1" * (int_digit_limit + 1)
     records = (f"2 1 1 {digits}/3", f"2 1 1 1/{digits}", f"{digits} 1 1 1/3", f"2 1 {digits} 1/3")
