@@ -11,14 +11,16 @@ exponential in n; they are verification tools, not bulk-table producers.
 ``mr`` evaluates the convolution weights by that literal enumeration, so the
 Trudi and order-r explicit routes share no weight row with the oracle or
 with det (``hbnum._weights`` and ``hessenberg.weight_row`` each build theirs
-by Cauchy products instead).
+by integer Cauchy products instead, with two kernels that share no code).
 
 Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator,
 summed per group -- part count, chain length or convolution power -- and
 each group is reduced once into a ``Fraction``.  A row's lcm comes from
-``hessenberg._over_lcm``, the helper the Trudi sum uses too; a product of
-the N+i is computed here.  Neither is one of the oracle's helpers.
+``hessenberg._over_lcm``, the helper the Trudi sum uses too, and the
+``binom`` route's powers from ``hessenberg._convolution``, the kernel of
+det's weight row; a product of the N+i is computed here.  None of these is
+one of the oracle's helpers.
 
 The order-r explicit sum and the nested descent walk their index sets depth
 first: the compositions of n, carrying each prefix's product, and the
@@ -50,14 +52,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb, factorial, lcm, prod
-from operator import mul
 from typing import Sequence
 
 from .exactnum import CompositionSpec, binom, enumerate_compositions
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hessenberg import _over_lcm, toeplitz_hessenberg_det, trudi_expand
+from .hessenberg import _convolution, _over_lcm, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
     "RoutePreconditionError",
@@ -116,13 +117,6 @@ def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
     """``c[m] = sum_j binom(m, j) a[m-j] b[j]`` for ``m < len(a)``: the
     multinomial sum over compositions, grouped by the last part j."""
     return [sum(comb(m, j) * a[m - j] * b[j] for j in range(m + 1)) for m in range(len(a))]
-
-
-def _convolution(a: list[int], b: list[int]) -> list[int]:
-    """``c[m] = sum_j a[m-j] b[j]`` for ``m < len(a)``, with ``len(b) == len(a)``."""
-    b_reversed = b[::-1]
-    top = len(b) - 1
-    return [sum(map(mul, a, b_reversed[top - m :])) for m in range(len(a))]
 
 
 def _scaled_reciprocal_risings(N: int, e: int) -> list[int]:

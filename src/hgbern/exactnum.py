@@ -9,11 +9,13 @@ enumerators the explicit summation routes run over: weak compositions (parts
 multiplicities (as Trudi's formula sums them).
 
 :class:`CommonDenominator` holds a run of rationals as integer numerators
-over one shared denominator.  The O(n^2) kernels (``cauchy_product`` here,
-the recurrence in :mod:`hbnum`, the determinant in :mod:`hessenberg`) use it
-to evaluate each inner sum as a plain integer dot product and to reduce once
-per entry, rather than once per multiply-add as ``Fraction`` arithmetic
-would (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).
+over one shared denominator.  The O(n^2) kernels (the recurrence in
+:mod:`hbnum`, the determinant in :mod:`hessenberg`) use it to evaluate each
+inner sum as a plain integer dot product and to reduce once per entry,
+rather than once per multiply-add as ``Fraction`` arithmetic would (the
+fraction-free idea of Bareiss, Math. Comp. 22, 1968).  ``cauchy_product``,
+the oracle's weight kernel, takes integer numerators already over their
+denominators and returns integers, so it builds no ``Fraction`` at all.
 
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
@@ -236,22 +238,14 @@ class CommonDenominator:
         self.nums.append(value.numerator * (self.den // q))
 
 
-def cauchy_product(
-    xs: Sequence[Fraction | int], ys: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Prefix of the Cauchy product of two coefficient sequences.
+def cauchy_product(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Prefix of the Cauchy product of two integer coefficient sequences.
 
     Entry e is ``sum(xs[i] * ys[e-i])``; the result is truncated to the
     shorter input, matching truncated power-series multiplication.  Each
-    input is brought onto its lcm denominator, so entry e is one integer
-    convolution sum over the product of the two, reduced once.
+    entry is one integer dot product; a caller whose inputs are numerators
+    over denominators divides by their product, and reduces, itself.
     """
     limit = min(len(xs), len(ys))
-    x = CommonDenominator(xs[:limit])
-    y = CommonDenominator(ys[:limit])
-    den = x.den * y.den
-    y_reversed = y.nums[::-1]
-    return [
-        Fraction(sum(map(mul, x.nums, y_reversed[limit - 1 - e :])), den)
-        for e in range(limit)
-    ]
+    y_reversed = ys[:limit][::-1]
+    return [sum(map(mul, xs, y_reversed[limit - 1 - e :])) for e in range(limit)]

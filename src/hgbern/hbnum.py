@@ -11,15 +11,15 @@ Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
 ``Fraction``.  For r >= 2 the recurrence weights come from ``_weights``, the
 oracle's own r-fold weight row: integer numerators over their lcm, from
-r - 1 integer Cauchy products, each reduced by one gcd.  The determinant
-route builds its own row (``hessenberg.weight_row``, in ``Fraction``s), so
-recurrence and det share no weight-row code, only the generic
-``exactnum.cauchy_product`` and ``CommonDenominator`` on different inputs,
-and a wrong weight row in either shows as a mismatch between them.  The
-weights are rebuilt by every call that has to compute a value.  ``table``
-therefore walks each (N, r) family once, to its deepest n, and reads every
-index from the store; ``verify`` takes the whole row from one
-``hb_higher(..., row=...)`` walk.  ``recurrence_residual`` re-evaluates the
+r - 1 rounds of the integer kernel ``exactnum.cauchy_product``, each
+reduced by one gcd.  The determinant route builds its own row
+(``hessenberg.weight_row``) with its own convolution, so recurrence and det
+share no weight-row code and no weight kernel, and a wrong weight row or a
+wrong kernel in either shows as a mismatch between them.  The weights are
+rebuilt by every call that has to compute a value.  ``table`` therefore
+walks each (N, r) family once, to its deepest n, and reads every index from
+the store; ``verify`` takes the whole row from one ``hb_higher(...,
+row=...)`` walk.  ``recurrence_residual`` re-evaluates the
 relations with one ``Fraction`` operation per term, as a check on that
 integer inner loop (for r >= 2 it reads the same ``_weights``).
 
@@ -43,10 +43,10 @@ indices before it reads a store, and refuses an index that is a bool or not
 an int.  ``hb`` and ``hb_higher`` return a stored value directly and walk the
 row only when the requested key is missing.  ``common_row`` gives a family's
 row over its lcm as a ``CommonDenominator`` kept on the store it is given,
-built once and extended with ``append`` when a longer prefix is asked for;
-what a store keeps beside its values, and when it drops it, is described
-once, in :class:`MemoStore`.  There is no default store: values are reused
-across calls only through a store the caller passes.  ``hb`` and
+built once and grown in place with ``append`` when a longer prefix is asked
+for; what a store keeps beside its values, and when it drops it, is
+described once, in :class:`MemoStore`.  There is no default store: values
+are reused across calls only through a store the caller passes.  ``hb`` and
 ``hb_higher`` without one walk their row with no store at all, building,
 reading and storing no key; the cache audit's r = 1 walk is that same
 storeless walk.  Loading checks every record of the file but decodes a value
@@ -145,9 +145,9 @@ class MemoStore:
     saved file never show, in one dict: ``kept(key, build, *args)`` returns
     the object kept under `key`, built by ``build(*args)`` the first time,
     and ``common_row`` keeps each (N, r) family's row over its lcm there
-    under ("row", N, r).  One rule keeps it true: a ``put`` that changes a
-    value the store holds empties the dict, and a new key or an equal value
-    leaves it.  That suffices because whatever is kept reads only keys the
+    under ("row", N, r), growing it at its end.  One rule keeps it true: a
+    ``put`` that changes a value the store holds empties the dict, and a new
+    key or an equal value leaves it.  That suffices because whatever is kept reads only keys the
     store holds, ``load`` refuses a value that conflicts with one the store
     holds, and ``save``'s merge only adds keys.
     """
@@ -158,8 +158,8 @@ class MemoStore:
         self._values: dict[HBKey, Fraction | str] = {}
         self._unsaved = False  # an entry added or a value changed since load or save
         self._seen: tuple[int, int, int] | None = None  # the file as last loaded or saved
-        # derived data by tuple key, never changed in place, so a reader keeps
-        # a consistent object while another call replaces it
+        # derived data by tuple key; a kept row grows only at its end, so what
+        # a reader has read stays true, and a changed value drops it instead
         self._kept: dict[tuple, object] = {}
 
     def __len__(self) -> int:
@@ -429,8 +429,9 @@ def _version(path: Path) -> tuple[int, int, int] | None:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _weights(N: int, r: int, upto: int) -> CommonDenominator:
-    """The oracle's r-fold weights for e = 0..upto over their lcm: entry e
+def _weights(N: int, r: int, upto: int) -> tuple[int, list[int]]:
+    """The oracle's r-fold weights for e = 0..upto over their lcm, as
+    ``(den, nums)`` with weight e equal to ``nums[e] / den``: entry e
     collects (N!)^r / ((N+i_1)! ... (N+i_r)!) over nonnegative r-part
     compositions of e, the r-fold Cauchy power of 1/((N+1)...(N+j)).
 
@@ -439,22 +440,21 @@ def _weights(N: int, r: int, upto: int) -> CommonDenominator:
     factorial-free.  Each of the r - 1 rounds convolves the numerators with c
     in integers and divides them and den·D by their gcd; the lcm of the
     entries' reduced denominators is den·D over that gcd, so ``(den, nums)``
-    are the integers ``CommonDenominator`` gives over the reduced weights.
-    Reducing every round keeps the numerators small.
+    are the integers ``CommonDenominator`` gives over the reduced weights,
+    as ``hessenberg._over_lcm`` returns them.  Reducing every round keeps the
+    numerators small.
     """
     c = list(accumulate(range(N + upto, N, -1), mul, initial=1))[::-1]
     D = den = c[0]
     nums = c
     for _ in range(r - 1):
         den *= D
-        nums = [x.numerator for x in cauchy_product(nums, c)]
+        nums = cauchy_product(nums, c)
         g = gcd(den, *nums)
         if g != 1:
             den //= g
             nums = [x // g for x in nums]
-    weights = CommonDenominator(())
-    weights.den, weights.nums = den, nums
-    return weights
+    return den, nums
 
 
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
@@ -469,7 +469,7 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     row: list[Fraction] = []
     known: CommonDenominator | None = None
     binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
-    weights: CommonDenominator | None = None
+    weights: tuple[int, list[int]] | None = None  # (den, nums) from _weights
     for m in range(n + 1):
         if store is None:
             value = None
@@ -497,9 +497,10 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                     # and m!/k! = falling(m, m-k), the running product m(m-1)...
                     if weights is None:
                         weights = _weights(N, r, n)
+                    w_den, w_nums = weights
                     falls = accumulate(range(m, 0, -1), mul)
-                    terms = map(mul, map(mul, reversed(known.nums), falls), weights.nums[1:])
-                    value = Fraction(-sum(terms), known.den * weights.den)
+                    terms = map(mul, map(mul, reversed(known.nums), falls), w_nums[1:])
+                    value = Fraction(-sum(terms), known.den * w_den)
             if store is not None:
                 store.put(key, value)
         row.append(value)
@@ -539,26 +540,22 @@ def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
     """The (N, r) family's values at 0..n, or at 0..k for some k > n, over
     their lcm, kept on `store`.
 
-    The row is built once, a longer `n` extends a copy of it with ``append``
+    The row is built once, a longer `n` grows it in place with ``append``
     from one walk of the row (which computes only the missing values), and a
     shorter `n` reuses it as it is.  The returned row is shared; callers read
-    it, never change it.
+    it, never change it, and may see it grow at its end.
     """
     HBKey(N, r, n)  # checks the indices before the store is read
-    key = ("row", N, r)
-    kept = store._kept.get(key)
-    if kept is not None and len(kept.nums) > n:
-        return kept
-    values = _row(N, r, n, store)
-    if kept is None:
-        grown = CommonDenominator(values)
-    else:
-        grown = CommonDenominator(())
-        grown.nums, grown.den = kept.nums[:], kept.den
-        for value in values[len(kept.nums) :]:
-            grown.append(value)
-    store._kept[key] = grown
-    return grown
+    kept = store.kept(("row", N, r), _row_over_lcm, N, r, n, store)
+    if len(kept.nums) <= n:
+        for value in _row(N, r, n, store)[len(kept.nums) :]:
+            kept.append(value)
+    return kept
+
+
+def _row_over_lcm(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
+    """The row ``common_row`` keeps the first time: values 0..n over their lcm."""
+    return CommonDenominator(_row(N, r, n, store))
 
 
 def _cached_or_row(N: int, r: int, n: int, store: MemoStore | None) -> Fraction:
@@ -618,8 +615,8 @@ def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) 
         for m in range(n + 1):
             acc += binom(N + n, m) * row[m]
         return acc
-    weights = _weights(N, r, n)
+    w_den, w_nums = _weights(N, r, n)
     acc = Fraction(0)
     for m in range(n + 1):
-        acc += row[m] * weights.nums[n - m] / factorial(m)
-    return factorial(n) * acc / weights.den
+        acc += row[m] * w_nums[n - m] / factorial(m)
+    return factorial(n) * acc / w_den

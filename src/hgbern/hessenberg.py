@@ -15,22 +15,25 @@ running lcm), so each D_k is one integer dot product reduced once into a
 partition sum (Trudi's formula; a0 = 1 is Brioschi's case), in integers over
 the entries' lcm; it is the sum behind the ``trudi`` route.  That lcm comes
 from ``_over_lcm``, the one helper that also puts the rows and weights of
-:mod:`altforms` over theirs.  ``inversion_pair_check`` verifies the duality
-under which a sequence and its determinant transform swap roles, by their
-alternating convolution and by the determinant in each direction.
+:mod:`altforms` over theirs, and ``_convolution`` is the routes' one
+truncated integer convolution, here and in :mod:`altforms`.
+``inversion_pair_check`` verifies the duality under which a sequence and its
+determinant transform swap roles, by their alternating convolution and by
+the determinant in each direction.
 
 ``hb_higher_det`` specializes the entries to det's own r-fold weight row,
-``weight_row`` (r - 1 ``Fraction`` Cauchy powers of 1/((N+1)...(N+j))), to
-recover the hypergeometric Bernoulli numbers by a determinant route;
-``hb_det`` is its r = 1 case.  The recurrence oracle in :mod:`hbnum` builds
-its weights with its own integer kernel, and this module imports nothing
-from it: the two routes share no weight-row code, only the generic
-``exactnum.cauchy_product`` and ``CommonDenominator`` on different inputs,
-so the determinant witnesses the recurrence's weights too.  The recursion
-computes the leading determinants D_0..D_{m-1} on its way to D_m, so one
-call can also hand back a whole family's values B_0..B_n (the optional
-``leading`` and ``row`` lists): ``verify`` reads each (N, r) family from one
-such walk, with one weight row, instead of one determinant per n.
+``weight_row`` (r - 1 integer ``_convolution`` powers of 1/((N+1)...(N+j))
+over D = (N+1)...(N+n)), to recover the hypergeometric Bernoulli numbers by
+a determinant route; ``hb_det`` is its r = 1 case.  The recurrence oracle in
+:mod:`hbnum` builds its weights with its own integer kernel,
+``exactnum.cauchy_product``, and this module imports neither that kernel nor
+anything from :mod:`hbnum`: the two routes share no weight-row code and no
+weight kernel, so the determinant witnesses the recurrence's weights too.
+The recursion computes the leading determinants D_0..D_{m-1} on its way to
+D_m, so one call can also hand back a whole family's values B_0..B_n (the
+optional ``leading`` and ``row`` lists): ``verify`` reads each (N, r)
+family from one such walk, with one weight row, instead of one determinant
+per n.
 """
 
 from __future__ import annotations
@@ -42,13 +45,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import (
-    CommonDenominator,
-    _rational,
-    cauchy_product,
-    enumerate_partition_vectors,
-    rising,
-)
+from .exactnum import CommonDenominator, _rational, enumerate_partition_vectors, rising
 
 __all__ = [
     "toeplitz_hessenberg_det",
@@ -67,6 +64,13 @@ def _over_lcm(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """``(L, nums)`` with ``values[i] = nums[i] / L``, L the lcm of the denominators."""
     L = reduce(lcm, (v.denominator for v in values), 1)
     return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def _convolution(a: list[int], b: list[int]) -> list[int]:
+    """``c[m] = sum_j a[m-j] b[j]`` for ``m < len(a)``, with ``len(b) == len(a)``."""
+    b_reversed = b[::-1]
+    top = len(b) - 1
+    return [sum(map(mul, a, b_reversed[top - m :])) for m in range(len(a))]
 
 
 def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:
@@ -151,12 +155,21 @@ def hb_det(N: int, n: int) -> Fraction:
 def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
     """Weights for e = 0..upto: entry e collects (N!)^r / ((N+i_1)! ... (N+i_r)!)
     over nonnegative r-part compositions of e, computed as an r-fold Cauchy
-    power of 1/((N+1)...(N+j)) so huge N stays factorial-free."""
-    base = [Fraction(1, rising(N + 1, j)) for j in range(upto + 1)]
+    power of 1/((N+1)...(N+j)) so huge N stays factorial-free.
+
+    Over D = (N+1)...(N+upto) that factor is the integer
+    (N+j+1)...(N+upto), so the power is r - 1 integer convolutions over D^r,
+    and each weight is one ``Fraction`` of them."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if upto < 0:
+        raise ValueError("upto must be >= 0")
+    base = [rising(N + j + 1, upto - j) for j in range(upto + 1)]
     row = base
     for _ in range(r - 1):
-        row = cauchy_product(row, base)
-    return row
+        row = _convolution(row, base)
+    den = base[0] ** r
+    return [Fraction(x, den) for x in row]
 
 
 def hb_higher_det(N: int, r: int, n: int, row: list[Fraction] | None = None) -> Fraction:

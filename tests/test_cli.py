@@ -5,12 +5,13 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from hgbern import altforms, cli, hbnum, hessenberg
+from hgbern import altforms, cli, exactnum, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
 from hgbern.exactnum import format_rational, parse_rational
@@ -314,7 +315,8 @@ def _corrupt_first_weight(monkeypatch, module, name, bump):
 
 
 def _oracle_w1_plus_one(weights):
-    weights.nums[1] += weights.den
+    den, nums = weights
+    nums[1] += den
 
 
 def _det_w1_plus_one(row):
@@ -341,6 +343,49 @@ def test_recurrence_and_det_each_catch_a_wrong_weight_row_in_the_other(
     assert [line.split(":")[0] for line in lines] == [
         f"MISMATCH at N=2 r={r} n={n}" for r in (2, 3) for n in range(1, 11)
     ]
+
+
+def _plus_one_at_entry_1(kernel):
+    """`kernel` with +1 on entry 1 of every result."""
+
+    def wrong(*args):
+        out = kernel(*args)
+        out[1] += 1
+        return out
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "kernel, routes, expected",
+    [
+        (
+            exactnum.cauchy_product,
+            ("recurrence", "det", "trudi"),
+            {2: {"det": 16, "trudi": 16}, 3: {"det": 16, "trudi": 16}},
+        ),
+        (
+            hessenberg._convolution,
+            ("recurrence", "det", "binom", "trudi"),
+            {1: {"binom": 12}, 2: {"det": 16}},
+        ),
+    ],
+    ids=["oracle kernel", "routes' convolution"],
+)
+def test_a_wrong_weight_kernel_is_caught_by_a_route_that_does_not_use_it(
+    kernel, routes, expected, monkeypatch
+):
+    # the fault reaches every binding of the kernel, so a route that shared
+    # it with the one it is compared with would go wrong with it unseen
+    wrong = _plus_one_at_entry_1(kernel)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hgbern"):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, wrong)
+    for r, counts in expected.items():
+        _, _, mismatches = cli.run_sweep((1, 2), (r,), range(9), routes, hbnum.MemoStore())
+        assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
 
 
 def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from hgbern.hessenberg import (
     inversion_pair_check,
     toeplitz_hessenberg_det,
     trudi_expand,
+    weight_row,
 )
 from oracles import cofactor_det, naive_toeplitz_hessenberg_det, toeplitz_hessenberg_matrix
 
@@ -192,6 +193,16 @@ def test_determinant_route_matches_recurrence():
         for r in (2, 3):
             for n in range(1, 10):
                 assert hb_higher_det(N, r, n) == hb_higher(N, r, n)
+
+
+@pytest.mark.parametrize(
+    "r, upto, message",
+    [(0, 3, "r must be >= 1"), (-1, 3, "r must be >= 1"), (2, -1, "upto must be >= 0")],
+)
+def test_weight_row_refuses_an_order_or_a_depth_out_of_range(r, upto, message):
+    # at r = 0 the row used to come back as the r = 1 row, [1, 1/3, 1/12, 1/60] at (2, 0, 3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        weight_row(2, r, upto)
 
 
 def test_determinant_row_equals_per_point_determinants():
