@@ -9,13 +9,15 @@ per N, with one ``MISMATCH`` line per differing entry in key order).
 ``ROUTES`` declares each route once, with its domain; that declaration gives
 both the precondition error of ``compute --route`` and the routes a
 ``verify`` sweep compares at each grid point (by default every route, in
-declaration order).  The exponential witnesses
-``comp``, ``trudi`` and ``descent-nested`` declare a largest n, given r, as
-part of their domain.  The O(n^2) routes ``recurrence`` and ``det`` also
-declare a family walk, so a sweep takes each (N, r) family's values from one
-walk to the deepest n rather than one computation per n.  ``run_sweep``
-returns what a sweep found as data (grid points, comparisons, mismatches);
-``cmd_verify`` prints it and picks the exit code, as every ``cmd_*`` does.
+declaration order).  The bounds N, r >= 1 that every route shares are
+``HBKey``'s, which ``table`` and ``verify`` check once per grid before any
+work.  The exponential witnesses ``comp``, ``trudi`` and ``descent-nested``
+declare a largest n, given r, as part of their domain.  The O(n^2) routes
+``recurrence`` and ``det`` also declare a family walk, so a sweep takes each
+(N, r) family's values from one walk on the caller's store to the deepest n;
+the other routes compute each point on a store of the sweep's own.
+``run_sweep`` returns what a sweep found as data (grid points, comparisons,
+mismatches); ``cmd_verify`` prints it and picks the exit code.
 
 Exit codes: 0 success, 1 verification/audit failure, 2 usage or hypothesis
 error or a file that cannot be read or written, 3 route precondition
@@ -79,7 +81,7 @@ class Route:
     ``compute`` refuses it with the route's name before the call and a sweep
     leaves such points out.
     The relations ``descent``, ``descent-nested`` and ``convolution`` read
-    rows that ``_oracle_row`` fills from the oracle, through the store.
+    rows that ``_oracle_row`` fills from the oracle through the store given.
     """
 
     compute: Callable[[int, int, int, MemoStore], Fraction]
@@ -155,18 +157,15 @@ def run_sweep(
 ) -> tuple[int, int, list[Mismatch]]:
     """Evaluate the named routes on every (N, r, n) grid point and compare.
 
-    The grid and the route list are checked before any route runs.  At each
-    point the first applicable route is the reference.  A route with a
-    ``walk`` (``recurrence`` and ``det``) is walked once per (N, r) family, to
-    the deepest n of the grid, the first time it is asked for a point of that
-    family, and each point reads its value from that row; so an invalid
-    family still raises at the first point that asks for it.  Every other
-    route computes each point on its own.  A point where one route applies
-    is counted but computes nothing, unless an index is invalid (N or r
-    below 1, n below 0): there that route runs and raises as it would alone,
-    so the first error is the same.  Returns
-    (grid points, comparisons, mismatches): one mismatch per disagreeing
-    route, in (N, r, n) order.
+    The route list and then each (N, r) of the grid, as an ``HBKey``, are
+    checked before any route runs, so an N or r below 1 raises whatever the
+    routes; no route's domain holds a negative n.  At each point the first
+    applicable route is the reference; a point where fewer than two apply
+    computes nothing.  A route with a ``walk`` is walked on `store` once per
+    (N, r) family, to the deepest n of the grid; every other route computes
+    each point on one store the sweep creates, so a relation checks `store`
+    against rows it did not read from it.  Returns (grid points,
+    comparisons, mismatches), one mismatch per disagreeing route, in order.
     """
     if not n_values or not r_values or not big_n_values:
         raise ValueError("sweep ranges must be nonempty")
@@ -185,18 +184,21 @@ def run_sweep(
     ]
     if all(len(names) < 2 for _, names in plan):
         raise ValueError("no grid point has two applicable routes: nothing to compare")
+    for N, r in product(big_n_values, r_values):
+        HBKey(N, r, 0)
+    own = MemoStore()
     top = max(n_values)
     comparisons = 0
     mismatches: list[Mismatch] = []
     rows: dict[tuple[str, int, int], list[Fraction]] = {}  # (route, N, r) -> values 0..top
     for (N, r, n), names in plan:
-        if len(names) == 1 and N >= 1 and r >= 1 and n >= 0:
-            continue  # nothing to compare; invalid indices still raise below
+        if len(names) < 2:
+            continue
         values = {}
         for name in names:
             route = ROUTES[name]
             if route.walk is None:
-                values[name] = route.compute(N, r, n, store)
+                values[name] = route.compute(N, r, n, own)
                 continue
             if (name, N, r) not in rows:
                 row: list[Fraction] = []
@@ -280,12 +282,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     store = _make_store(args)
+    HBKey(args.N[0], args.r[0], args.n[0])  # the least indices, as the ranges ascend
     rows = []
     for N, r in product(args.N, args.r):
         row: list[Fraction] = []
         hbnum.hb_higher(N, r, max(args.n), store, row)  # one walk to the deepest n
-        # the key rejects a negative n, which would index the row from its end
-        rows += [(N, r, n, format_rational(row[HBKey(N, r, n).n])) for n in args.n]
+        rows += [(N, r, n, format_rational(row[n])) for n in args.n]
     with (
         open(args.output, "w", encoding="utf-8", newline="")
         if args.output

@@ -10,6 +10,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgbern import altforms, cli, exactnum, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
@@ -251,8 +253,11 @@ def test_values_past_the_int_digit_limit_print_and_round_trip(tmp_path, capsys):
         ("table -N 1 -n=-3..2", "n must be >= 0"),
         ("table -N 1..2 -r 0..1 -n=-1..2", "r must be >= 1"),
         ("verify -N 0 --routes det,recurrence", "N must be >= 1"),
-        # det comes first at n = 1 and raises before the recurrence is asked
-        ("verify -N 0 -n 1..3 --routes det,recurrence", "N, r and n must be >= 1"),
+        ("verify -N 0 -n 1..3 --routes det,recurrence", "N must be >= 1"),
+        # the grid's keys are checked whatever the routes, before any runs
+        ("verify -N 0..2 -n 1..3 --routes descent,descent-nested", "N must be >= 1"),
+        ("verify -N 2 -r 0..1 -n 1..3 --routes comp,binom", "r must be >= 1"),
+        ("verify -N 0..2 -n 1..3 -r 1 --routes comp,descent", "N must be >= 1"),
     ],
 )
 def test_invalid_grids_raise_their_first_error(argv, message, capsys):
@@ -457,8 +462,9 @@ def test_verify_locates_injected_fault():
 
 
 def test_verify_reports_every_mismatch():
-    # a corrupted cache entry feeds the reference route and the routes that
-    # read the store, so several comparisons fail; each is its own record
+    # a corrupted entry of the caller's store feeds the recurrence at its own
+    # n and the next; comp and descent never read that store, so both give
+    # the true values there, and each failing comparison is its own record
     store = _corrupted_store(2, 1, 3)
     routes = ("recurrence", "comp", "descent")
     _, _, mismatches = cli.run_sweep((2,), (1,), (0, 1, 2, 3, 4), routes, store)
@@ -467,7 +473,7 @@ def test_verify_reports_every_mismatch():
         ((2, 1, 3), "recurrence", F(91, 90), "comp", F(1, 90)),
         ((2, 1, 3), "recurrence", F(91, 90), "descent", F(1, 90)),
         ((2, 1, 4), "recurrence", F(-361, 270), "comp", F(-1, 270)),
-        ((2, 1, 4), "recurrence", F(-361, 270), "descent", F(89, 270)),
+        ((2, 1, 4), "recurrence", F(-361, 270), "descent", F(-1, 270)),
     ]
 
 
@@ -547,6 +553,9 @@ def test_sweep_validation():
     # n = 0 leaves det outside its domain, so nothing is compared
     with pytest.raises(ValueError, match="two applicable routes"):
         cli.run_sweep((1, 2), (1,), (0,), ("recurrence", "det"), store)
+    # N = 1 comes first in the grid, but no family is walked before N = 0 raises
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        cli.run_sweep((1, 0), (1,), (0, 1, 2), ("recurrence", "det"), store)
     assert len(store) == 0  # each refusal came before any route ran
 
 
@@ -575,6 +584,38 @@ def test_sweep_skips_exponential_routes_beyond_their_limits(
         )
     assert cli.run_sweep((N,), (r,), n_values, routes, hbnum.MemoStore()) == (2, len(compared), [])
     assert asked == compared
+
+
+# N in three size classes: small, up to 10^30, and 1 + p^t, whose N - 1 is
+# divisible by a high power of a small prime
+_SIZE_CLASSES = st.one_of(
+    st.integers(1, 50),
+    st.integers(1, 10**30),
+    st.builds(lambda p, t: 1 + p**t, st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(0, 60)),
+)
+
+
+def _every_route_agrees_across_size_classes():
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_SIZE_CLASSES, st.integers(1, 6), st.integers(0, 12))
+    def prop(N, r, n):
+        _, _, mismatches = cli.run_sweep((N,), (r,), (n,), tuple(cli.ROUTES), hbnum.MemoStore())
+        assert mismatches == []
+
+    prop()
+
+
+def test_every_route_agrees_across_size_classes():
+    _every_route_agrees_across_size_classes()
+
+
+def test_the_size_class_property_catches_a_fault_only_at_huge_n(monkeypatch):
+    trudi = altforms.hb_trudi
+    monkeypatch.setattr(
+        altforms, "hb_trudi", lambda N, r, n: trudi(N, r, n) + (N > 10**9 and n >= 5)
+    )
+    with pytest.raises(AssertionError):
+        _every_route_agrees_across_size_classes()
 
 
 def test_congruence_hb_kummer(capsys):
@@ -736,11 +777,10 @@ def test_relation_routes_read_their_rows_through_the_cache(route, families, tmp_
     )
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, waits for item 1")
 def test_a_corrupted_cache_record_fails_recurrence_against_convolution(tmp_path, capsys):
-    # convolution reads its base row from the same cache as recurrence, and
-    # at r = 1 it returns that row's top value, so the bad record agrees with
-    # itself and the sweep passes
+    # at r = 1 convolution returns its base row's top value; the sweep fills
+    # that row on its own store, not from the cache the recurrence reads, so
+    # the bad record is compared with the true value
     cache = tmp_path / "cache.txt"
     code, _, _ = run(
         capsys, "table", "-N", "1..3", "-r", "1", "-n", "0..12", "--cache", str(cache)
