@@ -17,10 +17,10 @@ Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator,
 summed per group -- part count, chain length or convolution power -- and
 each group is reduced once into a ``Fraction``.  A row's lcm comes from
-``hessenberg._over_lcm``, the helper the Trudi sum uses too, and the
-``binom`` route's powers from ``hessenberg._convolution``, the kernel of
-det's weight row; a product of the N+i is computed here.  None of these is
-one of the oracle's helpers.
+``hessenberg._over_lcm``, the routes' one lcm helper, and the ``binom``
+route's powers from ``hessenberg._convolution``, the kernel of det's weight
+row; a product of the N+i is computed here.  None of these is one of the
+oracle's helpers: the oracle keeps its own lcm and weight kernel.
 
 The order-r explicit sum and the nested descent walk their index sets depth
 first: the compositions of n, carrying each prefix's product, and the

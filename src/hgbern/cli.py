@@ -158,8 +158,8 @@ def run_sweep(
     """Evaluate the named routes on every (N, r, n) grid point and compare.
 
     The route list and then each (N, r) of the grid, as an ``HBKey``, are
-    checked before any route runs, so an N or r below 1 raises whatever the
-    routes; no route's domain holds a negative n.  At each point the first
+    checked before the plan is built, so an N or r below 1 raises whatever
+    the routes; no route's domain holds a negative n.  At each point the first
     applicable route is the reference; a point where fewer than two apply
     computes nothing.  A route with a ``walk`` is walked on `store` once per
     (N, r) family, to the deepest n of the grid; every other route computes
@@ -177,6 +177,8 @@ def run_sweep(
     repeated = sorted({r for r in routes if routes.count(r) > 1})
     if repeated:
         raise ValueError(f"routes listed more than once: {', '.join(repeated)}")
+    for N, r in product(big_n_values, r_values):
+        HBKey(N, r, 0)
     # each point with the selected routes whose domain holds it, in selection order
     plan = [
         (point, [name for name in routes if ROUTES[name].violation(*point) is None])
@@ -184,8 +186,6 @@ def run_sweep(
     ]
     if all(len(names) < 2 for _, names in plan):
         raise ValueError("no grid point has two applicable routes: nothing to compare")
-    for N, r in product(big_n_values, r_values):
-        HBKey(N, r, 0)
     own = MemoStore()
     top = max(n_values)
     comparisons = 0

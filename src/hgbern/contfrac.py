@@ -13,18 +13,18 @@ route witnesses the other.  Running products (a prefix product of falling
 factorials, and the product over N+l grown one factor at a time) make each
 coefficient O(n) integer products and a whole P or Q list O(n^2).
 
-The checks are integer sums over one oracle row, in the style of the kernels
-in :mod:`hbnum` and :mod:`exactnum`: each takes the parameter-N row
-B_{N,0..h} over its lcm from ``hbnum.common_row`` and turns the x^h
+The checks are integer sums over one oracle row: each takes the
+parameter-N row B_{N,0..h} from ``hbnum.hb_higher``, held over its lcm in
+``hessenberg.CommonDenominator`` by ``_series_row`` (the oracle keeps its
+own lcm, so the checks share only its values), and turns the x^h
 coefficient of C(x) S(x) into one integer dot product over h! times the
-common denominators (h!/(h-j)! = falling(h, j)), reduced once into a
-``Fraction``.  Every check runs on a store: the one it is given, or a
-throwaway ``MemoStore()`` when it is given none.  The row is kept on the
-store, so a family of checks builds each N's row over its lcm once and
-extends it as h grows; a kept row longer than h serves h as well, since the
-sum reads only indices <= h.  Non-integral coefficient lists (a hand-built P
-or Q, the reduced classical weights) go over their own common denominator
-first, the reduced weights by ``hessenberg._over_lcm``.
+common denominators (h!/(h-j)! = falling(h, j)), reduced once.  Every check
+runs on a store: the one it is given, or a throwaway ``MemoStore()``.  The
+row is kept on the store, so a family of checks builds each N's row over
+its lcm once and extends it as h grows; a kept row longer than h serves h
+as well, since the sum reads only indices <= h.  Non-integral coefficient
+lists (a hand-built P or Q, the reduced classical weights) go over their
+own common denominator first, the reduced weights by ``_over_lcm``.
 
 The checks also keep, through ``MemoStore.kept``, the lists that depend on
 no stored value: the coefficients of P_{2n-odd} and Q_{2n-odd}, and each
@@ -51,9 +51,9 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .exactnum import CommonDenominator, _int_text, binom, rising
-from .hbnum import HBKey, MemoStore, common_row
-from .hessenberg import _over_lcm
+from .exactnum import _int_text, binom, rising
+from .hbnum import HBKey, MemoStore, hb_higher
+from .hessenberg import CommonDenominator, _over_lcm
 
 __all__ = [
     "Poly",
@@ -267,6 +267,28 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
     return ConvergentPair(n, Poly(_p_list(N, m, odd)), Poly(_q_list(N, m, odd)), N)
 
 
+def _series_row(N: int, n: int, store: MemoStore) -> CommonDenominator:
+    """The parameter-N values at 0..n, or at 0..k for some k > n, over their
+    lcm, kept on `store` under ("row", N, 1): built once from the oracle's
+    walk, grown in place with ``append`` from one more walk for a longer `n`.
+    Callers share it, read it, and may see it grow at its end."""
+    HBKey(N, 1, n)  # checks the indices before the store is read
+    kept = store.kept(("row", N, 1), _series_over_lcm, N, n, store)
+    if len(kept.nums) <= n:
+        row: list[Fraction] = []
+        hb_higher(N, 1, n, store, row)
+        for value in row[len(kept.nums) :]:
+            kept.append(value)
+    return kept
+
+
+def _series_over_lcm(N: int, n: int, store: MemoStore) -> CommonDenominator:
+    """The row ``_series_row`` keeps the first time: B_{N,0..n} over their lcm."""
+    row: list[Fraction] = []
+    hb_higher(N, 1, n, store, row)
+    return CommonDenominator(row)
+
+
 def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:
     """x^h coefficient of C(x) S(x), for C with coefficients ``nums`` over
     some denominator d and S with coefficients B_{N,i}/i! (the values in
@@ -286,7 +308,7 @@ def approximation_defect(pair: ConvergentPair, store: MemoStore | None = None) -
     Coefficient h is one integer sum over the row's, Q's and P's common
     denominators and h!, reduced once."""
     store = MemoStore() if store is None else store
-    series = common_row(pair.N, 1, pair.n, store)  # N >= 1 and n >= 0, both ints
+    series = _series_row(pair.N, pair.n, store)  # N >= 1 and n >= 0, both ints
     q = CommonDenominator(pair.Q.coefficients)
     p = CommonDenominator(pair.P.coefficients)
     coeffs = []
@@ -327,7 +349,7 @@ def _identity(
     if h < 0:
         raise ValueError("h must be >= 0")
     store = MemoStore() if store is None else store
-    series = common_row(N, 1, h, store)
+    series = _series_row(N, h, store)
     q = store.kept(("Q", N, n, odd), _q_list, N, n, odd)
     scale = factorial(2 * n - h + 1 - odd) if classical else 1
     lhs = Fraction(_against_series(q, series, h), factorial(h) * series.den * scale)
@@ -419,7 +441,7 @@ def classical_identity(
         raise ValueError("variant 'odd-reduced' needs 1 <= h <= 2n")
     odd = int(variant == "odd-reduced")
     store = MemoStore() if store is None else store
-    series = common_row(1, 1, h, store)
+    series = _series_row(1, h, store)
     # built to the variant's widest h
     den, nums = store.kept((variant, n), _reduced_weights, variant, n, 2 * n + 1 - odd)
     lhs = Fraction(_against_series(nums, series, h), factorial(h) * series.den * den)

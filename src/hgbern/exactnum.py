@@ -8,14 +8,12 @@ enumerators the explicit summation routes run over: weak compositions (parts
 >= 0, as ``mr`` sums them) and partitions written as plain tuples of
 multiplicities (as Trudi's formula sums them).
 
-:class:`CommonDenominator` holds a run of rationals as integer numerators
-over one shared denominator.  The O(n^2) kernels (the recurrence in
-:mod:`hbnum`, the determinant in :mod:`hessenberg`) use it to evaluate each
-inner sum as a plain integer dot product and to reduce once per entry,
-rather than once per multiply-add as ``Fraction`` arithmetic would (the
-fraction-free idea of Bareiss, Math. Comp. 22, 1968).  ``cauchy_product``,
-the oracle's weight kernel, takes integer numerators already over their
-denominators and returns integers, so it builds no ``Fraction`` at all.
+``cauchy_product`` is the oracle's weight kernel: it takes integer
+numerators already over their denominators and returns integers, so it
+builds no ``Fraction`` at all.  The module holds primitives only: the lcm
+holder of the routes and checks is ``hessenberg.CommonDenominator``, and
+the oracle in :mod:`hbnum` keeps its row over its lcm itself, so no route
+or check shares an arithmetic helper with the oracle.
 
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
@@ -41,7 +39,6 @@ __all__ = [
     "CompositionSpec",
     "enumerate_compositions",
     "enumerate_partition_vectors",
-    "CommonDenominator",
     "cauchy_product",
 ]
 
@@ -207,35 +204,6 @@ def enumerate_partition_vectors(m: int) -> Iterator[tuple[int, ...]]:
         t = acc.pop()
         remaining += part * t
         t += 1
-
-
-class CommonDenominator:
-    """Rationals held as integer numerators over one shared denominator.
-
-    ``nums[i] / den`` is the i-th value and ``den`` is the lcm of the values'
-    denominators.  Appending a value whose denominator does not divide
-    ``den`` multiplies every numerator by the missing factor once.
-    """
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, values: Sequence[Fraction | int]):
-        # pairwise: math.lcm(*generator) builds its argument tuple by
-        # resizing, and each such call strands one more small tuple on the
-        # interpreter's per-size free lists, so memory grows call by call
-        den = 1
-        for v in values:
-            den = math.lcm(den, v.denominator)
-        self.den = den
-        self.nums = [v.numerator * (den // v.denominator) for v in values]
-
-    def append(self, value: Fraction | int) -> None:
-        q = value.denominator
-        grow = q // math.gcd(q, self.den)
-        if grow != 1:
-            self.nums = [x * grow for x in self.nums]
-            self.den *= grow
-        self.nums.append(value.numerator * (self.den // q))
 
 
 def cauchy_product(xs: Sequence[int], ys: Sequence[int]) -> list[int]:

@@ -9,10 +9,12 @@ reference oracle: every alternative route in :mod:`altforms`,
 
 Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
-``Fraction``.  For r >= 2 the recurrence weights come from ``_weights``, the
-oracle's own r-fold weight row: integer numerators over their lcm, from
-r - 1 rounds of the integer kernel ``exactnum.cauchy_product``, each
-reduced by one gcd.  The determinant route builds its own row
+``Fraction``; ``_row`` keeps that lcm and the numerators itself, so the
+routes and checks, which read only its values, share no lcm holder with it.
+For r >= 2 the recurrence weights come from ``_weights``, the oracle's own
+r-fold weight row: integer numerators over their lcm, from r - 1 rounds of
+the integer kernel ``exactnum.cauchy_product``, each reduced by one gcd.
+The determinant route builds its own row
 (``hessenberg.weight_row``) with its own convolution, so recurrence and det
 share no weight-row code and no weight kernel, and a wrong weight row or a
 wrong kernel in either shows as a mismatch between them.  The weights are
@@ -30,33 +32,32 @@ recomputes an r >= 2 entry from that row by r - 1 steps of the
 order-raising relation B^(s+1)_m = ((sN - m) B^(s)_m - s m B^(s)_{m-1}) /
 (sN), which x F' = N + (x - N) F gives for F = 1F1(1; N+1; x)
 (``_order_step``).  The r >= 2 entries call none of ``_row``, ``_weights``
-and ``cauchy_product``: the audit shares the r = 1 walk and the
-``CommonDenominator`` holder with the oracle, and builds no weight row.  So
-a wrong weight row fails the audit instead of being rerun by it, and a
-wrong r = 1 walk fails every r >= 2 entry of its N that reads it.  A spot
-draw costs O(r^2) steps beside the r = 1 walk, a whole family O(r n).
+and ``cauchy_product``: the audit shares only the r = 1 walk with the
+oracle, and builds no weight row.  So a wrong weight row fails the audit
+instead of being rerun by it, and a wrong r = 1 walk fails every r >= 2
+entry of its N that reads it.  A spot draw costs O(r^2) steps beside the
+r = 1 walk, a whole family O(r n).
 
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
 ``HBKey`` is also the one index guard: every entry point builds one from its
 indices before it reads a store, and refuses an index that is a bool or not
 an int.  ``hb`` and ``hb_higher`` return a stored value directly and walk the
-row only when the requested key is missing.  ``common_row`` gives a family's
-row over its lcm as a ``CommonDenominator`` kept on the store it is given,
-built once and grown in place with ``append`` when a longer prefix is asked
-for; what a store keeps beside its values, and when it drops it, is
-described once, in :class:`MemoStore`.  There is no default store: values
-are reused across calls only through a store the caller passes.  ``hb`` and
-``hb_higher`` without one walk their row with no store at all, building,
-reading and storing no key; the cache audit's r = 1 walk is that same
-storeless walk.  Loading checks every record of the file but decodes a value
-only when it is first read, and refuses a value that conflicts with one the
-store already holds.  A file in the form ``save`` writes is
-checked by one whole-file pattern and split in one pass; any other file is
-checked line by line.  The pattern accepts only files the line-by-line check
-accepts, and reads the same records from them.  Saving writes only when an
-entry was added or a value changed, keeps what another store saved since,
-and writes values that were never read back as they were read.
+row only when the requested key is missing.  What a store keeps beside its
+values (the continued-fraction checks keep their rows and lists there), and
+when it drops it, is described once, in :class:`MemoStore`.  There is no
+default store: values are reused across calls only through a store the
+caller passes.  ``hb`` and ``hb_higher`` without one walk their row with no
+store at all, building, reading and storing no key; the cache audit's
+r = 1 walk is that same storeless walk.  Loading checks every record of the
+file but decodes a value only when it is first read, and refuses a value
+that conflicts with one the store already holds.  A file in the form
+``save`` writes is checked by one whole-file pattern and split in one pass;
+any other file is checked line by line.  The pattern accepts only files
+the line-by-line check accepts, and reads the same records from them.
+Saving writes only when an entry was added or a value changed, keeps what
+another store saved since, and writes values that were never read back as
+they were read.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -71,13 +72,12 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from pathlib import Path
 from typing import Callable
 
 from .exactnum import (
-    CommonDenominator,
     _int_text,
     _text_int,
     binom,
@@ -94,7 +94,6 @@ __all__ = [
     "hb",
     "classical",
     "hb_higher",
-    "common_row",
     "recurrence_residual",
 ]
 
@@ -143,13 +142,14 @@ class MemoStore:
 
     The store also keeps derived data, which ``items``, ``len`` and the
     saved file never show, in one dict: ``kept(key, build, *args)`` returns
-    the object kept under `key`, built by ``build(*args)`` the first time,
-    and ``common_row`` keeps each (N, r) family's row over its lcm there
-    under ("row", N, r), growing it at its end.  One rule keeps it true: a
-    ``put`` that changes a value the store holds empties the dict, and a new
-    key or an equal value leaves it.  That suffices because whatever is kept reads only keys the
-    store holds, ``load`` refuses a value that conflicts with one the store
-    holds, and ``save``'s merge only adds keys.
+    the object kept under `key`, built by ``build(*args)`` the first time.
+    The checks of :mod:`contfrac` keep each parameter-N row over its lcm
+    there under ("row", N, 1), growing it at its end, and their value-free
+    coefficient lists beside it.  One rule keeps it true: a ``put`` that
+    changes a value the store holds empties the dict, and a new key or an
+    equal value leaves it.  That suffices because whatever is kept reads
+    only keys the store holds, ``load`` refuses a value that conflicts with
+    one the store holds, and ``save``'s merge only adds keys.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -439,10 +439,9 @@ def _weights(N: int, r: int, upto: int) -> tuple[int, list[int]]:
     (N+j+1)...(N+upto), from one running product (c_0 = D), so huge N stays
     factorial-free.  Each of the r - 1 rounds convolves the numerators with c
     in integers and divides them and den·D by their gcd; the lcm of the
-    entries' reduced denominators is den·D over that gcd, so ``(den, nums)``
-    are the integers ``CommonDenominator`` gives over the reduced weights,
-    as ``hessenberg._over_lcm`` returns them.  Reducing every round keeps the
-    numerators small.
+    entries' reduced denominators is den·D over that gcd, so ``den`` is the
+    lcm of the reduced weights' denominators and ``nums`` their numerators
+    over it.  Reducing every round keeps the numerators small.
     """
     c = list(accumulate(range(N + upto, N, -1), mul, initial=1))[::-1]
     D = den = c[0]
@@ -461,13 +460,14 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     """Values for indices 0..n of the (N, r) family, consulting and filling
     `store`; without one, every value is computed and no key is built.
 
-    From the first value that must be computed on, the row is also kept over
-    its running common denominator (and the weights over theirs), so each new
-    value is one integer dot product reduced once into a ``Fraction``.
+    From the first value that must be computed on, the row is also kept as
+    numerators `nums` over its running lcm `den` (and the weights over
+    theirs), so each new value is one integer dot product reduced once.
     """
     HBKey(N, r, n)  # checks the indices once, for the storeless walk too
     row: list[Fraction] = []
-    known: CommonDenominator | None = None
+    nums: list[int] | None = None  # row[i] == nums[i] / den, once a value is computed
+    den = 1
     binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
     weights: tuple[int, list[int]] | None = None  # (den, nums) from _weights
     for m in range(n + 1):
@@ -480,8 +480,9 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
             if m == 0:
                 value = Fraction(1)
             else:
-                if known is None:
-                    known = CommonDenominator(row)
+                if nums is None:  # the stored prefix over its lcm
+                    den = lcm(*[v.denominator for v in row])
+                    nums = [v.numerator * (den // v.denominator) for v in row]
                 if r == 1:
                     # sum_{k <= m} binom(N+m, k) B_{N,k} = 0, solved for the top term
                     if len(binoms) == m:  # index m-1's row: step it by Pascal's rule
@@ -489,8 +490,8 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                         binoms.append(binoms[-1] * (N + 1) // m)
                     else:
                         binoms = [comb(N + m, k) for k in range(m + 1)]
-                    acc = sum(map(mul, known.nums, binoms))
-                    value = Fraction(-acc, known.den * binoms[m])
+                    acc = sum(map(mul, nums, binoms))
+                    value = Fraction(-acc, den * binoms[m])
                 else:
                     # sum_{k <= m} (m!/k!) w_{m-k} B_k = 0 with w_0 = 1, solved
                     # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
@@ -499,13 +500,18 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
                         weights = _weights(N, r, n)
                     w_den, w_nums = weights
                     falls = accumulate(range(m, 0, -1), mul)
-                    terms = map(mul, map(mul, reversed(known.nums), falls), w_nums[1:])
-                    value = Fraction(-sum(terms), known.den * w_den)
+                    terms = map(mul, map(mul, reversed(nums), falls), w_nums[1:])
+                    value = Fraction(-sum(terms), den * w_den)
             if store is not None:
                 store.put(key, value)
         row.append(value)
-        if known is not None:
-            known.append(value)
+        if nums is not None:
+            q = value.denominator
+            grow = q // gcd(q, den)
+            if grow != 1:  # rescale the held numerators once
+                nums = [x * grow for x in nums]
+                den *= grow
+            nums.append(value.numerator * (den // q))
     return row
 
 
@@ -534,28 +540,6 @@ def _order_step(N: int, s: int, start: int, values: list[Fraction]) -> list[Frac
         acc = (sN - m) * b.numerator * b_scale - s * m * a.numerator * a_scale
         stepped.append(Fraction(acc, sN * a.denominator * a_scale))
     return stepped
-
-
-def common_row(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
-    """The (N, r) family's values at 0..n, or at 0..k for some k > n, over
-    their lcm, kept on `store`.
-
-    The row is built once, a longer `n` grows it in place with ``append``
-    from one walk of the row (which computes only the missing values), and a
-    shorter `n` reuses it as it is.  The returned row is shared; callers read
-    it, never change it, and may see it grow at its end.
-    """
-    HBKey(N, r, n)  # checks the indices before the store is read
-    kept = store.kept(("row", N, r), _row_over_lcm, N, r, n, store)
-    if len(kept.nums) <= n:
-        for value in _row(N, r, n, store)[len(kept.nums) :]:
-            kept.append(value)
-    return kept
-
-
-def _row_over_lcm(N: int, r: int, n: int, store: MemoStore) -> CommonDenominator:
-    """The row ``common_row`` keeps the first time: values 0..n over their lcm."""
-    return CommonDenominator(_row(N, r, n, store))
 
 
 def _cached_or_row(N: int, r: int, n: int, store: MemoStore | None) -> Fraction:

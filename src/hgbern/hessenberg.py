@@ -9,14 +9,14 @@ determinant obeys the first-row expansion
     D_m = sum_{l=1..m} (-a0)^(l-1) a_l D_{m-l},   D_0 = 1,
 
 which keeps evaluation exact and O(m^2).  The signed entries
-(-a0)^(l-1) a_l share one denominator and D_0..D_{k-1} another (their
-running lcm), so each D_k is one integer dot product reduced once into a
-``Fraction``.  ``trudi_expand`` recomputes the same determinant as a
-partition sum (Trudi's formula; a0 = 1 is Brioschi's case), in integers over
-the entries' lcm; it is the sum behind the ``trudi`` route.  That lcm comes
-from ``_over_lcm``, the one helper that also puts the rows and weights of
-:mod:`altforms` over theirs, and ``_convolution`` is the routes' one
-truncated integer convolution, here and in :mod:`altforms`.
+(-a0)^(l-1) a_l and D_0..D_{k-1} are each held over their lcm in a
+``CommonDenominator``, so each D_k is one integer dot product reduced once.
+``trudi_expand`` recomputes the same determinant as a partition sum
+(Trudi's formula; a0 = 1 is Brioschi's case), in integers over the entries'
+lcm; it is the sum behind the ``trudi`` route.  Every lcm of a list in the
+routes and checks, ``CommonDenominator``'s included, comes from
+``_over_lcm``, and ``_convolution`` is the routes' one truncated integer
+convolution, here and in :mod:`altforms`.
 ``inversion_pair_check`` verifies the duality under which a sequence and its
 determinant transform swap roles, by their alternating convolution and by
 the determinant in each direction.
@@ -26,9 +26,10 @@ the determinant in each direction.
 over D = (N+1)...(N+n)), to recover the hypergeometric Bernoulli numbers by
 a determinant route; ``hb_det`` is its r = 1 case.  The recurrence oracle in
 :mod:`hbnum` builds its weights with its own integer kernel,
-``exactnum.cauchy_product``, and this module imports neither that kernel nor
-anything from :mod:`hbnum`: the two routes share no weight-row code and no
-weight kernel, so the determinant witnesses the recurrence's weights too.
+``exactnum.cauchy_product``, and keeps its row over its lcm itself.  This
+module imports neither that kernel nor anything from :mod:`hbnum`: the two
+routes share no lcm holder, no weight-row code and no weight kernel, so the
+determinant witnesses the recurrence's weights too.
 The recursion computes the leading determinants D_0..D_{m-1} on its way to
 D_m, so one call can also hand back a whole family's values B_0..B_n (the
 optional ``leading`` and ``row`` lists): ``verify`` reads each (N, r)
@@ -41,13 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exactnum import CommonDenominator, _rational, enumerate_partition_vectors, rising
+from .exactnum import _rational, enumerate_partition_vectors, rising
 
 __all__ = [
+    "CommonDenominator",
     "toeplitz_hessenberg_det",
     "trudi_expand",
     "hb_det",
@@ -64,6 +66,27 @@ def _over_lcm(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """``(L, nums)`` with ``values[i] = nums[i] / L``, L the lcm of the denominators."""
     L = reduce(lcm, (v.denominator for v in values), 1)
     return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+class CommonDenominator:
+    """Rationals as integer numerators ``nums`` over the lcm ``den`` of their
+    denominators: the lcm holder of the routes and checks.  An inner sum is
+    then one integer dot product, reduced once (the fraction-free idea of
+    Bareiss, Math. Comp. 22, 1968); appending a value whose denominator does
+    not divide ``den`` rescales every numerator once."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: Sequence[Rational]):
+        self.den, self.nums = _over_lcm(values)
+
+    def append(self, value: Rational) -> None:
+        q = value.denominator
+        grow = q // gcd(q, self.den)
+        if grow != 1:
+            self.nums = [x * grow for x in self.nums]
+            self.den *= grow
+        self.nums.append(value.numerator * (self.den // q))
 
 
 def _convolution(a: list[int], b: list[int]) -> list[int]:

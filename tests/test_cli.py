@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -7,12 +8,15 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hgbern
 from hgbern import altforms, cli, exactnum, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
@@ -258,6 +262,10 @@ def test_values_past_the_int_digit_limit_print_and_round_trip(tmp_path, capsys):
         ("verify -N 0..2 -n 1..3 --routes descent,descent-nested", "N must be >= 1"),
         ("verify -N 2 -r 0..1 -n 1..3 --routes comp,binom", "r must be >= 1"),
         ("verify -N 0..2 -n 1..3 -r 1 --routes comp,descent", "N must be >= 1"),
+        # before "nothing to compare", which a grid of bad keys would also give
+        ("verify -N 0 -n 0 --routes recurrence,det", "N must be >= 1"),
+        ("verify -N 1 -r 0 -n 0 --routes recurrence,det", "r must be >= 1"),
+        ("verify -N 0 -r 0 -n 1 --routes comp,descent", "N must be >= 1"),
     ],
 )
 def test_invalid_grids_raise_their_first_error(argv, message, capsys):
@@ -391,6 +399,109 @@ def test_a_wrong_weight_kernel_is_caught_by_a_route_that_does_not_use_it(
     for r, counts in expected.items():
         _, _, mismatches = cli.run_sweep((1, 2), (r,), range(9), routes, hbnum.MemoStore())
         assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
+
+
+def _entered(call) -> set[tuple[str, str]]:
+    """(file name, function name) of every hgbern function that `call()`
+    enters, leaving out lambdas, comprehensions and generator expressions."""
+    home = str(Path(hgbern.__file__).parent)
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and not code.co_name.startswith("<"):
+            path = Path(code.co_filename)
+            if str(path.parent) == home:
+                entered.add((path.name, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+# the row that _oracle_row reads from the oracle for a relation route; the
+# relations share it until they read rows from a source of their own
+# (ROADMAP item 2)
+_RELATION_ROW = {
+    ("hbnum.py", name)
+    for name in ("__contains__", "__new__", "_cached_or_row", "_row", "get", "put")
+}
+
+
+# what each route but the oracle itself shares with the oracle, traced
+_SHARED_WITH_THE_ORACLE = {
+    "comp": set(),
+    "binom": set(),
+    "trudi": set(),
+    "det": set(),
+    "descent": _RELATION_ROW,
+    "descent-nested": _RELATION_ROW,
+    "convolution": _RELATION_ROW,
+}
+
+
+@pytest.mark.parametrize("route", list(_SHARED_WITH_THE_ORACLE))
+def test_each_route_shares_with_the_oracle_only_what_is_pinned(route):
+    # every package function a route enters, traced, against those the
+    # oracle enters at the same point; each store is built outside the trace
+    assert set(_SHARED_WITH_THE_ORACLE) == set(cli.ROUTES) - {"recurrence"}
+    found = set()
+    for N, r, n in ((3, 1, 6), (3, 2, 6)):
+        if cli.ROUTES[route].violation(N, r, n) is not None:
+            continue
+        store = hbnum.MemoStore()
+        used = _entered(lambda: cli.ROUTES[route].compute(N, r, n, store))
+        fresh = hbnum.MemoStore()
+        oracle = _entered(lambda: hbnum.hb_higher(N, r, n, fresh))
+        found |= used & oracle
+    assert found == _SHARED_WITH_THE_ORACLE[route]
+    # and the oracle's module reaches for no route's or check's helper
+    tree = ast.parse(Path(hbnum.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named |= {*(node.module or "").split("."), *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            named |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & {"hessenberg", "altforms", "contfrac", "CommonDenominator", "_over_lcm"}
+
+
+def test_a_fault_in_the_routes_lcm_holder_cannot_reach_the_oracle(monkeypatch):
+    # an append that forgets to rescale the numerators it holds: det, which
+    # holds its determinants in it, goes wrong, and the oracle, which keeps
+    # its own lcm, does not
+    clean = {}
+    for N in (1, 2, 3):
+        for r in (1, 2):
+            clean[N, r] = []
+            hb_higher(N, r, 12, None, clean[N, r])
+
+    def forgetful(self, value):
+        q = value.denominator
+        self.den *= q // gcd(q, self.den)
+        self.nums.append(value.numerator * (self.den // q))
+
+    monkeypatch.setattr(hessenberg.CommonDenominator, "append", forgetful)
+    for (N, r), values in clean.items():
+        row = []
+        hb_higher(N, r, 12, None, row)
+        assert row == values, (N, r)
+    points, comparisons, mismatches = cli.run_sweep(
+        (1, 2, 3), (1, 2), range(13), ("recurrence", "det"), hbnum.MemoStore()
+    )
+    assert (points, comparisons) == (78, 72)
+    assert {route for _, _, _, route, _ in mismatches} == {"det"}
+    assert len(mismatches) == 65
+    for (N, r, n), _, reference, _, _ in mismatches:
+        assert reference == clean[N, r][n]
 
 
 def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):

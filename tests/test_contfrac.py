@@ -12,6 +12,7 @@ from hgbern.contfrac import (
     ConvergentPair,
     Poly,
     Series,
+    _series_row,
     approximation_defect,
     classical_identity,
     convergent_closed,
@@ -20,8 +21,8 @@ from hgbern.contfrac import (
     identity_odd,
 )
 from hgbern import cli, contfrac
-from hgbern.exactnum import CommonDenominator
-from hgbern.hbnum import CacheError, HBKey, MemoStore, common_row, hb, hb_higher
+from hgbern.hbnum import CacheError, HBKey, MemoStore, hb, hb_higher
+from hgbern.hessenberg import CommonDenominator
 from oracles import (
     naive_classical_reduced,
     naive_convergent,
@@ -300,7 +301,7 @@ def test_identity_input_validation():
         (hb, (True, 2)),
         (hb, (2, 3.5)),
         (hb_higher, (2, 1.0, 3)),
-        (common_row, (2.0, 1, 3)),
+        (_series_row, (2.0, 3)),
         (approximation_defect, (replace(convergent_rec(2, 3), N=2.0),)),
         # h is named as h, not as the row index it becomes
         (identity_odd, (2, 2, 1.0)),
@@ -543,6 +544,29 @@ def test_kept_rows_stay_out_of_the_store_entries_and_its_file(tmp_path):
     plain.save()
     checked.save()
     assert checked.path.read_bytes() == plain.path.read_bytes()
+
+
+def test_series_row_is_the_row_over_its_lcm_and_kept_on_a_store():
+    values = [hb(3, m) for m in range(9)]
+    alone = _series_row(3, 8, MemoStore())
+    assert [Fraction(x, alone.den) for x in alone.nums] == values
+    store = MemoStore()
+    kept = _series_row(3, 5, store)
+    assert [Fraction(x, kept.den) for x in kept.nums] == values[:6]
+    assert _series_row(3, 2, store) is kept  # a longer kept row serves
+    longer = _series_row(3, 8, store)
+    assert [Fraction(x, longer.den) for x in longer.nums] == values
+    assert longer is kept  # grown in place, at its end
+    assert _series_row(3, 7, store) is longer
+    store.put(HBKey(3, 1, 9), Fraction(1))  # past the kept row: it stays
+    assert _series_row(3, 8, store) is longer
+    store.put(HBKey(3, 1, 8), values[8])  # an equal value: it stays
+    assert _series_row(3, 8, store) is longer
+    store.put(HBKey(3, 1, 8), Fraction(1))  # inside it, changed: built again
+    again = _series_row(3, 8, store)
+    assert again is not longer and Fraction(again.nums[8], again.den) == 1
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        _series_row(3, -1, MemoStore())
 
 
 def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):

@@ -1,13 +1,12 @@
 import sys
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hgbern.exactnum import (
-    CommonDenominator,
     CompositionSpec,
     binom,
     cauchy_product,
@@ -234,16 +233,3 @@ def test_cauchy_product_matches_naive_fraction_loop(xs, ys):
     got = cauchy_product(xs, ys)
     assert got == naive_cauchy_product(xs, ys)
     assert all(type(v) is int for v in got)
-
-
-rationals = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))
-
-
-@given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10))
-def test_common_denominator_holds_values_over_their_lcm(head, tail):
-    held = CommonDenominator(head)
-    for v in tail:
-        held.append(v)
-    values = head + tail
-    assert held.den == lcm(*(Fraction(v).denominator for v in values))
-    assert [Fraction(x, held.den) for x in held.nums] == values

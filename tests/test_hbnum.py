@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from hgbern import hbnum
 from hgbern.altforms import mr
-from hgbern.exactnum import CommonDenominator, format_rational, rising
-from hgbern.hessenberg import weight_row
+from hgbern.exactnum import format_rational, rising
+from hgbern.hessenberg import CommonDenominator, weight_row
 from hgbern.hbnum import (
     CacheError,
     HBKey,
     MemoStore,
     classical,
-    common_row,
     hb,
     hb_higher,
     recurrence_residual,
@@ -745,30 +744,6 @@ def test_memostore_load_refuses_a_value_the_store_holds_otherwise(tmp_path):
     assert store.load(audit_samples=0) == 3
     assert store.get(HBKey(2, 1, 5)) == Fraction(-5, 1134)
     assert store.get(HBKey(2, 1, 9)) == hb(2, 9)
-
-
-def test_common_row_is_the_row_over_its_lcm_and_kept_on_a_store():
-    for r in (1, 2):
-        values = [hb_higher(3, r, m) for m in range(9)]
-        alone = common_row(3, r, 8, MemoStore())
-        assert [Fraction(x, alone.den) for x in alone.nums] == values
-        store = MemoStore()
-        kept = common_row(3, r, 5, store)
-        assert [Fraction(x, kept.den) for x in kept.nums] == values[:6]
-        assert common_row(3, r, 2, store) is kept  # a longer kept row serves
-        longer = common_row(3, r, 8, store)
-        assert [Fraction(x, longer.den) for x in longer.nums] == values
-        assert longer is kept  # grown in place, at its end
-        assert common_row(3, r, 7, store) is longer
-        store.put(HBKey(3, r, 9), Fraction(1))  # past the kept row: it stays
-        assert common_row(3, r, 8, store) is longer
-        store.put(HBKey(3, r, 8), values[8])  # an equal value: it stays
-        assert common_row(3, r, 8, store) is longer
-        store.put(HBKey(3, r, 8), Fraction(1))  # inside it, changed: built again
-        again = common_row(3, r, 8, store)
-        assert again is not longer and Fraction(again.nums[8], again.den) == 1
-    with pytest.raises(ValueError, match="n must be >= 0"):
-        common_row(3, 1, -1, MemoStore())
 
 
 def test_top_key_lookup_reads_only_that_entry():

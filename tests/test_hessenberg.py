@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from random import Random
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hgbern.altforms import mr
 from hgbern.hbnum import classical, hb, hb_higher
 from hgbern.hessenberg import (
+    CommonDenominator,
     InversionVerdict,
     hb_det,
     hb_higher_det,
@@ -101,6 +102,19 @@ def test_determinant_matches_naive_fraction_recursion(a0, entries):
     det = toeplitz_hessenberg_det(a0, entries)
     assert type(det) is Fraction
     assert det == naive_toeplitz_hessenberg_det(a0, entries)
+
+
+wide_rationals = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))
+
+
+@given(st.lists(wide_rationals, max_size=10), st.lists(wide_rationals, max_size=10))
+def test_common_denominator_holds_values_over_their_lcm(head, tail):
+    held = CommonDenominator(head)
+    for v in tail:
+        held.append(v)
+    values = head + tail
+    assert held.den == lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(x, held.den) for x in held.nums] == values
 
 
 def test_empty_determinant_is_one():
