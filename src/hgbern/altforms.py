@@ -9,18 +9,21 @@ the recurrence oracle is the package's core consistency check.
 The composition-sum routes enumerate their index sets literally and are
 exponential in n; they are verification tools, not bulk-table producers.
 ``mr`` evaluates the convolution weights by that literal enumeration, so the
-Trudi and order-r explicit routes share no weight row with the oracle or
-with det (``hbnum._weights`` and ``hessenberg.weight_row`` each build theirs
-by integer Cauchy products instead, with two kernels that share no code).
+Trudi and order-r explicit routes share no weight sum with the oracle or
+with det, which take theirs as integer Cauchy powers.  The routes' powers
+come from one table, ``hessenberg._weight_powers``: ``mr`` reads its base row
+c_j = (N+j+1)...(N+e), ``hb_explicit_binom`` its powers 1..n and det's
+``weight_row`` its power r.  The oracle's ``hbnum._weights`` builds its own
+row with its own kernel, ``exactnum.cauchy_product``, and shares no code
+with that table.
 
 Every composition, partition, chain and convolution sum is computed in
 integers: its terms are integer numerators over one common denominator,
 summed per group -- part count, chain length or convolution power -- and
 each group is reduced once into a ``Fraction``.  A row's lcm comes from
-``hessenberg._over_lcm``, the routes' one lcm helper, and the ``binom``
-route's powers from ``hessenberg._convolution``, the kernel of det's weight
-row; a product of the N+i is computed here.  None of these is one of the
-oracle's helpers: the oracle keeps its own lcm and weight kernel.
+``hessenberg._over_lcm``, the routes' one lcm helper.  Neither it nor the
+power table is one of the oracle's helpers: the oracle keeps its own lcm
+and weight kernel.
 
 The order-r explicit sum and the nested descent walk their index sets depth
 first: the compositions of n, carrying each prefix's product, and the
@@ -44,7 +47,10 @@ The three exponential routes refuse an n past their limit with
 ``hb_descent_nested`` above ``_COMP_MAX_N`` and ``_DESCENT_NESTED_MAX_N``,
 ``hb_trudi`` above ``_trudi_max_n(r)``.  Each limit sits where one call takes
 about ten seconds (see README), and the CLI's route table reads these same
-limits.
+limits.  The library's own exponential walks refuse the same way:
+``hb_higher_explicit`` above the smaller of the comp and trudi limits, and
+``mr`` past the ``_STEP_BUDGET`` compositions that trudi's limit budgets,
+so every point those routes admit stays admitted.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .exactnum import CompositionSpec, binom, enumerate_compositions
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hessenberg import _convolution, _over_lcm, toeplitz_hessenberg_det, trudi_expand
+from .hessenberg import _over_lcm, _weight_powers, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
     "RoutePreconditionError",
@@ -82,11 +88,13 @@ class RoutePreconditionError(ValueError):
 # largest n of the 2^(n-2)-call walks of hb_explicit_comp and hb_descent_nested
 _COMP_MAX_N = 22
 _DESCENT_NESTED_MAX_N = 22
+# steps one call of trudi or mr may take
+_STEP_BUDGET = 5_000_000
 
 
 @cache
 def _trudi_max_n(r: int) -> int:
-    """Largest n <= 52 whose trudi work stays within 5e6 steps: the
+    """Largest n <= 52 whose trudi work stays within the step budget: the
     C(n+r, r) - 1 compositions behind its weights, plus its p(n) partition
     vectors at 16 steps each.  A step is about 2 us at N = 5 (see README)."""
     partitions = [1] + [0] * 52  # p(0)..p(52) by coin counting
@@ -95,7 +103,7 @@ def _trudi_max_n(r: int) -> int:
             partitions[total] += partitions[total - part]
     r = max(r, 1)  # the route itself rejects r < 1
     n = 52
-    while n > 0 and comb(n + r, r) + 16 * partitions[n] > 5_000_000:
+    while n > 0 and comb(n + r, r) + 16 * partitions[n] > _STEP_BUDGET:
         n -= 1
     return n
 
@@ -119,32 +127,26 @@ def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
     return [sum(comb(m, j) * a[m - j] * b[j] for j in range(m + 1)) for m in range(len(a))]
 
 
-def _scaled_reciprocal_risings(N: int, e: int) -> list[int]:
-    """``scaled[i] = D / ((N+1)...(N+i)) = (N+i+1)...(N+e)`` for i = 0..e,
-    where ``D = scaled[0] = (N+1)...(N+e)``; built from the top."""
-    scaled = [1] * (e + 1)
-    for i in range(e - 1, -1, -1):
-        scaled[i] = scaled[i + 1] * (N + i + 1)
-    return scaled
-
-
 def mr(N: int, r: int, e: int) -> Fraction:
     """Convolution weight by literal enumeration of its composition sum.
 
     Every factor (N!)/(N+i)! is evaluated as 1/((N+1)...(N+i)) so the sum
     stays factorial-free.  Over D = (N+1)...(N+e) each factor is the integer
-    c[i] / D, so every composition adds an integer product over D^r.
+    c[i] / D, c the base row of ``hessenberg._weight_powers``, so every
+    composition adds an integer product over D^r.  A call past the step
+    budget, C(e+r-1, r-1) compositions, is refused before any is enumerated.
     """
     if N < 1 or r < 1:
         raise ValueError("N and r must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    scaled = _scaled_reciprocal_risings(N, e)
-    den = scaled[0]
+    if comb(e + r - 1, r - 1) > _STEP_BUDGET:
+        raise RoutePreconditionError(f"mr requires C(e+r-1, r-1) <= {_STEP_BUDGET} compositions")
+    c = next(_weight_powers(N, e))
     total = 0
     for comp in enumerate_compositions(CompositionSpec(e, r)):
-        total += prod(map(scaled.__getitem__, comp))
-    return Fraction(total, den**r)
+        total += prod(map(c.__getitem__, comp))
+    return Fraction(total, c[0] ** r)
 
 
 def hb_explicit_comp(N: int, n: int) -> Fraction:
@@ -163,20 +165,14 @@ def hb_explicit_binom(N: int, n: int) -> Fraction:
     Each inner sum S_k is the x^n entry of the k-fold Cauchy power of
     1/((N+1)...(N+j)) -- the same sum, grouped -- which keeps this route
     polynomial-time instead of enumerating the far larger weak-composition
-    index set.  Over D = (N+1)...(N+n) that factor is the integer
-    (N+j+1)...(N+n), so the k-fold power is an integer convolution over D^k,
-    reduced once per k.
+    index set.  The k-fold power is row k of ``hessenberg._weight_powers``,
+    integers over its entry 0, and is reduced once per k.
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    scaled = _scaled_reciprocal_risings(N, n)
-    D = scaled[0]
-    power = scaled
     total = Fraction(0)
-    for k in range(1, n + 1):
-        if k > 1:
-            power = _convolution(power, scaled)
-        total += Fraction((-1) ** k * binom(n + 1, k + 1) * power[n], D**k)
+    for k, power in zip(range(1, n + 1), _weight_powers(N, n)):
+        total += Fraction((-1) ** k * binom(n + 1, k + 1) * power[n], power[0])
     return factorial(n) * total
 
 
@@ -210,6 +206,7 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
     part count's group; each group is reduced once."""
     if N < 1 or r < 1 or n < 1:
         raise ValueError("N, r and n must be >= 1")
+    _refuse_past("hb_higher_explicit", n, min(_COMP_MAX_N, _trudi_max_n(r)))
     W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
     groups = [0] * (n + 1)
     _composition_products(w, [x * w[1] for x in w], n, 0, 1, groups)

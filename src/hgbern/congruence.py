@@ -257,7 +257,7 @@ def ord_threshold(p: int, n: int, nu: int, m: int | None = None) -> int:
 
     Single-index form (m omitted):
         nu + 1 + ord_p(prod_{k=0..n} (1+k)!) + ord_p(n).
-    Pair form (m given, m >= n):
+    Pair form (m given; an m < n violates the pair's hypothesis m >= n):
         nu + 1 + ord_p(prod_{k=0..m} (1+k)!) + max(ord_p(m), ord_p(n)).
     """
     _require_prime(p)
@@ -266,7 +266,7 @@ def ord_threshold(p: int, n: int, nu: int, m: int | None = None) -> int:
     if nu < 0:
         raise ValueError("nu must be >= 0")
     if m is not None and m < n:
-        raise ValueError("m must be >= n")
+        raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
     top = n if m is None else m
     fact_ord = sum(_ord_factorial(k + 1, p) for k in range(top + 1))
     if m is None:
@@ -332,17 +332,17 @@ def hb_kummer_pair(
 
         (1 - p^{m-1}) B_{N,m} / m  ≡  (1 - p^{n-1}) B_{N,n} / n  (mod p^{nu+1})
 
-    under the classical hypotheses on (m, n, nu) plus the valuation threshold
-    on N-1 (pair form of :func:`ord_threshold`)."""
+    under the classical hypotheses on (m, n, nu) plus m >= n and the
+    valuation threshold on N-1, both from the pair form of
+    :func:`ord_threshold`."""
     _require_prime(p)
     if N < 1:
         raise ValueError("N must be >= 1")
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    if m < n:
-        raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
+    need = ord_threshold(p, n, nu, m=m)  # first, as the CLI does: it checks m >= n
     _require_kummer_indices(p, m, n, nu)
-    _require_threshold(p, N, ord_threshold(p, n, nu, m=m))
+    _require_threshold(p, N, need)
     lhs = _kummer_side(p, m, hb(N, m, store))
     rhs = _kummer_side(p, n, hb(N, n, store))
     return _verdict(*lhs, *rhs, p, nu + 1)

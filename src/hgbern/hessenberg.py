@@ -15,16 +15,17 @@ which keeps evaluation exact and O(m^2).  The signed entries
 (Trudi's formula; a0 = 1 is Brioschi's case), in integers over the entries'
 lcm; it is the sum behind the ``trudi`` route.  Every lcm of a list in the
 routes and checks, ``CommonDenominator``'s included, comes from
-``_over_lcm``, and ``_convolution`` is the routes' one truncated integer
-convolution, here and in :mod:`altforms`.
+``_over_lcm``.
 ``inversion_pair_check`` verifies the duality under which a sequence and its
 determinant transform swap roles, by their alternating convolution and by
 the determinant in each direction.
 
-``hb_higher_det`` specializes the entries to det's own r-fold weight row,
-``weight_row`` (r - 1 integer ``_convolution`` powers of 1/((N+1)...(N+j))
-over D = (N+1)...(N+n)), to recover the hypergeometric Bernoulli numbers by
-a determinant route; ``hb_det`` is its r = 1 case.  The recurrence oracle in
+``_weight_powers`` is the routes' one power table: the base row
+c_j = (N+j+1)...(N+n), which is 1/((N+1)...(N+j)) over D = (N+1)...(N+n),
+and its Cauchy powers, power r over D^r.  ``weight_row`` reads power r for
+``hb_higher_det``, which recovers the hypergeometric Bernoulli numbers by a
+determinant route (``hb_det`` is its r = 1 case); the ``mr`` and ``binom``
+routes in :mod:`altforms` read the table too.  The recurrence oracle in
 :mod:`hbnum` builds its weights with its own integer kernel,
 ``exactnum.cauchy_product``, and keeps its row over its lcm itself.  This
 module imports neither that kernel nor anything from :mod:`hbnum`: the two
@@ -42,11 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .exactnum import _rational, enumerate_partition_vectors, rising
+from .exactnum import _rational, enumerate_partition_vectors
 
 __all__ = [
     "CommonDenominator",
@@ -94,6 +96,20 @@ def _convolution(a: list[int], b: list[int]) -> list[int]:
     b_reversed = b[::-1]
     top = len(b) - 1
     return [sum(map(mul, a, b_reversed[top - m :])) for m in range(len(a))]
+
+
+def _weight_powers(N: int, upto: int) -> Iterator[list[int]]:
+    """Row r = 1, 2, ...: the r-fold weight row at e = 0..upto as integers
+    over its entry 0, D^r with D = (N+1)...(N+upto); a caller must not change
+    a row.  The base row (N+j+1)...(N+upto) is built from the top, and each
+    next row is one convolution with it."""
+    base = [1] * (upto + 1)
+    for j in range(upto - 1, -1, -1):
+        base[j] = base[j + 1] * (N + j + 1)
+    power = base
+    while True:
+        yield power
+        power = _convolution(power, base)
 
 
 def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:
@@ -180,19 +196,14 @@ def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
     over nonnegative r-part compositions of e, computed as an r-fold Cauchy
     power of 1/((N+1)...(N+j)) so huge N stays factorial-free.
 
-    Over D = (N+1)...(N+upto) that factor is the integer
-    (N+j+1)...(N+upto), so the power is r - 1 integer convolutions over D^r,
-    and each weight is one ``Fraction`` of them."""
+    The power is row r of ``_weight_powers``, integers over D^r, and each
+    weight is one ``Fraction`` of them."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    base = [rising(N + j + 1, upto - j) for j in range(upto + 1)]
-    row = base
-    for _ in range(r - 1):
-        row = _convolution(row, base)
-    den = base[0] ** r
-    return [Fraction(x, den) for x in row]
+    row = next(islice(_weight_powers(N, upto), r - 1, None))
+    return [Fraction(x, row[0]) for x in row]
 
 
 def hb_higher_det(N: int, r: int, n: int, row: list[Fraction] | None = None) -> Fraction:

@@ -265,6 +265,15 @@ class _Started(Exception):
         pytest.param(
             lambda n: hb_trudi(5, 10, n), "mr", altforms._trudi_max_n(10), "trudi", id="trudi"
         ),
+        # the library's order-r walk: comp's limit binds at r = 2, trudi's at r = 10
+        pytest.param(
+            lambda n: hb_higher_explicit(5, 2, n), "mr", 22, "hb_higher_explicit",
+            id="higher-explicit-r2",
+        ),
+        pytest.param(
+            lambda n: hb_higher_explicit(5, 10, n), "mr", altforms._trudi_max_n(10),
+            "hb_higher_explicit", id="higher-explicit-r10",
+        ),
     ],
 )
 def test_exponential_routes_refuse_past_their_limit_before_any_work(
@@ -280,6 +289,23 @@ def test_exponential_routes_refuse_past_their_limit_before_any_work(
         call(limit)
     with pytest.raises(RoutePreconditionError, match=f"^{name} requires n <= {limit}$"):
         call(limit + 1)
+
+
+def test_mr_refuses_past_the_step_budget_before_any_composition(monkeypatch):
+    # C(e+r-1, r-1) compositions: C(35, 29) = 1623160 at (r, e) = (30, 6) is
+    # within 5e6 steps and C(36, 29) = 8347680 is not; mr(1, 30, 30) would
+    # enumerate C(59, 29), about 5.9e16
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(altforms, "enumerate_compositions", started)
+    with pytest.raises(_Started):
+        mr(1, 30, 6)
+    for e in (7, 30):
+        with pytest.raises(
+            RoutePreconditionError, match=r"^mr requires C\(e\+r-1, r-1\) <= 5000000 compositions$"
+        ):
+            mr(1, 30, e)
 
 
 def test_validation():

@@ -390,15 +390,56 @@ def test_a_wrong_weight_kernel_is_caught_by_a_route_that_does_not_use_it(
 ):
     # the fault reaches every binding of the kernel, so a route that shared
     # it with the one it is compared with would go wrong with it unseen
-    wrong = _plus_one_at_entry_1(kernel)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hgbern"):
-            for attr, value in list(vars(module).items()):
-                if value is kernel:
-                    monkeypatch.setattr(module, attr, wrong)
+    _patch_every_binding(monkeypatch, kernel, _plus_one_at_entry_1(kernel))
     for r, counts in expected.items():
         _, _, mismatches = cli.run_sweep((1, 2), (r,), range(9), routes, hbnum.MemoStore())
         assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
+
+
+def _patch_every_binding(monkeypatch, function, replacement):
+    """Rebind `function` to `replacement` in every hgbern module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hgbern"):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_a_wrong_base_row_in_the_routes_power_table_is_caught_by_the_oracle(monkeypatch):
+    # +1 on entry 1 of the base row (N+j+1)...(N+upto) and so on every power
+    # built from it: each route that reads the table (comp and trudi through
+    # mr, binom, det through weight_row) disagrees with recurrence, whose
+    # weights come from its own kernel and stay clean
+    clean = {}
+    for N in (1, 2):
+        for r in (1, 2):
+            clean[N, r] = []
+            hb_higher(N, r, 8, None, clean[N, r])
+
+    original = hessenberg._weight_powers
+
+    def wrong(N, upto):
+        base = next(original(N, upto))
+        if upto:
+            base[1] += 1
+        power = base
+        while True:
+            yield power
+            power = hessenberg._convolution(power, base)
+
+    _patch_every_binding(monkeypatch, original, wrong)
+    for (N, r), values in clean.items():
+        row = []
+        hb_higher(N, r, 8, None, row)
+        assert row == values, (N, r)
+    expected = {1: {"comp": 16, "binom": 16, "trudi": 16, "det": 16}, 2: {"trudi": 16, "det": 16}}
+    for r, counts in expected.items():
+        _, _, mismatches = cli.run_sweep(
+            (1, 2), (r,), range(9), ("recurrence", "comp", "binom", "trudi", "det"),
+            hbnum.MemoStore(),
+        )
+        assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
+        assert {reference for _, reference, _, _, _ in mismatches} == {"recurrence"}, r
 
 
 def _entered(call) -> set[tuple[str, str]]:
@@ -832,6 +873,13 @@ def test_congruence_hypothesis_violation_exit(capsys):
     )
     assert code == EXIT_USAGE
     assert "hypothesis n ≢ 0 (mod p-1) violated" in err
+    # the pair's m >= n in the library's words, from ord_threshold, which the
+    # CLI evaluates before the statement
+    assert run(capsys, "congruence", "hb-pair", "-p", "5", "-m", "2", "-n", "6", "-N", "626") == (
+        EXIT_USAGE,
+        "",
+        "error: hypothesis m >= n violated: m = 2, n = 6\n",
+    )
 
 
 def test_convergents_output(capsys):

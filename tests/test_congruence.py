@@ -413,6 +413,7 @@ def test_statement_verdicts_match_the_fraction_reference_on_the_workload_checks(
             (5, 1 + 5**8, 4, 0),
             "hypothesis n ≢ 0 (mod p-1) violated: 4 ≡ 0 (mod 4)",
         ),
+        (ord_threshold, (5, 6, 0, 2), "hypothesis m >= n violated: m = 2, n = 6"),
     ],
 )
 def test_hypothesis_violation_texts(statement, args, message):
