@@ -27,8 +27,10 @@ Values print as exact ``num/den``.  Every subcommand takes ``--cache PATH``;
 without it the ``HGBERN_CACHE`` environment variable names the cache file,
 and with neither everything stays in memory.  ``congruence hb-kummer`` and
 ``hb-pair`` take exactly one of ``-N`` and ``--ordp-target T`` (N = 1 + p^T,
-T >= 0).  An option that several subcommands share is declared once, in a
-parent parser.
+T >= 0).  A congruence statement's hypotheses, their order and its
+threshold on ord_p(N-1) are the library's; the CLI prints the verdict or
+error it gets back.  An option that several subcommands share is declared
+once, in a parent parser.
 """
 
 from __future__ import annotations
@@ -340,19 +342,17 @@ def _verdict_line(verdict: CongruenceVerdict) -> str:
 
 
 def cmd_congruence(args: argparse.Namespace) -> int:
-    """Print the verdict bound by the subcommand; the transfer congruences
-    (those with a threshold) first resolve N and print their threshold.
-    Both are computed before either prints, so an invalid statement leaves
-    stdout empty."""
+    """Resolve ``--ordp-target`` to N = 1 + p^T, then print the verdict of
+    the statement bound by the subcommand, after the threshold it carries if
+    any.  Nothing prints before the statement returns, so an invalid one
+    leaves stdout empty and its error is the library's."""
     store = _make_store(args)
-    lines = []
-    if args.threshold is not None:
-        if args.ordp_target is not None:
-            args.N = 1 + args.p**args.ordp_target
-        lines.append(f"threshold: ord_{args.p}(N-1) >= {args.threshold(args)}")
+    if getattr(args, "ordp_target", None) is not None:
+        args.N = 1 + args.p**args.ordp_target
     verdict = args.verdict(args, store)
-    lines.append(_verdict_line(verdict))
-    print("\n".join(lines))
+    if verdict.threshold is not None:
+        print(f"threshold: ord_{args.p}(N-1) >= {verdict.threshold}")
+    print(_verdict_line(verdict))
     return EXIT_OK if verdict.holds else EXIT_VERIFY
 
 
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("congruence", help="p-adic congruence checks")
-    p.set_defaults(func=cmd_congruence, threshold=None)
+    p.set_defaults(func=cmd_congruence)
     csub = p.add_subparsers(dest="subcommand", required=True)
     # the statements' shared options, each a parent of the next: every
     # statement takes -p and -n, the Kummer ones --nu, the transfer ones N
@@ -459,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("hb-kummer", help="single-index transfer congruence", parents=[transfer])
     c.set_defaults(
-        threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu),
-        verdict=lambda a, store: congruence.hb_kummer_corollary(a.p, a.N, a.n, a.nu, store),
+        verdict=lambda a, store: congruence.hb_kummer_corollary(a.p, a.N, a.n, a.nu, store)
     )
 
     c = csub.add_parser(
@@ -468,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("-m", type=int, required=True)
     c.set_defaults(
-        threshold=lambda a: congruence.ord_threshold(a.p, a.n, a.nu, m=a.m),
-        verdict=lambda a, store: congruence.hb_kummer_pair(a.p, a.N, a.m, a.n, a.nu, store),
+        verdict=lambda a, store: congruence.hb_kummer_pair(a.p, a.N, a.m, a.n, a.nu, store)
     )
 
     c = csub.add_parser(

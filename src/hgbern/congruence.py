@@ -22,6 +22,10 @@ Values must be ``numbers.Rational`` (int or ``Fraction``); a float is
 refused rather than read as its binary expansion.  When a statement's
 hypotheses are violated the checks raise :class:`HypothesisViolation` with
 the failed hypothesis named, rather than reporting a meaningless verdict.
+
+The transfer statements check ``ord_threshold``'s hypotheses first, then
+N >= 1, their index hypotheses and the threshold on ord_p(N-1), which their
+verdict carries; the CLI prints it from there and names the same first error.
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ class CongruenceVerdict:
 
     ``modulus_exponent`` may be inf, in which case the check demanded exact
     equality and the residues are omitted.  Residues are also omitted when a
-    side has p in its denominator.
+    side has p in its denominator.  ``threshold`` is the bound on ord_p(N-1)
+    that a transfer statement required, and None for every other check.
     """
 
     holds: bool
@@ -166,6 +171,7 @@ class CongruenceVerdict:
     difference_ord: PadicVal
     lhs_residue: int | None
     rhs_residue: int | None
+    threshold: int | None = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -183,9 +189,12 @@ def congruent(a: Fraction | int, b: Fraction | int, p: int, k: PadicVal) -> Cong
     return _verdict(an, ad, bn, bd, p, k)
 
 
-def _verdict(an: int, ad: int, bn: int, bd: int, p: int, k: PadicVal) -> CongruenceVerdict:
+def _verdict(
+    an: int, ad: int, bn: int, bd: int, p: int, k: PadicVal, threshold: int | None = None
+) -> CongruenceVerdict:
     """The verdict on an/ad ≡ bn/bd (mod p^k), each side an unreduced pair
-    with a positive denominator, for a checked prime p and exponent k.
+    with a positive denominator, for a checked prime p and exponent k,
+    carrying a transfer statement's `threshold`.
 
     ord_p(a - b) is ord_p(an bd - bn ad) - ord_p(ad) - ord_p(bd).  The
     cross difference goes through the public ``ordp``, one call per verdict,
@@ -200,7 +209,7 @@ def _verdict(an: int, ad: int, bn: int, bd: int, p: int, k: PadicVal) -> Congrue
     else:
         mod = p**k
         lhs_res, rhs_res = _residue(an, ad, wa, p, mod), _residue(bn, bd, wb, p, mod)
-    return CongruenceVerdict(diff_ord >= k, p, k, diff_ord, lhs_res, rhs_res)
+    return CongruenceVerdict(diff_ord >= k, p, k, diff_ord, lhs_res, rhs_res, threshold)
 
 
 def _require_kummer_indices(p: int, m: int, n: int, nu: int) -> None:
@@ -222,7 +231,7 @@ def _require_kummer_indices(p: int, m: int, n: int, nu: int) -> None:
 
 def _require_threshold(p: int, N: int, need: int) -> None:
     """ord_p(N-1) >= need, with ord_p(0) = inf at N = 1."""
-    have: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
+    have = _ord_int(N - 1, p)
     if have < need:
         raise HypothesisViolation(
             f"hypothesis ord_{p}(N-1) >= {need} violated: ord_{p}(N-1) = {have}"
@@ -253,27 +262,23 @@ def _kummer_side(p: int, m: int, value: Fraction) -> tuple[int, int]:
 
 
 def ord_threshold(p: int, n: int, nu: int, m: int | None = None) -> int:
-    """Required lower bound on ord_p(N-1) for the transfer congruences.
+    """Required lower bound on ord_p(N-1) for the transfer congruences:
 
-    Single-index form (m omitted):
-        nu + 1 + ord_p(prod_{k=0..n} (1+k)!) + ord_p(n).
-    Pair form (m given; an m < n violates the pair's hypothesis m >= n):
-        nu + 1 + ord_p(prod_{k=0..m} (1+k)!) + max(ord_p(m), ord_p(n)).
+        nu + 1 + ord_p(prod_{k=0..m} (1+k)!) + max(ord_p(m), ord_p(n))
+
+    for the pair form (an m < n violates the pair's hypothesis m >= n); the
+    single-index form, m omitted, is the pair form at m = n.
     """
     _require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    if m is not None and m < n:
+    m = n if m is None else m
+    if m < n:
         raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
-    top = n if m is None else m
-    fact_ord = sum(_ord_factorial(k + 1, p) for k in range(top + 1))
-    if m is None:
-        tail = _ord_int(n, p)
-    else:
-        tail = max(_ord_int(m, p), _ord_int(n, p))
-    return nu + 1 + fact_ord + tail
+    fact_ord = sum(_ord_factorial(k + 1, p) for k in range(m + 1))
+    return nu + 1 + fact_ord + max(_ord_int(m, p), _ord_int(n, p))
 
 
 def hb_factorial_congruence(
@@ -292,7 +297,7 @@ def hb_factorial_congruence(
         raise ValueError("N must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    t: PadicVal = inf if N == 1 else _ord_int(N - 1, p)
+    t = _ord_int(N - 1, p)
     value, base = hb(N, n, store), classical(n, store)
     lhs = value.numerator * _ladder(N, n), value.denominator
     rhs = base.numerator * _ladder(1, n), base.denominator
@@ -308,21 +313,19 @@ def hb_kummer_corollary(
     p: int, N: int, n: int, nu: int, store: MemoStore | None = None
 ) -> CongruenceVerdict:
     """Direct transfer B_{N,n}/n ≡ B_n/n (mod p^{nu+1}), valid once N is
-    p-adically close enough to 1 (see :func:`ord_threshold`)."""
-    _require_prime(p)
-    if N < 1 or n < 1:
+    p-adically close enough to 1: ord_p(N-1) >= :func:`ord_threshold`."""
+    need = ord_threshold(p, n, nu)
+    if N < 1:
         raise ValueError("N and n must be >= 1")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
     if n % (p - 1) == 0:
         raise HypothesisViolation(
             f"hypothesis n ≢ 0 (mod p-1) violated: {n} ≡ 0 (mod {p - 1})"
         )
-    _require_threshold(p, N, ord_threshold(p, n, nu))
+    _require_threshold(p, N, need)
     value, base = hb(N, n, store), classical(n, store)
     lhs = value.numerator, value.denominator * n
     rhs = base.numerator, base.denominator * n
-    return _verdict(*lhs, *rhs, p, nu + 1)
+    return _verdict(*lhs, *rhs, p, nu + 1, need)
 
 
 def hb_kummer_pair(
@@ -334,15 +337,12 @@ def hb_kummer_pair(
 
     under the classical hypotheses on (m, n, nu) plus m >= n and the
     valuation threshold on N-1, both from the pair form of
-    :func:`ord_threshold`."""
-    _require_prime(p)
+    :func:`ord_threshold`; the verdict's ``threshold`` is that bound."""
+    need = ord_threshold(p, n, nu, m=m)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    need = ord_threshold(p, n, nu, m=m)  # first, as the CLI does: it checks m >= n
     _require_kummer_indices(p, m, n, nu)
     _require_threshold(p, N, need)
     lhs = _kummer_side(p, m, hb(N, m, store))
     rhs = _kummer_side(p, n, hb(N, n, store))
-    return _verdict(*lhs, *rhs, p, nu + 1)
+    return _verdict(*lhs, *rhs, p, nu + 1, need)

@@ -269,24 +269,17 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
 
 def _series_row(N: int, n: int, store: MemoStore) -> CommonDenominator:
     """The parameter-N values at 0..n, or at 0..k for some k > n, over their
-    lcm, kept on `store` under ("row", N, 1): built once from the oracle's
-    walk, grown in place with ``append`` from one more walk for a longer `n`.
-    Callers share it, read it, and may see it grow at its end."""
+    lcm, kept on `store` under ("row", N, 1): kept empty the first time, and
+    grown in place with ``append`` from the oracle's walk whenever `n` is past
+    its end.  Callers share it, read it, and may see it grow at its end."""
     HBKey(N, 1, n)  # checks the indices before the store is read
-    kept = store.kept(("row", N, 1), _series_over_lcm, N, n, store)
+    kept = store.kept(("row", N, 1), CommonDenominator, ())
     if len(kept.nums) <= n:
         row: list[Fraction] = []
         hb_higher(N, 1, n, store, row)
         for value in row[len(kept.nums) :]:
             kept.append(value)
     return kept
-
-
-def _series_over_lcm(N: int, n: int, store: MemoStore) -> CommonDenominator:
-    """The row ``_series_row`` keeps the first time: B_{N,0..n} over their lcm."""
-    row: list[Fraction] = []
-    hb_higher(N, 1, n, store, row)
-    return CommonDenominator(row)
 
 
 def _against_series(nums: list[int], series: CommonDenominator, h: int) -> int:

@@ -8,6 +8,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -20,6 +21,7 @@ import hgbern
 from hgbern import altforms, cli, exactnum, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
+from hgbern.congruence import hb_kummer_corollary, hb_kummer_pair, ord_threshold
 from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
 from oracles import naive_hb_higher_explicit
@@ -752,7 +754,13 @@ def _every_route_agrees_across_size_classes():
     @given(_SIZE_CLASSES, st.integers(1, 6), st.integers(0, 12))
     def prop(N, r, n):
         _, _, mismatches = cli.run_sweep((N,), (r,), (n,), tuple(cli.ROUTES), hbnum.MemoStore())
-        assert mismatches == []
+        # the commands that reproduce each mismatch: its reference route, then its route
+        replay = [
+            f"hgbern compute -N {N} -r {r} -n {n} --route {route}"
+            for (N, r, n), ref, _, name, _ in mismatches
+            for route in (ref, name)
+        ]
+        assert mismatches == [], "\n".join(replay)
 
     prop()
 
@@ -766,8 +774,10 @@ def test_the_size_class_property_catches_a_fault_only_at_huge_n(monkeypatch):
     monkeypatch.setattr(
         altforms, "hb_trudi", lambda N, r, n: trudi(N, r, n) + (N > 10**9 and n >= 5)
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError) as raised:
         _every_route_agrees_across_size_classes()
+    # the message names the command that shows the fault, at an N past 10^9
+    assert re.search(r"hgbern compute -N \d{10,} -r \d+ -n \d+ --route trudi\b", str(raised.value))
 
 
 def test_congruence_hb_kummer(capsys):
@@ -874,12 +884,53 @@ def test_congruence_hypothesis_violation_exit(capsys):
     assert code == EXIT_USAGE
     assert "hypothesis n ≢ 0 (mod p-1) violated" in err
     # the pair's m >= n in the library's words, from ord_threshold, which the
-    # CLI evaluates before the statement
+    # statement checks first
     assert run(capsys, "congruence", "hb-pair", "-p", "5", "-m", "2", "-n", "6", "-N", "626") == (
         EXIT_USAGE,
         "",
         "error: hypothesis m >= n violated: m = 2, n = 6\n",
     )
+
+
+def _transfer_invocations():
+    """Every hb-kummer and hb-pair invocation of a grid that mixes valid and
+    invalid p, N, m, n and nu, as (argv, p, statement, bound): the CLI's
+    arguments, the library call, and the bound on ord_p(N-1) it requires.
+    Each value is joined to its option with `=`, so a negative one parses."""
+    for p, N, n, nu in product((4, 5), (0, 1, 2, 626, 1 + 5**48), (0, 2, 4, 6), (-1, 0, 1)):
+        argv = [f"-p={p}", f"-N={N}", f"-n={n}", f"--nu={nu}"]
+        yield (
+            ["hb-kummer", *argv],
+            p,
+            lambda p=p, N=N, n=n, nu=nu: hb_kummer_corollary(p, N, n, nu),
+            lambda p=p, n=n, nu=nu: ord_threshold(p, n, nu),
+        )
+        for m in (0, 2, 6, 22):
+            yield (
+                ["hb-pair", f"-m={m}", *argv],
+                p,
+                lambda p=p, N=N, m=m, n=n, nu=nu: hb_kummer_pair(p, N, m, n, nu),
+                lambda p=p, m=m, n=n, nu=nu: ord_threshold(p, n, nu, m=m),
+            )
+
+
+def test_transfer_statements_name_the_same_first_error_in_the_cli_and_the_library(capsys):
+    invocations = list(_transfer_invocations())
+    assert Counter(argv[0] for argv, *_ in invocations) == {"hb-kummer": 120, "hb-pair": 480}
+    disagree, valid = [], 0
+    for argv, p, statement, bound in invocations:
+        try:
+            verdict = statement()
+        except ValueError as exc:  # a HypothesisViolation too: stdout stays empty
+            expected = (EXIT_USAGE, "", f"error: {exc}\n")
+        else:
+            valid += 1
+            out = f"threshold: ord_{p}(N-1) >= {bound()}\n{cli._verdict_line(verdict)}\n"
+            expected = (EXIT_OK if verdict.holds else EXIT_VERIFY, out, "")
+        if run(capsys, "congruence", *argv) != expected:
+            disagree.append(argv)
+    assert disagree == [], f"{len(disagree)} of {len(invocations)} invocations disagree"
+    assert valid > 0
 
 
 def test_convergents_output(capsys):

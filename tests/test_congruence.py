@@ -301,7 +301,9 @@ def test_congruent_matches_the_fraction_reference_on_random_pairs():
     for a, b, p in _random_pairs(random.Random(20)):
         for k in (0, 1, 3, inf):
             expected = reference_verdict(a, b, p, k)
-            assert dataclasses.astuple(congruent(a, b, p, k)) == expected, (a, b, p, k)
+            verdict = congruent(a, b, p, k)
+            assert dataclasses.astuple(verdict)[:6] == expected, (a, b, p, k)
+            assert verdict.threshold is None
 
 
 def _unreduced_side(rng, p):
@@ -332,7 +334,9 @@ def test_verdict_kernel_matches_the_fraction_reference_on_unreduced_pairs():
         a, b = Fraction(an, ad), Fraction(bn, bd)
         for k in (0, 1, 3, inf):
             verdict = congruence._verdict(an, ad, bn, bd, p, k)
-            assert dataclasses.astuple(verdict) == reference_verdict(a, b, p, k), (an, ad, bn, bd)
+            expected = reference_verdict(a, b, p, k)
+            assert dataclasses.astuple(verdict)[:6] == expected, (an, ad, bn, bd)
+            assert verdict.threshold is None
         stripped += ad % p == 0 and a.denominator % p != 0
         p_left += a.denominator % p == 0
         zeros += an == 0
@@ -381,8 +385,17 @@ def test_statement_verdicts_match_the_fraction_reference_on_the_workload_checks(
     count = 0
     for (statement, args), (lhs, rhs), p, k in _workload_checks():
         verdict = statement(*args, store)
-        assert dataclasses.astuple(verdict) == reference_verdict(lhs, rhs, p, k), args
+        assert dataclasses.astuple(verdict)[:6] == reference_verdict(lhs, rhs, p, k), args
         assert verdict.holds
+        # only the transfer statements carry the threshold they required
+        if statement is hb_kummer_pair:
+            p, _, m, n, nu = args
+            assert verdict.threshold == ord_threshold(p, n, nu, m=m), args
+        elif statement is hb_kummer_corollary:
+            p, _, n, nu = args
+            assert verdict.threshold == ord_threshold(p, n, nu), args
+        else:
+            assert verdict.threshold is None, args
         count += 1
     assert count == 1757 + 3 + 2 + 60
 

@@ -594,8 +594,10 @@ def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
             assert identity_even(N, n, h, store) == expected[N, 0, h]
         for h in range(2 * n - 1, -1, -1):  # h down: the kept row serves as it is
             assert identity_odd(N, n, h, store) == expected[N, 1, h]
-        # a row of the oracle starts at B_0 = 1; a Q list at a product >= 2
-        assert [len(values) for values in built if values[:1] == [1]] == [1], N
+        # the kept row is the only lcm holder the checks build: once per N,
+        # empty, then grown by append and never rebuilt
+        assert built == [[]], N
+        assert len(store._kept["row", N, 1].nums) == 2 * n + 1, N
 
 
 # Kept Q lists: on a store, the coefficient list of Q_{2n-odd} for j <= n is
