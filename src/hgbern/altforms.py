@@ -50,7 +50,10 @@ about ten seconds (see README), and the CLI's route table reads these same
 limits.  The library's own exponential walks refuse the same way:
 ``hb_higher_explicit`` above the smaller of the comp and trudi limits, and
 ``mr`` past the ``_STEP_BUDGET`` compositions that trudi's limit budgets,
-so every point those routes admit stays admitted.
+so every point those routes admit stays admitted.  Before that, every
+value route and ``mr`` check their indices as an ``exactnum.HBKey``, the
+oracle's own guard, so a bool or a float index is refused as the oracle
+refuses it; ``mr`` checks its weight index e as the key's n.
 """
 
 from __future__ import annotations
@@ -60,11 +63,17 @@ from functools import cache, reduce
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
-from .exactnum import CompositionSpec, binom, enumerate_compositions
+from .exactnum import CompositionSpec, HBKey, binom, enumerate_compositions
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hessenberg import _over_lcm, _weight_powers, toeplitz_hessenberg_det, trudi_expand
+from .hessenberg import (
+    _over_lcm,
+    _require_index,
+    _weight_powers,
+    toeplitz_hessenberg_det,
+    trudi_expand,
+)
 
 __all__ = [
     "RoutePreconditionError",
@@ -135,11 +144,9 @@ def mr(N: int, r: int, e: int) -> Fraction:
     c[i] / D, c the base row of ``hessenberg._weight_powers``, so every
     composition adds an integer product over D^r.  A call past the step
     budget, C(e+r-1, r-1) compositions, is refused before any is enumerated.
+    The indices are checked as ``HBKey(N, r, e)``.
     """
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
-    if e < 0:
-        raise ValueError("e must be >= 0")
+    HBKey(N, r, e)
     if comb(e + r - 1, r - 1) > _STEP_BUDGET:
         raise RoutePreconditionError(f"mr requires C(e+r-1, r-1) <= {_STEP_BUDGET} compositions")
     c = next(_weight_powers(N, e))
@@ -152,8 +159,7 @@ def mr(N: int, r: int, e: int) -> Fraction:
 def hb_explicit_comp(N: int, n: int) -> Fraction:
     """Explicit route: n! sum over positive compositions i_1+...+i_k = n of
     (-1)^k / prod_j ((N+1)...(N+i_j)), the order-r explicit route at r = 1."""
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
+    _require_index(N, 1, n)
     _refuse_past("comp", n, _COMP_MAX_N)
     return hb_higher_explicit(N, 1, n)
 
@@ -168,8 +174,7 @@ def hb_explicit_binom(N: int, n: int) -> Fraction:
     index set.  The k-fold power is row k of ``hessenberg._weight_powers``,
     integers over its entry 0, and is reduced once per k.
     """
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
+    _require_index(N, 1, n)
     total = Fraction(0)
     for k, power in zip(range(1, n + 1), _weight_powers(N, n)):
         total += Fraction((-1) ** k * binom(n + 1, k + 1) * power[n], power[0])
@@ -204,8 +209,7 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
     integer over W^k.  ``_composition_products`` visits every composition
     once, carrying the product of its prefix, and adds each product into its
     part count's group; each group is reduced once."""
-    if N < 1 or r < 1 or n < 1:
-        raise ValueError("N, r and n must be >= 1")
+    _require_index(N, r, n)
     _refuse_past("hb_higher_explicit", n, min(_COMP_MAX_N, _trudi_max_n(r)))
     W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
     groups = [0] * (n + 1)
@@ -332,8 +336,7 @@ def hb_trudi(N: int, r: int, n: int) -> Fraction:
     That is (-1)^n n! times Trudi's expansion (:func:`trudi_expand`) of the
     Toeplitz-Hessenberg determinant with unit superdiagonal and entries
     weight(1..n)."""
-    if N < 1 or r < 1 or n < 1:
-        raise ValueError("N, r and n must be >= 1")
+    _require_index(N, r, n)
     _refuse_past("trudi", n, _trudi_max_n(r))
     weights = [mr(N, r, e) for e in range(1, n + 1)]
     return (-1) ** n * factorial(n) * trudi_expand(1, weights)

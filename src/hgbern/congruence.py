@@ -316,7 +316,7 @@ def hb_kummer_corollary(
     p-adically close enough to 1: ord_p(N-1) >= :func:`ord_threshold`."""
     need = ord_threshold(p, n, nu)
     if N < 1:
-        raise ValueError("N and n must be >= 1")
+        raise ValueError("N must be >= 1")
     if n % (p - 1) == 0:
         raise HypothesisViolation(
             f"hypothesis n ≢ 0 (mod p-1) violated: {n} ≡ 0 (mod {p - 1})"

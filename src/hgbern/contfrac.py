@@ -270,15 +270,15 @@ def convergent_closed(N: int, n: int) -> ConvergentPair:
 def _series_row(N: int, n: int, store: MemoStore) -> CommonDenominator:
     """The parameter-N values at 0..n, or at 0..k for some k > n, over their
     lcm, kept on `store` under ("row", N, 1): kept empty the first time, and
-    grown in place with ``append`` from the oracle's walk whenever `n` is past
-    its end.  Callers share it, read it, and may see it grow at its end."""
+    grown in place with ``extend`` from the oracle's walk whenever `n` is past
+    its end, so each walk rescales the held numerators at most once.  Callers
+    share it, read it, and may see it grow at its end."""
     HBKey(N, 1, n)  # checks the indices before the store is read
     kept = store.kept(("row", N, 1), CommonDenominator, ())
     if len(kept.nums) <= n:
         row: list[Fraction] = []
         hb_higher(N, 1, n, store, row)
-        for value in row[len(kept.nums) :]:
-            kept.append(value)
+        kept.extend(row[len(kept.nums) :])
     return kept
 
 

@@ -15,6 +15,11 @@ holder of the routes and checks is ``hessenberg.CommonDenominator``, and
 the oracle in :mod:`hbnum` keeps its row over its lcm itself, so no route
 or check shares an arithmetic helper with the oracle.
 
+``HBKey``, the (N, r, n) index triple, is the one index guard of the
+package: the oracle and its store, the routes of :mod:`altforms` and
+:mod:`hessenberg` and the checks of :mod:`contfrac` each build one before
+any work, so a bool or a float index is refused everywhere alike.
+
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
 
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -30,6 +36,7 @@ from operator import mul, sub
 from typing import Iterator, Sequence
 
 __all__ = [
+    "HBKey",
     "format_rational",
     "check_rational",
     "parse_rational",
@@ -41,6 +48,35 @@ __all__ = [
     "enumerate_partition_vectors",
     "cauchy_product",
 ]
+
+
+class HBKey(namedtuple("HBKey", "N r n")):
+    """Index triple (N, r, n) of a higher-order hypergeometric Bernoulli number.
+
+    A ``tuple``, so hashing, equality and order are the plain tuple
+    ``(N, r, n)``'s, computed in C, and a key equals that tuple.  Each index
+    must therefore be an int, and not a bool: a float or a bool would hash
+    equal to an int key and read that key's value or kept data in a store.
+    It is the one index guard of the oracle, the routes and the checks, and
+    it lives here, beside the other primitives, so that the routes can build
+    one without importing the oracle's module.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, r: int, n: int) -> HBKey:
+        if type(N) is not int or type(r) is not int or type(n) is not int:
+            for field, value in zip(cls._fields, (N, r, n)):
+                if type(value) is not int:
+                    raise ValueError(f"{field} must be an int, got {value!r}")
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return tuple.__new__(cls, (N, r, n))
+
 
 _RATIONAL_RE = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
 

@@ -30,7 +30,10 @@ routes in :mod:`altforms` read the table too.  The recurrence oracle in
 ``exactnum.cauchy_product``, and keeps its row over its lcm itself.  This
 module imports neither that kernel nor anything from :mod:`hbnum`: the two
 routes share no lcm holder, no weight-row code and no weight kernel, so the
-determinant witnesses the recurrence's weights too.
+determinant witnesses the recurrence's weights too.  They share only the
+index guard ``exactnum.HBKey``: ``weight_row`` and ``hb_higher_det`` (and
+the value routes of :mod:`altforms`, through ``_require_index``) refuse a
+bool or float index with the oracle's own message before any work.
 The recursion computes the leading determinants D_0..D_{m-1} on its way to
 D_m, so one call can also hand back a whole family's values B_0..B_n (the
 optional ``leading`` and ``row`` lists): ``verify`` reads each (N, r)
@@ -48,7 +51,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactnum import _rational, enumerate_partition_vectors
+from .exactnum import HBKey, _rational, enumerate_partition_vectors
 
 __all__ = [
     "CommonDenominator",
@@ -75,7 +78,8 @@ class CommonDenominator:
     denominators: the lcm holder of the routes and checks.  An inner sum is
     then one integer dot product, reduced once (the fraction-free idea of
     Bareiss, Math. Comp. 22, 1968); appending a value whose denominator does
-    not divide ``den`` rescales every numerator once."""
+    not divide ``den`` rescales every numerator once, and ``extend`` takes
+    many values over their own lcm with at most that one rescale."""
 
     __slots__ = ("nums", "den")
 
@@ -89,6 +93,15 @@ class CommonDenominator:
             self.nums = [x * grow for x in self.nums]
             self.den *= grow
         self.nums.append(value.numerator * (self.den // q))
+
+    def extend(self, values: Sequence[Rational]) -> None:
+        den, nums = _over_lcm(values)
+        grow = den // gcd(den, self.den)
+        if grow != 1:
+            self.nums = [x * grow for x in self.nums]
+            self.den *= grow
+        scale = self.den // den
+        self.nums += nums if scale == 1 else [x * scale for x in nums]
 
 
 def _convolution(a: list[int], b: list[int]) -> list[int]:
@@ -110,6 +123,16 @@ def _weight_powers(N: int, upto: int) -> Iterator[list[int]]:
     while True:
         yield power
         power = _convolution(power, base)
+
+
+def _require_index(N: int, r: int, n: int) -> None:
+    """Refuse the indices of a value route before any work, in ``HBKey``'s
+    order (every type, then N, r and n): they must make an ``HBKey``, ints
+    and not bools with N, r >= 1, and n must be >= 1."""
+    if type(n) is int and n < 1:
+        HBKey(N, r, 0)
+        raise ValueError("n must be >= 1")
+    HBKey(N, r, n)
 
 
 def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:
@@ -197,11 +220,9 @@ def weight_row(N: int, r: int, upto: int) -> list[Fraction]:
     power of 1/((N+1)...(N+j)) so huge N stays factorial-free.
 
     The power is row r of ``_weight_powers``, integers over D^r, and each
-    weight is one ``Fraction`` of them."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    weight is one ``Fraction`` of them.  The indices are checked as
+    ``HBKey(N, r, upto)``."""
+    HBKey(N, r, upto)
     row = next(islice(_weight_powers(N, upto), r - 1, None))
     return [Fraction(x, row[0]) for x in row]
 
@@ -212,8 +233,7 @@ def hb_higher_det(N: int, r: int, n: int, row: list[Fraction] | None = None) -> 
     If `row` is given, B_0..B_n are appended to it, each (-1)^k k! D_k from
     the same determinant walk, equal to ``hb_higher_det(N, r, k)`` for k >= 1.
     """
-    if N < 1 or r < 1 or n < 1:
-        raise ValueError("N, r and n must be >= 1")
+    _require_index(N, r, n)
     leading: list[Fraction] | None = None if row is None else []
     det = toeplitz_hessenberg_det(1, weight_row(N, r, n)[1:], leading)
     if row is not None:

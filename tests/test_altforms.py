@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hgbern import altforms
+from hgbern import altforms, hessenberg
 from hgbern.altforms import (
     RoutePreconditionError,
     hb_descent_nested,
@@ -23,7 +23,7 @@ from hgbern.altforms import (
 )
 from hgbern.exactnum import binom, rising
 from hgbern.hbnum import classical, hb, hb_higher
-from hgbern.hessenberg import weight_row
+from hgbern.hessenberg import hb_higher_det, weight_row
 from oracles import (
     naive_hb_descent_nested,
     naive_hb_explicit_comp,
@@ -289,6 +289,51 @@ def test_exponential_routes_refuse_past_their_limit_before_any_work(
         call(limit)
     with pytest.raises(RoutePreconditionError, match=f"^{name} requires n <= {limit}$"):
         call(limit + 1)
+
+
+# every helper a route or weight row starts its work with, by module
+_WORK = {
+    altforms: [
+        "_refuse_past", "_trudi_max_n", "_weight_powers", "enumerate_compositions", "mr",
+        "trudi_expand", "toeplitz_hessenberg_det",
+    ],
+    hessenberg: ["_weight_powers", "toeplitz_hessenberg_det", "weight_row"],
+}
+
+
+@pytest.mark.parametrize(
+    "function, valid",
+    [
+        pytest.param(function, valid, id=function.__name__)
+        for function, valid in (
+            (mr, (2, 2, 3)),
+            (hb_explicit_comp, (2, 3)),
+            (hb_explicit_binom, (2, 3)),
+            (hb_higher_explicit, (2, 2, 3)),
+            (hb_trudi, (2, 2, 3)),
+            (hb_higher_det, (2, 2, 3)),
+            (weight_row, (2, 2, 3)),
+        )
+    ],
+)
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_routes_refuse_a_bool_or_float_index_before_any_work(function, valid, bad, monkeypatch):
+    # a bool or a float index would be read as an int (hb_trudi(True, 1, 3)
+    # returned 0); each route checks its indices as an HBKey first, and names
+    # the key's field: the depth of mr and weight_row is its n
+    def started(*args):
+        raise _Started
+
+    for module, names in _WORK.items():
+        for name in names:
+            monkeypatch.setattr(module, name, started)
+    fields = ("N", "n") if len(valid) == 2 else ("N", "r", "n")
+    for i, field in enumerate(fields):
+        args = [*valid[:i], bad, *valid[i + 1 :]]
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {bad!r}$"):
+            function(*args)
+    monkeypatch.undo()
+    assert function(*valid) == function(*valid)  # the valid indices still compute
 
 
 def test_mr_refuses_past_the_step_budget_before_any_composition(monkeypatch):

@@ -470,20 +470,22 @@ def _entered(call) -> set[tuple[str, str]]:
 # relations share it until they read rows from a source of their own
 # (ROADMAP item 2)
 _RELATION_ROW = {
-    ("hbnum.py", name)
-    for name in ("__contains__", "__new__", "_cached_or_row", "_row", "get", "put")
+    ("hbnum.py", name) for name in ("__contains__", "_cached_or_row", "_row", "get", "put")
 }
+# HBKey.__new__: every route checks its indices with the oracle's own guard,
+# which does no arithmetic
+_INDEX_GUARD = {("exactnum.py", "__new__")}
 
 
 # what each route but the oracle itself shares with the oracle, traced
 _SHARED_WITH_THE_ORACLE = {
-    "comp": set(),
-    "binom": set(),
-    "trudi": set(),
-    "det": set(),
-    "descent": _RELATION_ROW,
-    "descent-nested": _RELATION_ROW,
-    "convolution": _RELATION_ROW,
+    "comp": _INDEX_GUARD,
+    "binom": _INDEX_GUARD,
+    "trudi": _INDEX_GUARD,
+    "det": _INDEX_GUARD,
+    "descent": _RELATION_ROW | _INDEX_GUARD,
+    "descent-nested": _RELATION_ROW | _INDEX_GUARD,
+    "convolution": _RELATION_ROW | _INDEX_GUARD,
 }
 
 
@@ -867,7 +869,7 @@ def test_invalid_transfer_statement_leaves_stdout_empty(N, capsys):
     assert run(capsys, "congruence", "hb-kummer", "-p", "5", "-n", "6", f"-N={N}") == (
         EXIT_USAGE,
         "",
-        "error: N and n must be >= 1\n",
+        "error: N must be >= 1\n",
     )
 
 

@@ -569,6 +569,19 @@ def test_series_row_is_the_row_over_its_lcm_and_kept_on_a_store():
         _series_row(3, -1, MemoStore())
 
 
+@pytest.mark.parametrize("N", [1, 3, 1 + 5**20])
+def test_a_row_grown_over_several_walks_is_the_row_over_its_lcm(N):
+    # each walk adds its new values over their own lcm with one rescale of
+    # the held numerators; the result is the one-shot row over its lcm
+    store = MemoStore()
+    for n in (0, 1, 2, 9, 40, 41, 150, 300):
+        kept = _series_row(N, n, store)
+        row = [store.get(HBKey(N, 1, m)) for m in range(n + 1)]
+        whole = CommonDenominator(row)
+        assert (kept.den, kept.nums) == (whole.den, whole.nums), n
+    assert len(kept.nums) == 301
+
+
 def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
     n = 6
     expected = {
@@ -590,12 +603,12 @@ def test_a_family_on_one_store_builds_each_row_over_its_lcm_once(monkeypatch):
     for N in range(1, 4):
         hb(N, 2 * n, store)  # every value stored, so no check computes one
         built.clear()
-        for h in range(2 * n + 1):  # h up: the kept row grows by append
+        for h in range(2 * n + 1):  # h up: the kept row grows by extend
             assert identity_even(N, n, h, store) == expected[N, 0, h]
         for h in range(2 * n - 1, -1, -1):  # h down: the kept row serves as it is
             assert identity_odd(N, n, h, store) == expected[N, 1, h]
         # the kept row is the only lcm holder the checks build: once per N,
-        # empty, then grown by append and never rebuilt
+        # empty, then grown by extend and never rebuilt
         assert built == [[]], N
         assert len(store._kept["row", N, 1].nums) == 2 * n + 1, N
 

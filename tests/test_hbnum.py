@@ -9,12 +9,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgbern import hbnum
 from hgbern.altforms import mr
-from hgbern.exactnum import format_rational, rising
+from hgbern.exactnum import _text_int, format_rational, parse_rational, rising
 from hgbern.hessenberg import CommonDenominator, weight_row
 from hgbern.hbnum import (
     CacheError,
@@ -594,6 +594,83 @@ def test_whole_file_check_accepts_only_what_the_loop_accepts(tmp_path_factory, l
         return
     if records is not None:  # the same records, in the same order
         assert list(records.items()) == list(expected.items())
+
+
+# A record's value text in the form `save` writes, reduced or not: zeros may
+# lead either part, and the denominator has a nonzero digit.
+_SAVED_TEXTS = st.builds(
+    lambda sign, num, den, pad_num, pad_den: f"{sign}{'0' * pad_num}{num}/{'0' * pad_den}{den}",
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**40),
+    st.integers(1, 10**40),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(_KEYS, _SAVED_TEXTS, min_size=1, max_size=40))
+def test_saved_files_round_trip_byte_for_byte_and_decode_as_parse_rational(
+    tmp_path_factory, int_digit_limit, records
+):
+    # the one-pass reader converts each distinct key field once and decodes a
+    # text without a second check; neither may change a record
+    path = tmp_path_factory.mktemp("saved") / "cache.txt"
+    data = "".join(f"{N} {r} {n} {text}\n" for (N, r, n), text in sorted(records.items()))
+    path.write_text(data)
+    assert hbnum._saved_records(path.read_bytes()) == records
+    store = MemoStore(path)
+    assert store.load(audit_samples=0) == len(records)
+    last = HBKey(10**31, 1, 0)  # past every key, so its record is written last
+    store.put(last, Fraction(-5, 7))
+    store.save()  # undecoded texts are written back as they were read
+    assert path.read_text() == data + "10" + "0" * 30 + " 1 0 -5/7\n"
+    for key, text in records.items():
+        assert store.get(key) == parse_rational(text)
+
+
+# Lines the line-by-line reader accepts, each with the text it stores and
+# whether it keeps the whole file from the one-pass reader.  Their keys have
+# r = 60, which no record drawn from _KEYS has.
+_BENT_RECORDS = st.sampled_from(
+    [
+        ("3 60 0 +3/6\r\n", "+3/6", True),
+        ("3 60 1 -0/5\n", "-0/5", False),
+        ("3 60 2 4/007\n", "4/007", False),
+        ("3 60 3 +12/-8\n", "+12/-8", True),
+        ("3 60 4 7\n", "7", True),
+        ("\n3 60 5 -1/3\n", "-1/3", True),  # after a blank line
+        ("3 60 6 1/2\n3 60 6 1/2\n", "1/2", True),  # an equal duplicate
+        ("3 60 7 2/4\n3 60 7 1/2\n", "2/4", True),  # an equal value, another text
+        (f"3 60 8 -{'9' * 4301}/3\n", f"-{'9' * 4301}/3", False),  # past the digit limit
+        (f"3 60 9 1/{'7' * 4400}\r", f"1/{'7' * 4400}", True),
+        (f"{'1' * 4301} 60 0 5/6\n", "5/6", True),  # a key past the digit limit
+    ]
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.dictionaries(_KEYS, _SAVED_TEXTS, max_size=10),
+    st.lists(_BENT_RECORDS, min_size=1, max_size=4, unique=True),
+)
+def test_files_in_any_accepted_layout_decode_as_parse_rational(
+    tmp_path_factory, int_digit_limit, records, bent
+):
+    path = tmp_path_factory.mktemp("bent") / "cache.txt"
+    lines = [f"{N} {r} {n} {text}\n" for (N, r, n), text in sorted(records.items())]
+    lines += [line for line, _, _ in bent]
+    path.write_bytes("".join(lines).encode())
+    one_pass = hbnum._saved_records(path.read_bytes())
+    assert (one_pass is None) == any(line_only for _, _, line_only in bent)
+    expected = {key: parse_rational(text) for key, text in records.items()}
+    for line, text, _ in bent:
+        N, r, n = map(_text_int, line.split()[:3])
+        expected[HBKey(N, r, n)] = parse_rational(text)
+    store = MemoStore(path)
+    assert store.load(audit_samples=0) == len(expected)
+    for key, value in expected.items():
+        assert store.get(key) == value
 
 
 def test_memostore_rejects_malformed_lines(tmp_path):

@@ -115,6 +115,11 @@ def test_common_denominator_holds_values_over_their_lcm(head, tail):
     values = head + tail
     assert held.den == lcm(*(Fraction(v).denominator for v in values))
     assert [Fraction(x, held.den) for x in held.nums] == values
+    # extend takes a list over its own lcm: the same numerators and lcm
+    extended = CommonDenominator(head)
+    extended.extend(tail)
+    extended.extend([])
+    assert (extended.den, extended.nums) == (held.den, held.nums)
 
 
 def test_empty_determinant_is_one():
@@ -211,7 +216,8 @@ def test_determinant_route_matches_recurrence():
 
 @pytest.mark.parametrize(
     "r, upto, message",
-    [(0, 3, "r must be >= 1"), (-1, 3, "r must be >= 1"), (2, -1, "upto must be >= 0")],
+    # the indices are checked as HBKey(N, r, upto), which names upto as its n
+    [(0, 3, "r must be >= 1"), (-1, 3, "r must be >= 1"), (2, -1, "n must be >= 0")],
 )
 def test_weight_row_refuses_an_order_or_a_depth_out_of_range(r, upto, message):
     # at r = 0 the row used to come back as the r = 1 row, [1, 1/3, 1/12, 1/60] at (2, 0, 3)
@@ -226,8 +232,10 @@ def test_determinant_row_equals_per_point_determinants():
             top = hb_higher_det(N, r, 30, row)
             assert len(row) == 31 and row[0] == 1 and row[30] == top
             assert row[1:] == [hb_higher_det(N, r, n) for n in range(1, 31)]
-    with pytest.raises(ValueError, match="N, r and n must be >= 1"):
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
         hb_higher_det(0, 1, 5, [])
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        hb_higher_det(2, 1, -1, [])
     assert hb_det(2, 4) == hb_higher_det(2, 1, 4, []) == Fraction(-1, 270)
 
 
