@@ -51,9 +51,8 @@ limits.  The library's own exponential walks refuse the same way:
 ``hb_higher_explicit`` above the smaller of the comp and trudi limits, and
 ``mr`` past the ``_STEP_BUDGET`` compositions that trudi's limit budgets,
 so every point those routes admit stays admitted.  Before that, every
-value route and ``mr`` check their indices as an ``exactnum.HBKey``, the
-oracle's own guard, so a bool or a float index is refused as the oracle
-refuses it; ``mr`` checks its weight index e as the key's n.
+function checks its integer arguments by the rule stated in :mod:`exactnum`;
+``mr`` checks its weight index e as the key's n.
 """
 
 from __future__ import annotations
@@ -63,17 +62,18 @@ from functools import cache, reduce
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
-from .exactnum import CompositionSpec, HBKey, binom, enumerate_compositions
+from .exactnum import (
+    CompositionSpec,
+    HBKey,
+    _require_index,
+    _require_int,
+    binom,
+    enumerate_compositions,
+)
 # no route calls it; bench/test_bench.py checks that its tracer restores this
 # binding, so the import stays until that test stops naming it
 from .exactnum import cauchy_product  # noqa: F401
-from .hessenberg import (
-    _over_lcm,
-    _require_index,
-    _weight_powers,
-    toeplitz_hessenberg_det,
-    trudi_expand,
-)
+from .hessenberg import _over_lcm, _weight_powers, toeplitz_hessenberg_det, trudi_expand
 
 __all__ = [
     "RoutePreconditionError",
@@ -248,8 +248,7 @@ def hb_higher_convolution(base: Sequence[Fraction], r: int) -> Fraction:
     sequence base = B_{N,0..n}: sum over n_1+...+n_r = n of multinomial(n_i)
     B_{N,n_1}...B_{N,n_r}, taken as r-1 binomial convolutions of the values'
     numerators over their lcm P, so the result is one integer over P^r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _require_int("r", r, 1)
     if not base:
         raise ValueError("n must be >= 0")
     P, p = _over_lcm(base)
@@ -266,6 +265,7 @@ def hb_descent_step(prev: Sequence[Fraction], row: Sequence[Fraction], N: int) -
                             + sum_{m=1}^{n-1} binom(n, n-m+1) B_{N,m} B_{N-1,n-m+1} }
 
     consuming prev = B_{N-1,0..n} and row = B_{N,0..n-1}."""
+    _require_int("N", N)
     if N < 2:
         raise RoutePreconditionError("descent requires N >= 2")
     n = _top(prev)
@@ -286,6 +286,7 @@ def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
     integers, so each chain is an integer product.  ``_chain_products``
     visits every chain once, carrying the product of its links, and adds each
     term into its length m's group; each group is reduced once."""
+    _require_int("N", N)
     if N < 2:
         raise RoutePreconditionError("descent-nested requires N >= 2")
     n = _top(prev)

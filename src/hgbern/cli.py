@@ -175,7 +175,7 @@ def run_sweep(
         raise ValueError("a comparison sweep needs at least two routes")
     unknown = [r for r in routes if r not in ROUTES]
     if unknown:
-        raise ValueError(f"unknown routes: {', '.join(unknown)}")
+        raise ValueError(f"unknown routes: {', '.join(r or repr(r) for r in unknown)}")
     repeated = sorted({r for r in routes if routes.count(r) > 1})
     if repeated:
         raise ValueError(f"routes listed more than once: {', '.join(repeated)}")

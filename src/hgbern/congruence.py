@@ -23,7 +23,8 @@ refused rather than read as its binary expansion.  When a statement's
 hypotheses are violated the checks raise :class:`HypothesisViolation` with
 the failed hypothesis named, rather than reporting a meaningless verdict.
 
-The transfer statements check ``ord_threshold``'s hypotheses first, then
+Integer arguments are checked by the rule stated in :mod:`exactnum`.  The
+transfer statements check ``ord_threshold``'s hypotheses first, then
 N >= 1, their index hypotheses and the threshold on ord_p(N-1), which their
 verdict carries; the CLI prints it from there and names the same first error.
 """
@@ -36,7 +37,7 @@ from itertools import accumulate
 from math import inf, prod
 from operator import mul
 
-from .exactnum import _rational
+from .exactnum import HBKey, _rational, _require_int
 from .hbnum import MemoStore, classical, hb
 
 __all__ = [
@@ -97,6 +98,7 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
+    _require_int("p", p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -248,8 +250,9 @@ def kummer_classical(
     for positive even m, n with m ≡ n (mod (p-1) p^nu) and m, n not
     divisible by p-1."""
     _require_prime(p)
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    _require_int("m", m)
+    _require_int("n", n)
+    _require_int("nu", nu, 0)
     _require_kummer_indices(p, m, n, nu)
     lhs = _kummer_side(p, m, classical(m, store))
     rhs = _kummer_side(p, n, classical(n, store))
@@ -270,11 +273,10 @@ def ord_threshold(p: int, n: int, nu: int, m: int | None = None) -> int:
     single-index form, m omitted, is the pair form at m = n.
     """
     _require_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    _require_int("n", n, 1)
+    _require_int("nu", nu, 0)
     m = n if m is None else m
+    _require_int("m", m)
     if m < n:
         raise HypothesisViolation(f"hypothesis m >= n violated: m = {m}, n = {n}")
     fact_ord = sum(_ord_factorial(k + 1, p) for k in range(m + 1))
@@ -293,10 +295,7 @@ def hb_factorial_congruence(
     so huge N stays cheap; (1+k)! is the same product at N = 1.  N = 1 turns
     the modulus exponent into inf and the check into exact equality."""
     _require_prime(p)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    HBKey(N, 1, n)
     t = _ord_int(N - 1, p)
     value, base = hb(N, n, store), classical(n, store)
     lhs = value.numerator * _ladder(N, n), value.denominator
@@ -315,8 +314,7 @@ def hb_kummer_corollary(
     """Direct transfer B_{N,n}/n ≡ B_n/n (mod p^{nu+1}), valid once N is
     p-adically close enough to 1: ord_p(N-1) >= :func:`ord_threshold`."""
     need = ord_threshold(p, n, nu)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    HBKey(N, 1, n)
     if n % (p - 1) == 0:
         raise HypothesisViolation(
             f"hypothesis n ≢ 0 (mod p-1) violated: {n} ≡ 0 (mod {p - 1})"
@@ -339,8 +337,7 @@ def hb_kummer_pair(
     valuation threshold on N-1, both from the pair form of
     :func:`ord_threshold`; the verdict's ``threshold`` is that bound."""
     need = ord_threshold(p, n, nu, m=m)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    HBKey(N, 1, n)
     _require_kummer_indices(p, m, n, nu)
     _require_threshold(p, N, need)
     lhs = _kummer_side(p, m, hb(N, m, store))

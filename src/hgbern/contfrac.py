@@ -33,9 +33,8 @@ widest h (2n+1 or 2n), since a weight depends on n and its index only.  The
 first check of a family builds them, O(n^2) products for Q, and every other
 h reads them; the classical variants read the N = 1 lists of P and Q.  What
 the store keeps, and when it drops it, is described in :class:`MemoStore`.
-Every index is refused with a ``ValueError`` before a store is read if it is
-a bool or not an int, since it would hash equal to an int key and read that
-key's kept data: N and n through an ``HBKey``, h by a check of its own.
+Every index is checked before a store is read, by the argument rule stated
+in :mod:`exactnum`.
 
 Conventions inherited by all closed forms: falling-factorial binomials
 (``binom(-1, 0) = 1`` and ``binom(n, k) = 0`` for ``0 <= n < k``), empty
@@ -51,7 +50,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .exactnum import _int_text, binom, rising
+from .exactnum import _int_text, _require_int, binom, rising
 from .hbnum import HBKey, MemoStore, hb_higher
 from .hessenberg import CommonDenominator, _over_lcm
 
@@ -325,10 +324,8 @@ def _check_indices(N: int, n: int, h: int) -> None:
     """Refuse N < 1, n < 1 and an N, n or h that is a bool or not an int,
     before h is compared or a store is read."""
     HBKey(N, 1, n)
-    if type(h) is not int:
-        raise ValueError(f"h must be an int, got {h!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int("h", h)
+    _require_int("n", n, 1)
 
 
 def _identity(
@@ -339,8 +336,7 @@ def _identity(
     the parameter-N numbers, the right side is P's coefficient.  For a
     classical variant both are divided by (2n-h+1-odd)! first."""
     _check_indices(N, n, h)
-    if h < 0:
-        raise ValueError("h must be >= 0")
+    _require_int("h", h, 0)
     store = MemoStore() if store is None else store
     series = _series_row(N, h, store)
     q = store.kept(("Q", N, n, odd), _q_list, N, n, odd)

@@ -15,10 +15,14 @@ holder of the routes and checks is ``hessenberg.CommonDenominator``, and
 the oracle in :mod:`hbnum` keeps its row over its lcm itself, so no route
 or check shares an arithmetic helper with the oracle.
 
-``HBKey``, the (N, r, n) index triple, is the one index guard of the
-package: the oracle and its store, the routes of :mod:`altforms` and
-:mod:`hessenberg` and the checks of :mod:`contfrac` each build one before
-any work, so a bool or a float index is refused everywhere alike.
+Every public entry point refuses its integer arguments by one rule, stated
+here, before any work: a bool or a value that is not an int raises
+``ValueError("{name} must be an int, got {value!r}")``, then a value below
+its least raises ``ValueError("{name} must be >= {least}")``.  ``HBKey``,
+the (N, r, n) index triple, states it for the indices (``_require_index``
+for a value route, whose n must be >= 1), and ``_require_int`` for every
+other integer argument.  A bool or a float would otherwise be read as an
+int, or hash equal to an int key and read that key's value.
 
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
@@ -76,6 +80,25 @@ class HBKey(namedtuple("HBKey", "N r n")):
         if n < 0:
             raise ValueError("n must be >= 0")
         return tuple.__new__(cls, (N, r, n))
+
+
+def _require_index(N: int, r: int, n: int) -> None:
+    """Refuse the indices of a value route before any work, in ``HBKey``'s
+    order (every type, then N, r and n): they must make an ``HBKey``, ints
+    and not bools with N, r >= 1, and n must be >= 1."""
+    if type(n) is int and n < 1:
+        HBKey(N, r, 0)
+        raise ValueError("n must be >= 1")
+    HBKey(N, r, n)
+
+
+def _require_int(name: str, value: int, least: int | None = None) -> None:
+    """Refuse an integer argument that is not a key field, in ``HBKey``'s
+    words: a bool or a value that is not an int, then one below `least`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 _RATIONAL_RE = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
@@ -149,15 +172,13 @@ def _rational(x: Fraction | int, name: str) -> tuple[int, int]:
 
 def falling(a: int, k: int) -> int:
     """Falling factorial ``a (a-1) ... (a-k+1)``; the empty product is 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     return math.prod(range(a, a - k, -1))
 
 
 def rising(a: int, k: int) -> int:
     """Rising factorial ``a (a+1) ... (a+k-1)``; the empty product is 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     return math.prod(range(a, a + k))
 
 
@@ -168,8 +189,7 @@ def binom(a: int, k: int) -> int:
     closed forms below rely on: ``binom(n, k) == 0`` for ``0 <= n < k``,
     ``binom(-1, 0) == 1``, and e.g. ``binom(-1, 2) == 1``.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _require_int("k", k, 0)
     if a >= 0:
         return math.comb(a, k) if k <= a else 0
     # k consecutive integers always contain a multiple of each i <= k,
@@ -186,10 +206,8 @@ class CompositionSpec:
     parts: int
 
     def __post_init__(self) -> None:
-        if self.total < 0:
-            raise ValueError("total must be >= 0")
-        if self.parts < 1:
-            raise ValueError("parts must be >= 1")
+        _require_int("total", self.total, 0)
+        _require_int("parts", self.parts, 1)
 
     def count(self) -> int:
         """Closed-form number of compositions (stars and bars)."""
@@ -222,8 +240,7 @@ def enumerate_partition_vectors(m: int) -> Iterator[tuple[int, ...]]:
     rest larger parts can fill leads one part deeper; the first one whose
     rest they cannot fill is the last, and it completes a partition when one
     more of the current part takes up exactly that rest."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_int("m", m, 1)
     acc: list[int] = []  # multiplicities of parts 1..part-1
     part, t, remaining = 1, 0, m  # t parts of size `part`; `remaining` is for parts >= part
     while True:

@@ -40,17 +40,16 @@ r = 1 walk, a whole family O(r n).
 
 A :class:`MemoStore` caches values by (N, r, n), optionally in a text file;
 its keys are :class:`HBKey` tuples, so hashing, lookups and sorting run in C.
-``HBKey`` (defined in :mod:`exactnum`, so the routes build it without
-importing this module) is also the one index guard: every entry point
-builds one from its indices before it reads a store, and refuses an index
-that is a bool or not an int.  ``hb`` and ``hb_higher`` return a stored
-value directly and walk the row only when the requested key is missing.
-What a store keeps beside its values (the continued-fraction checks keep
-their rows and lists there), and when it drops it, is described once, in
-:class:`MemoStore`.  There is no default store: values are reused across
-calls only through a store the caller passes.  ``hb`` and ``hb_higher``
-without one walk their row with no store at all, building, reading and
-storing no key; the cache audit's r = 1 walk is that same storeless walk.
+``HBKey`` is defined in :mod:`exactnum`, so the routes build it without
+importing this module; the argument rule is stated there.  ``hb`` and
+``hb_higher`` return a stored value directly and walk the row only when the
+requested key is missing.  What a store keeps beside its values (the
+continued-fraction checks keep their rows and lists there), and when it
+drops it, is described once, in :class:`MemoStore`.  There is no default
+store: values are reused across calls only through a store the caller
+passes.  ``hb`` and ``hb_higher`` without one walk their row with no store
+at all, building, reading and storing no key; the cache audit's r = 1 walk
+is that same storeless walk.
 
 Loading checks every record of the file but decodes a value only when it is
 first read, and refuses a value that conflicts with one the store already
@@ -65,11 +64,7 @@ pattern.  Saving writes only when an entry was added or a value changed,
 keeps what another store saved since, writes values that were never read
 back as they were read, and writes the whole file with one ``write`` of
 one joined text (one ``write`` per record, or ``writelines``, measured
-slower).  On a cache file like the ``warm`` benchmark's (968 records;
-Python 3.11.7, a shared 2-core machine, in-process, best of repeated runs)
-this took a load without its audit from 0.82-1.06 to 0.71-0.76 ms,
-decoding every record from 3.4-4.0 to 2.2-2.4 ms, and writing the file of
-undecoded records from 0.70 to 0.63 ms (medians of 7).
+slower).
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -91,6 +86,7 @@ from typing import Callable
 from .exactnum import (
     HBKey,
     _int_text,
+    _require_index,
     _text_int,
     binom,
     cauchy_product,
@@ -593,8 +589,7 @@ def recurrence_residual(N: int, r: int, n: int, store: MemoStore | None = None) 
     checks that loop rather than restating it (for r >= 2 both read the
     weights of ``_weights``).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_index(N, r, n)
     row = _row(N, r, n, store)
     if r == 1:
         acc = Fraction(0)

@@ -31,9 +31,7 @@ routes in :mod:`altforms` read the table too.  The recurrence oracle in
 module imports neither that kernel nor anything from :mod:`hbnum`: the two
 routes share no lcm holder, no weight-row code and no weight kernel, so the
 determinant witnesses the recurrence's weights too.  They share only the
-index guard ``exactnum.HBKey``: ``weight_row`` and ``hb_higher_det`` (and
-the value routes of :mod:`altforms`, through ``_require_index``) refuse a
-bool or float index with the oracle's own message before any work.
+index guard ``exactnum.HBKey``; the argument rule is stated in :mod:`exactnum`.
 The recursion computes the leading determinants D_0..D_{m-1} on its way to
 D_m, so one call can also hand back a whole family's values B_0..B_n (the
 optional ``leading`` and ``row`` lists): ``verify`` reads each (N, r)
@@ -51,7 +49,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactnum import HBKey, _rational, enumerate_partition_vectors
+from .exactnum import HBKey, _rational, _require_index, enumerate_partition_vectors
 
 __all__ = [
     "CommonDenominator",
@@ -123,16 +121,6 @@ def _weight_powers(N: int, upto: int) -> Iterator[list[int]]:
     while True:
         yield power
         power = _convolution(power, base)
-
-
-def _require_index(N: int, r: int, n: int) -> None:
-    """Refuse the indices of a value route before any work, in ``HBKey``'s
-    order (every type, then N, r and n): they must make an ``HBKey``, ints
-    and not bools with N, r >= 1, and n must be >= 1."""
-    if type(n) is int and n < 1:
-        HBKey(N, r, 0)
-        raise ValueError("n must be >= 1")
-    HBKey(N, r, n)
 
 
 def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:

@@ -6,7 +6,8 @@ replays every line in-process through ``cli.main`` and compares.  The list
 covers the default ``verify``, five ``--routes`` sweeps, every
 ``compute --route`` on a small grid (most points outside a route's domain, so
 error texts and exit codes are pinned too), two tables, the convergent
-checks, the worked congruence examples and a few hypothesis errors.  No
+checks, the worked congruence examples, a few hypothesis errors and integer
+arguments below their least value.  No
 invocation reaches an argparse error, whose text varies between Python
 versions, or a cache file.
 
@@ -58,6 +59,12 @@ CONGRUENCES = (
     "hb-kummer -p 5 -n 6 -N 6",
     "hb-pair -p 5 -m 2 -n 6 -N 626",
     "factorial -p 3 -N 0 -n 6",
+    # integer arguments below their least value
+    "classical -p 5 -m 6 -n 2 --nu=-1",
+    "hb-kummer -p 5 -n 6 --nu=-1 -N 626",
+    "hb-pair -p 5 -m 22 -n 2 --nu=-1 -N 626",
+    "hb-kummer -p 5 -n 0 -N 626",
+    "factorial -p 3 -N 10 -n=-1",
 )
 
 

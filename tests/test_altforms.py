@@ -295,40 +295,47 @@ def test_exponential_routes_refuse_past_their_limit_before_any_work(
 _WORK = {
     altforms: [
         "_refuse_past", "_trudi_max_n", "_weight_powers", "enumerate_compositions", "mr",
-        "trudi_expand", "toeplitz_hessenberg_det",
+        "trudi_expand", "toeplitz_hessenberg_det", "_over_lcm", "_binomial_convolution", "_top",
     ],
     hessenberg: ["_weight_powers", "toeplitz_hessenberg_det", "weight_row"],
 }
 
 
 @pytest.mark.parametrize(
-    "function, valid",
+    "function, valid, fields",
     [
-        pytest.param(function, valid, id=function.__name__)
-        for function, valid in (
-            (mr, (2, 2, 3)),
-            (hb_explicit_comp, (2, 3)),
-            (hb_explicit_binom, (2, 3)),
-            (hb_higher_explicit, (2, 2, 3)),
-            (hb_trudi, (2, 2, 3)),
-            (hb_higher_det, (2, 2, 3)),
-            (weight_row, (2, 2, 3)),
+        pytest.param(function, valid, fields, id=function.__name__)
+        for function, valid, fields in (
+            (mr, (2, 2, 3), "Nrn"),
+            (hb_explicit_comp, (2, 3), "Nn"),
+            (hb_explicit_binom, (2, 3), "Nn"),
+            (hb_higher_explicit, (2, 2, 3), "Nrn"),
+            (hb_trudi, (2, 2, 3), "Nrn"),
+            (hb_higher_det, (2, 2, 3), "Nrn"),
+            (weight_row, (2, 2, 3), "Nrn"),
+            # rows of values (".", not integer arguments), then the integer
+            (hb_higher_convolution, (_values(2, 3), 2), ".r"),
+            (hb_descent_step, (_values(2, 3), _values(3, 2), 3), "..N"),
+            (hb_descent_nested, (_values(2, 3), 3), ".N"),
         )
     ],
 )
 @pytest.mark.parametrize("bad", [True, 2.0])
-def test_routes_refuse_a_bool_or_float_index_before_any_work(function, valid, bad, monkeypatch):
-    # a bool or a float index would be read as an int (hb_trudi(True, 1, 3)
-    # returned 0); each route checks its indices as an HBKey first, and names
-    # the key's field: the depth of mr and weight_row is its n
+def test_routes_refuse_a_bool_or_float_index_before_any_work(
+    function, valid, fields, bad, monkeypatch
+):
+    # a bool or a float index would be read as an int; each route checks its
+    # integer arguments first, and names the argument: the depth of mr and
+    # weight_row is the key's n
     def started(*args):
         raise _Started
 
     for module, names in _WORK.items():
         for name in names:
             monkeypatch.setattr(module, name, started)
-    fields = ("N", "n") if len(valid) == 2 else ("N", "r", "n")
     for i, field in enumerate(fields):
+        if field == ".":
+            continue
         args = [*valid[:i], bad, *valid[i + 1 :]]
         with pytest.raises(ValueError, match=f"^{field} must be an int, got {bad!r}$"):
             function(*args)

@@ -519,6 +519,42 @@ def test_each_route_shares_with_the_oracle_only_what_is_pinned(route):
     assert not named & {"hessenberg", "altforms", "contfrac", "CommonDenominator", "_over_lcm"}
 
 
+# an argument rule's words, restated: the type half, or the bound half for an index
+_RULE_WORDS = re.compile(r"must be an int|(?:\b(?:N|r|n|nu)|\{\}) must be >=")
+# (file, function) where the words name something that is not an integer
+# argument, with the reason
+_RULE_WORDS_ALLOWED = {
+    ("altforms.py", "_top"): "the length of a row of values, which sets its n",
+    ("altforms.py", "hb_higher_convolution"): "an empty base row, which has no n",
+}
+
+
+def test_only_exactnum_states_the_argument_rule():
+    # every integer argument is refused by exactnum's rule; a message that
+    # restates it elsewhere is a second copy that can drift from it
+    found = set()
+
+    def visit(node, owner, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.JoinedStr):
+            parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+            if _RULE_WORDS.search("".join(parts)):
+                found.add((path.name, owner))
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _RULE_WORDS.search(node.value):
+                found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, path)
+
+    for path in Path(hgbern.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
+    # the scan sees the rule where it is stated, in f-strings too
+    assert {("exactnum.py", "__new__"), ("exactnum.py", "_require_int")} <= found
+    assert {key for key in found if key[0] != "exactnum.py"} == set(_RULE_WORDS_ALLOWED)
+
+
 def test_a_fault_in_the_routes_lcm_holder_cannot_reach_the_oracle(monkeypatch):
     # an append that forgets to rescale the numerators it holds: det, which
     # holds its determinants in it, goes wrong, and the oracle, which keeps
@@ -704,6 +740,9 @@ def test_sweep_validation():
         cli.run_sweep((1,), (1,), (1,), ("recurrence",), store)
     with pytest.raises(ValueError, match="unknown routes: nonsense"):
         cli.run_sweep((1,), (1,), (1,), ("recurrence", "nonsense"), store)
+    # an empty name, as "--routes recurrence," gives, is named visibly
+    with pytest.raises(ValueError, match="^unknown routes: nonsense, ''$"):
+        cli.run_sweep((1,), (1,), (1,), ("recurrence", "nonsense", ""), store)
     with pytest.raises(ValueError, match="more than once"):
         cli.run_sweep((1,), (1,), (1,), ("recurrence", "det", "recurrence"), store)
     # n = 0 leaves det outside its domain, so nothing is compared

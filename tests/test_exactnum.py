@@ -41,6 +41,28 @@ def test_binom_rejects_negative_k():
         binom(4, -1)
 
 
+@pytest.mark.parametrize(
+    "call, name, least",
+    [
+        pytest.param(lambda k: falling(3, k), "k", 0, id="falling"),
+        pytest.param(lambda k: rising(3, k), "k", 0, id="rising"),
+        pytest.param(lambda k: binom(5, k), "k", 0, id="binom"),
+        pytest.param(lambda total: CompositionSpec(total, 2), "total", 0, id="total"),
+        pytest.param(lambda parts: CompositionSpec(2, parts), "parts", 1, id="parts"),
+        pytest.param(lambda m: list(enumerate_partition_vectors(m)), "m", 1, id="partitions"),
+    ],
+)
+def test_counts_refuse_a_bool_or_float_and_a_value_below_their_least(call, name, least):
+    # binom(5, True) would be binom(5, 1), and CompositionSpec(2.0, 2) would
+    # enumerate over a float total
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+        call(least - 1)
+    call(least)
+
+
 @given(st.integers(-40, 40), st.integers(0, 8))
 def test_binom_is_falling_over_factorial(a, k):
     assert binom(a, k) * factorial(k) == falling(a, k)

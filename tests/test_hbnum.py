@@ -257,6 +257,11 @@ def test_hbkey_rejects_bad_indices(indices, message):
     # the oracle builds its key before it walks, also without a store
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         hb_higher(*indices)
+    # and so does the residual check, in the key's order, with n >= 1
+    if message == "n must be >= 0":
+        message = "n must be >= 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        recurrence_residual(*indices)
 
 
 def test_hbkey_is_an_immutable_ordered_triple():
