@@ -65,7 +65,6 @@ from .hbnum import (
 )
 from .hessenberg import (
     InversionVerdict,
-    hb_det,
     hb_higher_det,
     inversion_pair_check,
     toeplitz_hessenberg_det,

@@ -172,12 +172,14 @@ def _rational(x: Fraction | int, name: str) -> tuple[int, int]:
 
 def falling(a: int, k: int) -> int:
     """Falling factorial ``a (a-1) ... (a-k+1)``; the empty product is 1."""
+    _require_int("a", a)
     _require_int("k", k, 0)
     return math.prod(range(a, a - k, -1))
 
 
 def rising(a: int, k: int) -> int:
     """Rising factorial ``a (a+1) ... (a+k-1)``; the empty product is 1."""
+    _require_int("a", a)
     _require_int("k", k, 0)
     return math.prod(range(a, a + k))
 
@@ -189,6 +191,7 @@ def binom(a: int, k: int) -> int:
     closed forms below rely on: ``binom(n, k) == 0`` for ``0 <= n < k``,
     ``binom(-1, 0) == 1``, and e.g. ``binom(-1, 2) == 1``.
     """
+    _require_int("a", a)
     _require_int("k", k, 0)
     if a >= 0:
         return math.comb(a, k) if k <= a else 0

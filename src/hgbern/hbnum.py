@@ -87,6 +87,7 @@ from .exactnum import (
     HBKey,
     _int_text,
     _require_index,
+    _require_int,
     _text_int,
     binom,
     cauchy_product,
@@ -197,6 +198,7 @@ class MemoStore:
         malformed lines, conflicting duplicates, a value that conflicts with
         the store's, or an audit mismatch.
         """
+        _require_int("audit_samples", audit_samples)
         if self.path is None:
             raise CacheError("store has no backing file")
         # stat'ed before reading: a newer file read under it only costs a merge

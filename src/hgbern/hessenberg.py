@@ -24,14 +24,14 @@ the determinant in each direction.
 c_j = (N+j+1)...(N+n), which is 1/((N+1)...(N+j)) over D = (N+1)...(N+n),
 and its Cauchy powers, power r over D^r.  ``weight_row`` reads power r for
 ``hb_higher_det``, which recovers the hypergeometric Bernoulli numbers by a
-determinant route (``hb_det`` is its r = 1 case); the ``mr`` and ``binom``
-routes in :mod:`altforms` read the table too.  The recurrence oracle in
-:mod:`hbnum` builds its weights with its own integer kernel,
-``exactnum.cauchy_product``, and keeps its row over its lcm itself.  This
-module imports neither that kernel nor anything from :mod:`hbnum`: the two
-routes share no lcm holder, no weight-row code and no weight kernel, so the
-determinant witnesses the recurrence's weights too.  They share only the
-index guard ``exactnum.HBKey``; the argument rule is stated in :mod:`exactnum`.
+determinant route; the ``mr`` and ``binom`` routes in :mod:`altforms` read
+the table too.  The recurrence oracle in :mod:`hbnum` builds its weights
+with its own integer kernel, ``exactnum.cauchy_product``, and keeps its row
+over its lcm itself.  This module imports neither that kernel nor anything
+from :mod:`hbnum`: the two routes share no lcm holder, no weight-row code
+and no weight kernel, so the determinant witnesses the recurrence's weights
+too.  They share only the index guard ``exactnum.HBKey``; the argument rule
+is stated in :mod:`exactnum`.
 The recursion computes the leading determinants D_0..D_{m-1} on its way to
 D_m, so one call can also hand back a whole family's values B_0..B_n (the
 optional ``leading`` and ``row`` lists): ``verify`` reads each (N, r)
@@ -55,7 +55,6 @@ __all__ = [
     "CommonDenominator",
     "toeplitz_hessenberg_det",
     "trudi_expand",
-    "hb_det",
     "hb_higher_det",
     "weight_row",
     "InversionVerdict",
@@ -194,12 +193,6 @@ def trudi_expand(a0: Rational, entries: Sequence[Rational]) -> Fraction:
     for k in range(1, m + 1):
         total += Fraction(groups[k] * a ** (m - k), W**k * d ** (m - k))
     return total
-
-
-def hb_det(N: int, n: int) -> Fraction:
-    """Hypergeometric Bernoulli number as (-1)^n n! times the determinant with
-    entries a_l = 1/((N+1)...(N+l)) and unit superdiagonal."""
-    return hb_higher_det(N, 1, n)
 
 
 def weight_row(N: int, r: int, upto: int) -> list[Fraction]:

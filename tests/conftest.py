@@ -12,3 +12,13 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture(autouse=True)
+def hermetic(monkeypatch):
+    """Keep each test off the user's HGBERN_CACHE and on the digit limit it started with."""
+    monkeypatch.delenv("HGBERN_CACHE", raising=False)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)

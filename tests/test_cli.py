@@ -9,7 +9,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -18,23 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgbern
-from hgbern import altforms, cli, exactnum, hbnum, hessenberg
+from hgbern import altforms, cli, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
 from hgbern.congruence import hb_kummer_corollary, hb_kummer_pair, ord_threshold
 from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
-from oracles import naive_hb_higher_explicit
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("HGBERN_CACHE", raising=False)
-    # main lifts the int <-> str digit limit for its process; other tests get it back
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -317,133 +305,6 @@ def test_verify_walks_no_family_where_one_route_applies(capsys, monkeypatch):
     assert walks == [(1, 1)]
 
 
-def _corrupt_first_weight(monkeypatch, module, name, bump):
-    """Rebind <module>.<name>, a weight-row builder, to give w_1 + 1."""
-    original = getattr(module, name)
-
-    def wrong(N, r, upto):
-        row = original(N, r, upto)
-        bump(row)
-        return row
-
-    monkeypatch.setattr(module, name, wrong)
-
-
-def _oracle_w1_plus_one(weights):
-    den, nums = weights
-    nums[1] += den
-
-
-def _det_w1_plus_one(row):
-    row[1] += 1
-
-
-@pytest.mark.parametrize(
-    "module, name, bump",
-    [(hbnum, "_weights", _oracle_w1_plus_one), (hessenberg, "weight_row", _det_w1_plus_one)],
-    ids=["oracle kernel", "det weight row"],
-)
-def test_recurrence_and_det_each_catch_a_wrong_weight_row_in_the_other(
-    module, name, bump, capsys, monkeypatch
-):
-    # the two routes share no weight-row code, so w_1 + 1 in either one's
-    # row makes every order-r value past n = 0 disagree
-    _corrupt_first_weight(monkeypatch, module, name, bump)
-    code, out, err = run(
-        capsys, "verify", "-N", "2", "-r", "2..3", "-n", "0..10", "--routes", "recurrence,det"
-    )
-    assert (code, err) == (EXIT_VERIFY, "")
-    lines = out.splitlines()
-    assert len(lines) == 20
-    assert [line.split(":")[0] for line in lines] == [
-        f"MISMATCH at N=2 r={r} n={n}" for r in (2, 3) for n in range(1, 11)
-    ]
-
-
-def _plus_one_at_entry_1(kernel):
-    """`kernel` with +1 on entry 1 of every result."""
-
-    def wrong(*args):
-        out = kernel(*args)
-        out[1] += 1
-        return out
-
-    return wrong
-
-
-@pytest.mark.parametrize(
-    "kernel, routes, expected",
-    [
-        (
-            exactnum.cauchy_product,
-            ("recurrence", "det", "trudi"),
-            {2: {"det": 16, "trudi": 16}, 3: {"det": 16, "trudi": 16}},
-        ),
-        (
-            hessenberg._convolution,
-            ("recurrence", "det", "binom", "trudi"),
-            {1: {"binom": 12}, 2: {"det": 16}},
-        ),
-    ],
-    ids=["oracle kernel", "routes' convolution"],
-)
-def test_a_wrong_weight_kernel_is_caught_by_a_route_that_does_not_use_it(
-    kernel, routes, expected, monkeypatch
-):
-    # the fault reaches every binding of the kernel, so a route that shared
-    # it with the one it is compared with would go wrong with it unseen
-    _patch_every_binding(monkeypatch, kernel, _plus_one_at_entry_1(kernel))
-    for r, counts in expected.items():
-        _, _, mismatches = cli.run_sweep((1, 2), (r,), range(9), routes, hbnum.MemoStore())
-        assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
-
-
-def _patch_every_binding(monkeypatch, function, replacement):
-    """Rebind `function` to `replacement` in every hgbern module that binds it."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hgbern"):
-            for attr, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
-def test_a_wrong_base_row_in_the_routes_power_table_is_caught_by_the_oracle(monkeypatch):
-    # +1 on entry 1 of the base row (N+j+1)...(N+upto) and so on every power
-    # built from it: each route that reads the table (comp and trudi through
-    # mr, binom, det through weight_row) disagrees with recurrence, whose
-    # weights come from its own kernel and stay clean
-    clean = {}
-    for N in (1, 2):
-        for r in (1, 2):
-            clean[N, r] = []
-            hb_higher(N, r, 8, None, clean[N, r])
-
-    original = hessenberg._weight_powers
-
-    def wrong(N, upto):
-        base = next(original(N, upto))
-        if upto:
-            base[1] += 1
-        power = base
-        while True:
-            yield power
-            power = hessenberg._convolution(power, base)
-
-    _patch_every_binding(monkeypatch, original, wrong)
-    for (N, r), values in clean.items():
-        row = []
-        hb_higher(N, r, 8, None, row)
-        assert row == values, (N, r)
-    expected = {1: {"comp": 16, "binom": 16, "trudi": 16, "det": 16}, 2: {"trudi": 16, "det": 16}}
-    for r, counts in expected.items():
-        _, _, mismatches = cli.run_sweep(
-            (1, 2), (r,), range(9), ("recurrence", "comp", "binom", "trudi", "det"),
-            hbnum.MemoStore(),
-        )
-        assert Counter(route for _, _, _, route, _ in mismatches) == counts, r
-        assert {reference for _, reference, _, _, _ in mismatches} == {"recurrence"}, r
-
-
 def _entered(call) -> set[tuple[str, str]]:
     """(file name, function name) of every hgbern function that `call()`
     enters, leaving out lambdas, comprehensions and generator expressions."""
@@ -553,36 +414,6 @@ def test_only_exactnum_states_the_argument_rule():
     # the scan sees the rule where it is stated, in f-strings too
     assert {("exactnum.py", "__new__"), ("exactnum.py", "_require_int")} <= found
     assert {key for key in found if key[0] != "exactnum.py"} == set(_RULE_WORDS_ALLOWED)
-
-
-def test_a_fault_in_the_routes_lcm_holder_cannot_reach_the_oracle(monkeypatch):
-    # an append that forgets to rescale the numerators it holds: det, which
-    # holds its determinants in it, goes wrong, and the oracle, which keeps
-    # its own lcm, does not
-    clean = {}
-    for N in (1, 2, 3):
-        for r in (1, 2):
-            clean[N, r] = []
-            hb_higher(N, r, 12, None, clean[N, r])
-
-    def forgetful(self, value):
-        q = value.denominator
-        self.den *= q // gcd(q, self.den)
-        self.nums.append(value.numerator * (self.den // q))
-
-    monkeypatch.setattr(hessenberg.CommonDenominator, "append", forgetful)
-    for (N, r), values in clean.items():
-        row = []
-        hb_higher(N, r, 12, None, row)
-        assert row == values, (N, r)
-    points, comparisons, mismatches = cli.run_sweep(
-        (1, 2, 3), (1, 2), range(13), ("recurrence", "det"), hbnum.MemoStore()
-    )
-    assert (points, comparisons) == (78, 72)
-    assert {route for _, _, _, route, _ in mismatches} == {"det"}
-    assert len(mismatches) == 65
-    for (N, r, n), _, reference, _, _ in mismatches:
-        assert reference == clean[N, r][n]
 
 
 def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):
@@ -1110,40 +941,6 @@ def test_cache_audit_catches_a_wrong_r1_walk_at_every_entry_that_reads_it(
         f"MISMATCH at 2 {r} {n}: cached {cached[f'2 {r} {n}']}" for r, n in reached
     ]
     assert lines[0].endswith(f", recomputed {format_rational(truth + 1)}")
-
-
-def test_cache_audit_catches_a_wrong_weight_row(tmp_path, capsys, monkeypatch):
-    # with the oracle's r-fold weight row wrong for the whole test, a table
-    # writes wrong r >= 2 values; an audit that reran the oracle's walk would
-    # recompute the same wrong values and report all match
-    _corrupt_first_weight(monkeypatch, hbnum, "_weights", _oracle_w1_plus_one)
-    cache = tmp_path / "cache.txt"
-    argv = ["table", "-N", "2", "-r", "2..3", "-n", "0..10", "--cache", str(cache)]
-    code, _, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    records = [line.split() for line in cache.read_text().splitlines()]
-    cached = {hbnum.HBKey(*map(int, fields[:3])): fields[3] for fields in records}
-    keys = [hbnum.HBKey(2, r, n) for r in (2, 3) for n in range(11)]
-    assert list(cached) == keys
-    truth = {key: naive_hb_higher_explicit(*key) if key.n else 1 for key in keys}
-    wrong = [key for key in keys if parse_rational(cached[key]) != truth[key]]
-    assert len(wrong) == 20  # every entry past n = 0
-    code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
-    assert (code, err) == (EXIT_VERIFY, "")
-    assert out.splitlines() == [
-        f"MISMATCH at 2 {key.r} {key.n}: cached {cached[key]}, "
-        f"recomputed {format_rational(truth[key])}"
-        for key in wrong
-    ]
-    # the spot audit of a load draws keys 12, 13 and 1 of the file's 22,
-    # the first of them 2 3 1
-    assert Random(0).sample(keys, 3)[0] == (2, 3, 1)
-    assert run(capsys, *argv) == (
-        EXIT_VERIFY,
-        "",
-        f"error: cache audit failed at 2 3 1: stored {cached[2, 3, 1]}, "
-        f"recomputed {format_rational(truth[2, 3, 1])}\n",
-    )
 
 
 def test_cache_written_only_when_an_entry_is_added(tmp_path, capsys, monkeypatch):

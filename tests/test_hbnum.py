@@ -388,6 +388,13 @@ def test_memostore_audit_draws_the_same_keys_every_time(tmp_path):
     assert loaded.audit(samples=5) == Random(0).sample(keys, 5)
     # an explicit generator wins
     assert loaded.audit(rng=Random(4)) == Random(4).sample(keys, 3)
+    # a count that is not an int is refused: True audited one entry, and 2.0
+    # raised TypeError from random.sample
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^audit_samples must be an int, got {bad!r}$"):
+            MemoStore(path).load(audit_samples=bad)
+    with pytest.raises(ValueError, match="^Sample larger than population or is negative$"):
+        MemoStore(path).load(audit_samples=-1)
 
 
 _SAVED_ROW = "2 1 0 1/1\n2 1 1 -1/3\n2 1 2 1/18\n2 1 3 1/90\n"  # as `save` writes it

@@ -12,7 +12,6 @@ from hgbern.hbnum import classical, hb, hb_higher
 from hgbern.hessenberg import (
     CommonDenominator,
     InversionVerdict,
-    hb_det,
     hb_higher_det,
     inversion_pair_check,
     toeplitz_hessenberg_det,
@@ -197,17 +196,17 @@ def test_trudi_expand_matches_determinant_off_brioschi(a0, entries):
 
 
 def test_hb_det_values():
-    assert hb_det(2, 4) == Fraction(-1, 270)
-    assert hb_det(1, 6) == Fraction(1, 42)
+    assert hb_higher_det(2, 1, 4) == Fraction(-1, 270)
+    assert hb_higher_det(1, 1, 6) == Fraction(1, 42)
     assert hb_higher_det(1, 2, 1) == -1
     with pytest.raises(ValueError):
-        hb_det(1, 0)
+        hb_higher_det(1, 1, 0)
 
 
 def test_determinant_route_matches_recurrence():
     for N in range(1, 5):
         for n in range(1, 13):
-            assert hb_det(N, n) == hb(N, n)
+            assert hb_higher_det(N, 1, n) == hb(N, n)
     for N in (1, 2, 3):
         for r in (2, 3):
             for n in range(1, 10):
@@ -236,7 +235,7 @@ def test_determinant_row_equals_per_point_determinants():
         hb_higher_det(0, 1, 5, [])
     with pytest.raises(ValueError, match="^n must be >= 1$"):
         hb_higher_det(2, 1, -1, [])
-    assert hb_det(2, 4) == hb_higher_det(2, 1, 4, []) == Fraction(-1, 270)
+    assert hb_higher_det(2, 1, 4, []) == Fraction(-1, 270)
 
 
 def test_inversion_pair_with_number_weights():
