@@ -11,6 +11,15 @@ Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
 ``Fraction``; ``_row`` keeps that lcm and the numerators itself, so the
 routes and checks, which read only its values, share no lcm holder with it.
+For N >= 2 the lcm grows at almost every step (833 bits by n = 200 at
+N = 4), and rescaling every numerator at each growth was 17-20 % of a
+200-value walk.  So ``_row`` keeps its numerators in two parts, in the
+fraction-free manner of Bareiss (Math. Comp. 22, 1968) done lazily: a
+settled block over an earlier lcm, and a tail over the running one that
+takes the values of one block of ``_TAIL`` indices.  A growth rescales only
+the tail, the tail folds into the block with one rescale after each block
+of indices, and each dot product is the block's, times the ratio of the two
+lcms, plus the tail's.  A row of at most ``_TAIL`` values never folds.
 For r >= 2 the recurrence weights come from ``_weights``, the oracle's own
 r-fold weight row: integer numerators over their lcm, from r - 1 rounds of
 the integer kernel ``exactnum.cauchy_product``, each reduced by one gcd.
@@ -62,9 +71,9 @@ stored text is checked once, at load, so decoding it is a split at its
 ``/`` and two integer conversions, with no second pass of the literal
 pattern.  Saving writes only when an entry was added or a value changed,
 keeps what another store saved since, writes values that were never read
-back as they were read, and writes the whole file with one ``write`` of
-one joined text (one ``write`` per record, or ``writelines``, measured
-slower).
+back as they were read, converts each distinct key field to text once (the
+mirror of the parse), and writes the whole file with one ``write`` of one
+joined text (one ``write`` per record, or ``writelines``, measured slower).
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -282,12 +291,16 @@ class MemoStore:
         # write a sibling file, then rename it over the old one, so a crash
         # mid-save leaves the previous cache intact
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        # one text per distinct key field, the mirror of the parse's map
+        fields = set().union(*self._values)
+        texts = dict(zip(fields, map(_int_text, fields)))
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(
                     "".join(
-                        f"{_key_text(k)} {v if isinstance(v, str) else format_rational(v)}\n"
-                        for k, v in sorted(self._values.items())
+                        f"{texts[N]} {texts[r]} {texts[n]} "
+                        f"{v if isinstance(v, str) else format_rational(v)}\n"
+                        for (N, r, n), v in sorted(self._values.items())
                     )
                 )
             self._seen = _version(tmp)  # the rename keeps it; a later stat may see another save
@@ -319,6 +332,7 @@ class MemoStore:
         is recomputed by order steps from its N's r = 1 row, not by the
         weight-row recurrence that wrote it.
         """
+        _require_int("samples", samples)
         pool = list(keys) if keys is not None else list(self._values)
         rng = rng if rng is not None else random.Random(0)
         chosen = rng.sample(pool, min(samples, len(pool)))
@@ -456,62 +470,95 @@ def _weights(N: int, r: int, upto: int) -> tuple[int, list[int]]:
     return den, nums
 
 
+# the indices in one block of ``_row``'s walk: the most values it computes
+# over its running lcm before folding them into its settled block
+_TAIL = 16
+
+
 def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     """Values for indices 0..n of the (N, r) family, consulting and filling
     `store`; without one, every value is computed and no key is built.
 
     From the first value that must be computed on, the row is also kept as
-    numerators `nums` over its running lcm `den` (and the weights over
-    theirs), so each new value is one integer dot product reduced once.
+    integers over common denominators (and the weights over theirs), so each
+    new value is one integer dot product reduced once.  The integers are in
+    two parts: a settled block `held` over `den0`, and a tail `nums` over the
+    running lcm `den`, a multiple of `den0`.  The tail starts as the stored
+    prefix, if any, and takes every computed value; a value whose
+    denominator grows the lcm rescales only the tail.  The walk goes in
+    blocks of ``_TAIL`` indices, and after each block but the last the tail
+    folds into the settled block with one rescale by ``den // den0``; each
+    dot product is the block's times ``den // den0`` plus the tail's.  For
+    N >= 2 the lcm grows at almost every step, and rescaling every
+    numerator at each growth was 17-20 % of a 200-value walk.  A row of at
+    most ``_TAIL`` values is one block and never folds: its settled block
+    stays empty, and each step is the tail's dot product alone.
     """
     HBKey(N, r, n)  # checks the indices once, for the storeless walk too
     row: list[Fraction] = []
-    nums: list[int] | None = None  # row[i] == nums[i] / den, once a value is computed
+    held: list[int] = []  # row[i] == held[i] / den0 for i < len(held)
+    den0 = 1
+    nums: list[int] | None = None  # row[len(held) + j] == nums[j] / den, once a value is computed
     den = 1
     binoms: list[int] = []  # binom(N+m, k) for k <= m, at the last computed m
     weights: tuple[int, list[int]] | None = None  # (den, nums) from _weights
-    for m in range(n + 1):
-        if store is None:
-            value = None
-        else:
-            key = tuple.__new__(HBKey, (N, r, m))  # checked above: skip HBKey.__new__
-            value = store.get(key)
-        if value is None:
-            if m == 0:
-                value = Fraction(1)
+    for first in range(0, n + 1, _TAIL):  # a block of _TAIL indices, then a fold
+        for m in range(first, min(first + _TAIL, n + 1)):
+            if store is None:
+                value = None
             else:
-                if nums is None:  # the stored prefix over its lcm
-                    den = lcm(*[v.denominator for v in row])
-                    nums = [v.numerator * (den // v.denominator) for v in row]
-                if r == 1:
-                    # sum_{k <= m} binom(N+m, k) B_{N,k} = 0, solved for the top term
-                    if len(binoms) == m:  # index m-1's row: step it by Pascal's rule
-                        binoms = [1, *map(add, binoms[1:], binoms)]
-                        binoms.append(binoms[-1] * (N + 1) // m)
-                    else:
-                        binoms = [comb(N + m, k) for k in range(m + 1)]
-                    acc = sum(map(mul, nums, binoms))
-                    value = Fraction(-acc, den * binoms[m])
+                key = tuple.__new__(HBKey, (N, r, m))  # checked above: skip HBKey.__new__
+                value = store.get(key)
+            if value is None:
+                if m == 0:
+                    value = Fraction(1)
                 else:
-                    # sum_{k <= m} (m!/k!) w_{m-k} B_k = 0 with w_0 = 1, solved
-                    # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
-                    # and m!/k! = falling(m, m-k), the running product m(m-1)...
-                    if weights is None:
-                        weights = _weights(N, r, n)
-                    w_den, w_nums = weights
-                    falls = accumulate(range(m, 0, -1), mul)
-                    terms = map(mul, map(mul, reversed(nums), falls), w_nums[1:])
-                    value = Fraction(-sum(terms), den * w_den)
-            if store is not None:
-                store.put(key, value)
-        row.append(value)
-        if nums is not None:
-            q = value.denominator
-            grow = q // gcd(q, den)
-            if grow != 1:  # rescale the held numerators once
-                nums = [x * grow for x in nums]
-                den *= grow
-            nums.append(value.numerator * (den // q))
+                    if nums is None:  # the stored prefix over its lcm, as the tail
+                        den = lcm(*[v.denominator for v in row])
+                        nums = [v.numerator * (den // v.denominator) for v in row]
+                    if r == 1:
+                        # sum_{k <= m} binom(N+m, k) B_{N,k} = 0, solved for the top term
+                        if len(binoms) == m:  # index m-1's row: step it by Pascal's rule
+                            binoms = [1, *map(add, binoms[1:], binoms)]
+                            binoms.append(binoms[-1] * (N + 1) // m)
+                        else:
+                            binoms = [comb(N + m, k) for k in range(m + 1)]
+                        if held:  # the block's sum over den0, then the tail's
+                            acc = sum(map(mul, held, binoms)) * (den // den0)
+                            acc += sum(map(mul, nums, binoms[len(held) :]))
+                        else:
+                            acc = sum(map(mul, nums, binoms))
+                        value = Fraction(-acc, den * binoms[m])
+                    else:
+                        # sum_{k <= m} (m!/k!) w_{m-k} B_k = 0 with w_0 = 1, solved
+                        # for B_m.  k runs down from m-1, pairing B_k with w_{m-k}
+                        # and m!/k! = falling(m, m-k), the running product m(m-1)...
+                        if weights is None:
+                            weights = _weights(N, r, n)
+                        w_den, w_nums = weights
+                        falls = accumulate(range(m, 0, -1), mul)
+                        acc = sum(map(mul, map(mul, reversed(nums), falls), w_nums[1:]))
+                        # map stops at the end of reversed(nums), so the tail
+                        # took the first len(nums) falls and the block the rest
+                        if held:
+                            terms = map(mul, reversed(held), falls)
+                            acc += sum(map(mul, terms, w_nums[len(nums) + 1 :])) * (den // den0)
+                        value = Fraction(-acc, den * w_den)
+                if store is not None:
+                    store.put(key, value)
+            row.append(value)
+            if nums is not None:
+                q = value.denominator
+                grow = q // gcd(q, den)
+                if grow != 1:  # rescale the tail once
+                    nums = [x * grow for x in nums]
+                    den *= grow
+                nums.append(value.numerator * (den // q))
+        if nums and first + _TAIL <= n:  # fold the tail into the settled block
+            scale = den // den0
+            held = [x * scale for x in held]
+            held += nums
+            den0, nums = den, []
     return row
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 import re
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hgbern import hbnum
 from hgbern.altforms import mr
 from hgbern.exactnum import _text_int, format_rational, parse_rational, rising
-from hgbern.hessenberg import CommonDenominator, weight_row
+from hgbern.hessenberg import CommonDenominator, hb_higher_det, weight_row
 from hgbern.hbnum import (
     CacheError,
     HBKey,
@@ -191,6 +192,36 @@ def test_row_resumes_across_a_sparse_cache():
             store.put(HBKey(3, r, m), fresh[m])
         assert [hb_higher(3, r, m, store) for m in range(25)] == fresh
         assert len(store) == 25
+
+
+@functools.cache
+def _folded_row(N, r):
+    """The storeless row to n = 70, past four folds of the walk's tail."""
+    return hbnum._row(N, r, 70, None)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 1 + 5**20])
+def test_a_row_across_its_folds_is_the_determinants_row(N, r):
+    # the walk folds its tail into its settled block after indices 15, 31, 47
+    # and 63; the determinant route keeps no such split
+    det_row = []
+    hb_higher_det(N, r, 70, det_row)
+    assert _folded_row(N, r) == det_row
+
+
+@pytest.mark.parametrize("prefix", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 1 + 5**20])
+def test_a_walk_past_a_stored_prefix_is_the_storeless_row(N, r, prefix):
+    # the tail starts as the prefix: shorter than a block, ending at a block's
+    # end, one past it, and two blocks and more long
+    row = _folded_row(N, r)
+    store = MemoStore()
+    for m in range(prefix):
+        store.put(HBKey(N, r, m), row[m])
+    assert hbnum._row(N, r, 70, store) == row
+    assert store.items() == [(HBKey(N, r, m), value) for m, value in enumerate(row)]
 
 
 def test_storeless_calls_keep_no_module_store():
@@ -388,13 +419,18 @@ def test_memostore_audit_draws_the_same_keys_every_time(tmp_path):
     assert loaded.audit(samples=5) == Random(0).sample(keys, 5)
     # an explicit generator wins
     assert loaded.audit(rng=Random(4)) == Random(4).sample(keys, 3)
-    # a count that is not an int is refused: True audited one entry, and 2.0
-    # raised TypeError from random.sample
+    # a count that is not an int is refused, by load and by audit: True
+    # audited one entry, and 2.0 raised TypeError from random.sample; the
+    # rule is type-only, so a negative count keeps random.sample's words
     for bad in (True, 2.0):
         with pytest.raises(ValueError, match=f"^audit_samples must be an int, got {bad!r}$"):
             MemoStore(path).load(audit_samples=bad)
+        with pytest.raises(ValueError, match=f"^samples must be an int, got {bad!r}$"):
+            loaded.audit(samples=bad)
     with pytest.raises(ValueError, match="^Sample larger than population or is negative$"):
         MemoStore(path).load(audit_samples=-1)
+    with pytest.raises(ValueError, match="^Sample larger than population or is negative$"):
+        loaded.audit(samples=-1)
 
 
 _SAVED_ROW = "2 1 0 1/1\n2 1 1 -1/3\n2 1 2 1/18\n2 1 3 1/90\n"  # as `save` writes it
