@@ -7,68 +7,26 @@ partition (Trudi) expansions, parameter-descent relations, convolutions and
 continued-fraction convergents -- and provides p-adic machinery for
 Kummer-style congruences relating them to the classical Bernoulli numbers.
 All arithmetic is exact rational; there is no floating point anywhere.
+
+The package exports exactly its modules' ``__all__`` lists: each module
+states what of it is public, once, and nothing is named again here.
 """
 
-from .altforms import (
-    RoutePreconditionError,
-    hb_descent_nested,
-    hb_descent_step,
-    hb_explicit_binom,
-    hb_explicit_comp,
-    hb_higher_convolution,
-    hb_higher_explicit,
-    hb_trudi,
-    mr,
-    reciprocal_binom_inverse,
-    recover_mr_det,
-)
-from .congruence import (
-    CongruenceVerdict,
-    HypothesisViolation,
-    congruent,
-    hb_factorial_congruence,
-    hb_kummer_corollary,
-    hb_kummer_pair,
-    kummer_classical,
-    ord_threshold,
-    ordp,
-)
-from .contfrac import (
-    ConvergentPair,
-    Poly,
-    Series,
-    approximation_defect,
-    classical_identity,
-    convergent_closed,
-    convergent_rec,
-    identity_even,
-    identity_odd,
-)
-from .exactnum import (
-    CompositionSpec,
-    binom,
-    enumerate_compositions,
-    enumerate_partition_vectors,
-    falling,
-    format_rational,
-    parse_rational,
-    rising,
-)
-from .hbnum import (
-    CacheError,
-    HBKey,
-    MemoStore,
-    classical,
-    hb,
-    hb_higher,
-    recurrence_residual,
-)
-from .hessenberg import (
-    InversionVerdict,
-    hb_higher_det,
-    inversion_pair_check,
-    toeplitz_hessenberg_det,
-    trudi_expand,
-)
+from . import altforms, congruence, contfrac, exactnum, hbnum, hessenberg
+from .altforms import *  # noqa: F403
+from .congruence import *  # noqa: F403
+from .contfrac import *  # noqa: F403
+from .exactnum import *  # noqa: F403
+from .hbnum import *  # noqa: F403
+from .hessenberg import *  # noqa: F403
+
+__all__ = [
+    *altforms.__all__,
+    *congruence.__all__,
+    *contfrac.__all__,
+    *exactnum.__all__,
+    *hbnum.__all__,
+    *hessenberg.__all__,
+]
 
 __version__ = "0.1.0"

@@ -41,6 +41,8 @@ its multiplicities, the plain tuple the partition enumerator yields.
 
 The relations over the numbers themselves (descent, convolution and the two
 inversion checks) take the row of values they read; n is its last index.
+After checking its shape, each refuses a row entry that is not rational
+(a float, say) by ``exactnum._require_rationals``, before any work.
 
 The three exponential routes refuse an n past their limit with
 ``RoutePreconditionError`` before any work: ``hb_explicit_comp`` and
@@ -67,6 +69,7 @@ from .exactnum import (
     HBKey,
     _require_index,
     _require_int,
+    _require_rationals,
     binom,
     enumerate_compositions,
 )
@@ -189,6 +192,7 @@ def reciprocal_binom_inverse(row: Sequence[Fraction]) -> Fraction:
 
     which collapses to 1 / binom(N+n, N)."""
     n = _top(row)
+    _require_rationals(row, "row")
     P, p = _over_lcm(row)
     p[0] = 0  # positive parts only
     power = p  # k-fold convolution, over P^k
@@ -251,6 +255,7 @@ def hb_higher_convolution(base: Sequence[Fraction], r: int) -> Fraction:
     _require_int("r", r, 1)
     if not base:
         raise ValueError("n must be >= 0")
+    _require_rationals(base, "base")
     P, p = _over_lcm(base)
     power = p
     for _ in range(r - 1):
@@ -271,6 +276,8 @@ def hb_descent_step(prev: Sequence[Fraction], row: Sequence[Fraction], N: int) -
     n = _top(prev)
     if len(row) != n:
         raise ValueError(f"row must hold B_(N,0..{n - 1}), {n} values, not {len(row)}")
+    _require_rationals(prev, "prev")
+    _require_rationals(row, "row")
     acc = prev[n]
     for m in range(1, n):
         acc += binom(n, n - m + 1) * row[m] * prev[n - m + 1]
@@ -291,6 +298,7 @@ def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
         raise RoutePreconditionError("descent-nested requires N >= 2")
     n = _top(prev)
     _refuse_past("descent-nested", n, _DESCENT_NESTED_MAX_N)
+    _require_rationals(prev, "prev")
     # prev[i] = p[i] / P, and the factor of the link a -> b of a chain,
     # prev[a-b+1] binom(a, a-b+1) N / (N+b), is f[a][b] / (P L)
     P, p = _over_lcm(prev)
@@ -350,5 +358,7 @@ def recover_mr_det(row: Sequence[Fraction]) -> Fraction:
 
     At r = 1 this recovers 1/((N+1)...(N+n)); at r = N = 1 it is 1/(n+1)!.
     """
-    entries = [Fraction((-1) ** k * row[k], factorial(k)) for k in range(1, _top(row) + 1)]
+    n = _top(row)
+    _require_rationals(row, "row")
+    entries = [Fraction((-1) ** k * row[k], factorial(k)) for k in range(1, n + 1)]
     return toeplitz_hessenberg_det(1, entries)

@@ -51,8 +51,8 @@ from typing import Callable, Sequence
 from . import altforms, congruence, contfrac, hbnum, hessenberg
 from .altforms import RoutePreconditionError
 from .congruence import CongruenceVerdict, HypothesisViolation
-from .exactnum import format_rational
-from .hbnum import CacheError, HBKey, MemoStore
+from .exactnum import HBKey, format_rational
+from .hbnum import CacheError, MemoStore
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

@@ -9,8 +9,7 @@ arithmetic on values.
 Every check compares two sides given as unreduced integer pairs
 (numerator, positive denominator), and nothing is reduced: the statements
 build each side from the Bernoulli value's numerator and denominator times
-the statement's factors, and ``congruent`` reads its arguments' numerators
-and denominators.  ord_p(a - b) comes from the cross difference
+the statement's factors.  ord_p(a - b) comes from the cross difference
 a.num b.den - b.num a.den less ord_p of both denominators, as ord_p is
 additive.  A side's residue mod p^k comes after stripping p^w, w = ord_p of
 its denominator, from both of its integers: when p^w divides the numerator
@@ -18,15 +17,15 @@ the quotient pair has a denominator prime to p and the residue of the
 reduced side; otherwise p stays in the reduced denominator and there is no
 residue.
 
-Values must be ``numbers.Rational`` (int or ``Fraction``); a float is
-refused rather than read as its binary expansion.  When a statement's
-hypotheses are violated the checks raise :class:`HypothesisViolation` with
-the failed hypothesis named, rather than reporting a meaningless verdict.
+When a statement's hypotheses are violated the checks raise
+:class:`HypothesisViolation` with the failed hypothesis named, rather than
+reporting a meaningless verdict.
 
-Integer arguments are checked by the rule stated in :mod:`exactnum`.  The
-transfer statements check ``ord_threshold``'s hypotheses first, then
-N >= 1, their index hypotheses and the threshold on ord_p(N-1), which their
-verdict carries; the CLI prints it from there and names the same first error.
+Integer arguments, and ``ordp``'s rational value, are checked by the rules
+stated in :mod:`exactnum`.  The transfer statements check
+``ord_threshold``'s hypotheses first, then N >= 1, their index hypotheses
+and the threshold on ord_p(N-1), which their verdict carries; the CLI prints
+it from there and names the same first error.
 """
 
 from __future__ import annotations
@@ -42,12 +41,8 @@ from .hbnum import MemoStore, classical, hb
 
 __all__ = [
     "HypothesisViolation",
-    "PadicVal",
-    "is_prime",
     "ordp",
-    "residue",
     "CongruenceVerdict",
-    "congruent",
     "kummer_classical",
     "ord_threshold",
     "hb_factorial_congruence",
@@ -130,21 +125,6 @@ def ordp(x: Fraction | int, p: int) -> PadicVal:
     return _ord_int(num, p) - _ord_int(den, p)
 
 
-def _require_exponent(k: PadicVal) -> None:
-    """k is a nonnegative int (not a bool) or inf."""
-    if k != inf and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
-        raise ValueError("k must be a nonnegative integer or inf")
-
-
-def residue(x: Fraction | int, p: int, k: PadicVal) -> int | None:
-    """Canonical residue of x in [0, p^k), or None when p divides the
-    denominator or k = inf (exact equality, as in a verdict)."""
-    _require_prime(p)
-    _require_exponent(k)
-    num, den = _rational(x, "x")
-    return None if k == inf else _residue(num, den, _ord_int(den, p), p, p**k)
-
-
 def _residue(num: int, den: int, w: int, p: int, mod: int) -> int | None:
     """Residue mod `mod`, a power of p, of num/den, where w = ord_p(den):
     None when p^w does not divide num, so that p stays in the reduced
@@ -177,18 +157,6 @@ class CongruenceVerdict:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def congruent(a: Fraction | int, b: Fraction | int, p: int, k: PadicVal) -> CongruenceVerdict:
-    """Check a ≡ b (mod p^k), i.e. ord_p(a - b) >= k.
-
-    ``k = inf`` demands exact equality; ``k = 0`` merely checks that the
-    difference is p-integral.
-    """
-    _require_prime(p)
-    _require_exponent(k)
-    (an, ad), (bn, bd) = _rational(a, "a"), _rational(b, "b")
-    return _verdict(an, ad, bn, bd, p, k)
 
 
 def _verdict(

@@ -50,8 +50,8 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .exactnum import _int_text, _require_int, binom, rising
-from .hbnum import HBKey, MemoStore, hb_higher
+from .exactnum import HBKey, _int_text, _require_int, binom, rising
+from .hbnum import MemoStore, hb_higher
 from .hessenberg import CommonDenominator, _over_lcm
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "identity_even",
     "identity_odd",
     "classical_identity",
-    "CLASSICAL_VARIANTS",
 ]
 
 

@@ -24,6 +24,11 @@ for a value route, whose n must be >= 1), and ``_require_int`` for every
 other integer argument.  A bool or a float would otherwise be read as an
 int, or hash equal to an int key and read that key's value.
 
+A rational value argument must be a ``numbers.Rational`` (int or
+``Fraction``): ``_rational`` refuses any other, a float say, rather than
+read it as its binary expansion, and ``_require_rationals`` refuses the first
+such entry of a row, naming it by its index.
+
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
 
@@ -42,7 +47,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "HBKey",
     "format_rational",
-    "check_rational",
     "parse_rational",
     "falling",
     "rising",
@@ -50,7 +54,6 @@ __all__ = [
     "CompositionSpec",
     "enumerate_compositions",
     "enumerate_partition_vectors",
-    "cauchy_product",
 ]
 
 
@@ -168,6 +171,18 @@ def _rational(x: Fraction | int, name: str) -> tuple[int, int]:
     if not isinstance(x, (int, Fraction, Rational)):
         raise ValueError(f"{name} must be a rational number (int or Fraction), got {x!r}")
     return x.numerator, x.denominator
+
+
+_PLAIN_RATIONALS = frozenset((int, Fraction))
+
+
+def _require_rationals(values: Sequence[Fraction | int], name: str) -> None:
+    """Refuse, as ``_rational`` does, the first of `values` that is not
+    rational, naming it ``{name}[i]``.  A row of plain ints and ``Fraction``s,
+    the usual one, passes on one look at the entries' types."""
+    if not _PLAIN_RATIONALS.issuperset(map(type, values)):
+        for i, x in enumerate(values):
+            _rational(x, f"{name}[{i}]")
 
 
 def falling(a: int, k: int) -> int:

@@ -11,28 +11,21 @@ Each new value is one integer dot product over a common denominator (the
 row's running lcm, times the weights' lcm for r >= 2), reduced once into a
 ``Fraction``; ``_row`` keeps that lcm and the numerators itself, so the
 routes and checks, which read only its values, share no lcm holder with it.
-For N >= 2 the lcm grows at almost every step (833 bits by n = 200 at
-N = 4), and rescaling every numerator at each growth was 17-20 % of a
-200-value walk.  So ``_row`` keeps its numerators in two parts, in the
-fraction-free manner of Bareiss (Math. Comp. 22, 1968) done lazily: a
-settled block over an earlier lcm, and a tail over the running one that
-takes the values of one block of ``_TAIL`` indices.  A growth rescales only
-the tail, the tail folds into the block with one rescale after each block
-of indices, and each dot product is the block's, times the ratio of the two
-lcms, plus the tail's.  A row of at most ``_TAIL`` values never folds.
-For r >= 2 the recurrence weights come from ``_weights``, the oracle's own
-r-fold weight row: integer numerators over their lcm, from r - 1 rounds of
-the integer kernel ``exactnum.cauchy_product``, each reduced by one gcd.
-The determinant route builds its own row
-(``hessenberg.weight_row``) with its own convolution, so recurrence and det
-share no weight-row code and no weight kernel, and a wrong weight row or a
-wrong kernel in either shows as a mismatch between them.  The weights are
-rebuilt by every call that has to compute a value.  ``table`` therefore
-walks each (N, r) family once, to its deepest n, and reads every index from
-the store; ``verify`` takes the whole row from one ``hb_higher(...,
-row=...)`` walk.  ``recurrence_residual`` re-evaluates the
-relations with one ``Fraction`` operation per term, as a check on that
-integer inner loop (for r >= 2 it reads the same ``_weights``).
+How ``_row`` keeps its numerators, so that a growing lcm does not rescale
+all of them at every step, is described once, at ``_row``.  For r >= 2 the
+recurrence weights come from ``_weights``, the oracle's own r-fold weight
+row: integer numerators over their lcm, from r - 1 rounds of the integer
+kernel ``exactnum.cauchy_product``, each reduced by one gcd.  The
+determinant route builds its own row (``hessenberg.weight_row``) with its
+own convolution, so recurrence and det share no weight-row code and no
+weight kernel, and a wrong weight row or a wrong kernel in either shows as
+a mismatch between them.  The weights are rebuilt by every call that has to
+compute a value.  ``table`` therefore walks each (N, r) family once, to its
+deepest n, and reads every index from the store; ``verify`` takes the whole
+row from one ``hb_higher(..., row=...)`` walk.  ``recurrence_residual``
+re-evaluates the relations with one ``Fraction`` operation per term, as a
+check on that integer inner loop (for r >= 2 it reads the same
+``_weights``).
 
 The cache audit (``MemoStore.mismatches``, behind both the spot audit of
 every load and ``cache-audit``) walks each N's r = 1 row once with the
@@ -54,26 +47,12 @@ importing this module; the argument rule is stated there.  ``hb`` and
 ``hb_higher`` return a stored value directly and walk the row only when the
 requested key is missing.  What a store keeps beside its values (the
 continued-fraction checks keep their rows and lists there), and when it
-drops it, is described once, in :class:`MemoStore`.  There is no default
-store: values are reused across calls only through a store the caller
-passes.  ``hb`` and ``hb_higher`` without one walk their row with no store
-at all, building, reading and storing no key; the cache audit's r = 1 walk
-is that same storeless walk.
-
-Loading checks every record of the file but decodes a value only when it is
-first read, and refuses a value that conflicts with one the store already
-holds.  A file in the form ``save`` writes is checked by one whole-file
-pattern and split in one pass, with one ``int()`` per distinct key field
-text (a file of a few families repeats its N, r and n texts many times);
-any other file is checked line by line.  The pattern accepts only files
-the line-by-line check accepts, and reads the same records from them.  A
-stored text is checked once, at load, so decoding it is a split at its
-``/`` and two integer conversions, with no second pass of the literal
-pattern.  Saving writes only when an entry was added or a value changed,
-keeps what another store saved since, writes values that were never read
-back as they were read, converts each distinct key field to text once (the
-mirror of the parse), and writes the whole file with one ``write`` of one
-joined text (one ``write`` per record, or ``writelines``, measured slower).
+drops it, is described once, in :class:`MemoStore`, and so is how it
+loads and saves its file.  There is no default store: values are reused
+across calls only through a store the caller passes.  ``hb`` and
+``hb_higher`` without one walk their row with no store at all, building,
+reading and storing no key; the cache audit's r = 1 walk is that same
+storeless walk.
 
 At N = 1 the numbers reduce to the classical Bernoulli numbers
 (convention B_1 = -1/2).
@@ -106,7 +85,6 @@ from .exactnum import (
 
 __all__ = [
     "CacheError",
-    "HBKey",
     "MemoStore",
     "hb",
     "classical",
@@ -291,7 +269,9 @@ class MemoStore:
         # write a sibling file, then rename it over the old one, so a crash
         # mid-save leaves the previous cache intact
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        # one text per distinct key field, the mirror of the parse's map
+        # one text per distinct key field, the mirror of the parse's map; the
+        # file is one write of one joined text (a write per record, or
+        # writelines, measured slower)
         fields = set().union(*self._values)
         texts = dict(zip(fields, map(_int_text, fields)))
         try:
@@ -395,8 +375,10 @@ def _saved_records(data: bytes) -> dict[HBKey, Fraction | str] | None:
     """The records of a file's bytes if they are in the form `save` writes
     and hold no key twice, read in one pass; None for any other file, which
     ``MemoStore._read_lines`` reads and checks line by line, and for a file
-    with a key too long for ``int()``.  Values stay text, so a value of any
-    length stays on this path.  Every file read here holds exactly the
+    with a key too long for ``int()``.  Each key column costs one ``int()``
+    per distinct text, as a file of a few families repeats its N, r and n
+    texts many times.  Values stay text, so a value of any length stays on
+    this path.  Every file read here holds exactly the
     records that loop would return."""
     if _SAVED_FILE.fullmatch(data) is None:
         return None
@@ -488,9 +470,11 @@ def _row(N: int, r: int, n: int, store: MemoStore | None) -> list[Fraction]:
     denominator grows the lcm rescales only the tail.  The walk goes in
     blocks of ``_TAIL`` indices, and after each block but the last the tail
     folds into the settled block with one rescale by ``den // den0``; each
-    dot product is the block's times ``den // den0`` plus the tail's.  For
-    N >= 2 the lcm grows at almost every step, and rescaling every
-    numerator at each growth was 17-20 % of a 200-value walk.  A row of at
+    dot product is the block's times ``den // den0`` plus the tail's: the
+    fraction-free manner of Bareiss (Math. Comp. 22, 1968), done lazily.  For
+    N >= 2 the lcm grows at almost every step (833 bits by n = 200 at
+    N = 4), and rescaling every numerator at each growth was 17-20 % of a
+    200-value walk.  A row of at
     most ``_TAIL`` values is one block and never folds: its settled block
     stays empty, and each step is the tail's dot product alone.
     """

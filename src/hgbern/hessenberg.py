@@ -49,14 +49,18 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactnum import HBKey, _rational, _require_index, enumerate_partition_vectors
+from .exactnum import (
+    HBKey,
+    _rational,
+    _require_index,
+    _require_rationals,
+    enumerate_partition_vectors,
+)
 
 __all__ = [
-    "CommonDenominator",
     "toeplitz_hessenberg_det",
     "trudi_expand",
     "hb_higher_det",
-    "weight_row",
     "InversionVerdict",
     "inversion_pair_check",
 ]
@@ -122,13 +126,6 @@ def _weight_powers(N: int, upto: int) -> Iterator[list[int]]:
         power = _convolution(power, base)
 
 
-def _require_rationals(a0: Rational, entries: Sequence[Rational]) -> None:
-    """Refuse, naming it, an a0 or entry that is not rational (a float, say)."""
-    _rational(a0, "a0")
-    for i, a in enumerate(entries):
-        _rational(a, f"entries[{i}]")
-
-
 def toeplitz_hessenberg_det(
     a0: Rational, entries: Sequence[Rational], leading: list[Fraction] | None = None
 ) -> Fraction:
@@ -138,7 +135,8 @@ def toeplitz_hessenberg_det(
     determinant of the leading k x k submatrix, that of the first k entries,
     which the recursion computes on its way to D_m.
     """
-    _require_rationals(a0, entries)
+    _rational(a0, "a0")
+    _require_rationals(entries, "entries")
     leading = leading if leading is not None else []
     signed = []
     power = 1
@@ -171,7 +169,8 @@ def trudi_expand(a0: Rational, entries: Sequence[Rational]) -> Fraction:
     and prod t_i!, and its multinomial is k! // prod t_i! from a factorial
     table built once per call.
     """
-    _require_rationals(a0, entries)
+    _rational(a0, "a0")
+    _require_rationals(entries, "entries")
     m = len(entries)
     if m < 1:
         raise ValueError("dimension must be >= 1")

@@ -343,6 +343,45 @@ def test_routes_refuse_a_bool_or_float_index_before_any_work(
     assert function(*valid) == function(*valid)  # the valid indices still compute
 
 
+# values that are not rational, as a row entry: a float would be read
+# through a denominator it does not have, or make the relation's value a float
+_NOT_RATIONAL = (0.2, 1.0, float("nan"), complex(1, 0), "1/5")
+
+
+@pytest.mark.parametrize("x", _NOT_RATIONAL, ids=repr)
+@pytest.mark.parametrize(
+    "function, valid, name",
+    [
+        pytest.param(function, valid, name, id=f"{function.__name__}-{name}")
+        for function, valid, name in (
+            (hb_descent_step, (_values(1, 5), _values(2, 4), 2), "prev"),
+            (hb_descent_step, (_values(1, 5), _values(2, 4), 2), "row"),
+            (hb_descent_nested, (_values(1, 5), 2), "prev"),
+            (hb_higher_convolution, (_values(2, 5), 2), "base"),
+            (reciprocal_binom_inverse, (_values(2, 5),), "row"),
+            (recover_mr_det, (_values(2, 5),), "row"),
+        )
+    ],
+)
+def test_relations_refuse_a_value_that_is_not_rational_before_any_work(
+    function, valid, name, x, monkeypatch
+):
+    # the relation names its row argument and the entry's index
+    def started(*args):
+        raise _Started
+
+    for helper in ("_over_lcm", "_binomial_convolution", "binom", "toeplitz_hessenberg_det"):
+        monkeypatch.setattr(altforms, helper, started)
+    i = list(inspect.signature(function).parameters).index(name)
+    row = valid[i]
+    args = [*valid[:i], [*row[:2], x, *row[3:]], *valid[i + 1 :]]
+    message = rf"^{name}\[2\] must be a rational number \(int or Fraction\), got "
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+    monkeypatch.undo()
+    assert isinstance(function(*valid), Fraction)  # the valid row still computes
+
+
 def test_mr_refuses_past_the_step_budget_before_any_composition(monkeypatch):
     # C(e+r-1, r-1) compositions: C(35, 29) = 1623160 at (r, e) = (30, 6) is
     # within 5e6 steps and C(36, 29) = 8347680 is not; mr(1, 30, 30) would

@@ -416,6 +416,36 @@ def test_only_exactnum_states_the_argument_rule():
     assert {key for key in found if key[0] != "exactnum.py"} == set(_RULE_WORDS_ALLOWED)
 
 
+# public names no module or benchmark file calls yet: paper relations that
+# only the tests check so far
+_PUBLIC_WITHOUT_A_CALLER = {
+    "inversion_pair_check",
+    "reciprocal_binom_inverse",
+    "recover_mr_det",
+    "recurrence_residual",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # each public name serves a route, a check or a benchmark operation; a
+    # wrapper that only tests call is surface to keep, not a result
+    assert len(hgbern.__all__) == len(set(hgbern.__all__))
+    bench = Path(__file__).parents[1] / "bench"
+    src = Path(hgbern.__file__).parent
+    paths = [
+        *(path for path in src.glob("*.py") if path.name != "__init__.py"),
+        *(path for path in bench.glob("*.py") if not path.name.startswith("test_")),
+    ]
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert set(hgbern.__all__) - named == _PUBLIC_WITHOUT_A_CALLER
+
+
 def test_verify_walks_the_oracle_once_per_family(capsys, monkeypatch):
     walks = _count_calls(monkeypatch, "_row")
     code, out, _ = run(
