@@ -149,20 +149,16 @@ def format_rational(value: Fraction | int) -> str:
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
-def check_rational(text: str) -> None:
-    """Raise ``ValueError`` where ``parse_rational`` would, without building the value."""
+def parse_rational(text: str) -> Fraction:
+    """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if m.group(2) is not None and _text_int(m.group(2)) == 0:
+    num, den = m.groups()
+    den = _text_int(den) if den is not None else 1
+    if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
-    check_rational(text)
-    num, _, den = text.strip().partition("/")
-    return Fraction(_text_int(num), _text_int(den) if den else 1)
+    return Fraction(_text_int(num), den)
 
 
 def _rational(x: Fraction | int, name: str) -> tuple[int, int]:

@@ -60,7 +60,6 @@ At N = 1 the numbers reduce to the classical Bernoulli numbers
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import re
@@ -79,7 +78,6 @@ from .exactnum import (
     _text_int,
     binom,
     cauchy_product,
-    check_rational,
     format_rational,
 )
 
@@ -100,19 +98,20 @@ class CacheError(ValueError):
 class MemoStore:
     """Cache of computed values keyed by (N, r, n), optionally file backed.
 
-    File records are whitespace-separated lines ``N r n num/den`` in any
-    order.  ``load`` checks every record (the key, and a ``num[/den]``
-    literal with a nonzero denominator) but keeps each value as its text
-    until ``get``, ``items`` or ``audit`` first reads it.  Every text the
-    store holds has passed that check, by the whole-file pattern
-    ``_SAVED_FILE`` or by ``check_rational``, so ``_fraction`` decodes it
-    without checking it again: only ``load`` may put a text in the store.
-    Duplicate keys must carry equal values or loading fails; they are
-    decoded and compared only when their texts differ, and so are a file's
-    values against the ones a non-empty store already holds.  ``save``
-    writes only when an entry was added or a value changed since the last
-    load or save, and writes a value that was never decoded back as the
-    text it was read from, the whole file in one ``write``.
+    The file has one format, the one ``save`` writes: a line
+    ``N r n num/den`` per record, in any order, with single spaces, ASCII
+    digits, keys without leading zeros, a denominator with a nonzero digit,
+    a newline after every record and no key twice.  ``load`` reads only
+    that, by one reader (``_saved_records``), and refuses any other file
+    at its first line that breaks it.  It keeps each value as its text
+    until ``get``, ``items`` or ``audit`` first reads it; the pattern has
+    checked the text, so ``_fraction`` decodes it without checking it
+    again: only ``load`` may put a text in the store.  A file's values are
+    decoded and compared with the ones a non-empty store already holds only
+    when their texts differ.  ``save`` writes only when an entry was added
+    or a value changed since the last load or save, and writes a value that
+    was never decoded back as the text it was read from, the whole file in
+    one ``write``.
 
     The store also keeps derived data, which ``items``, ``len`` and the
     saved file never show, in one dict: ``kept(key, build, *args)`` returns
@@ -172,28 +171,20 @@ class MemoStore:
     def load(self, audit_samples: int = 3, rng: random.Random | None = None) -> int:
         """Read and check the backing file, then spot-audit a few random entries.
 
-        A file in the form ``save`` writes (``N r n num/den`` lines with single
-        spaces, ASCII digits, keys without leading zeros, a nonzero
-        denominator and no key twice) is checked by one whole-file pattern and
-        split in one pass; any other file is read line by line, the one
-        definition of which files are accepted, which reports each error at its
-        line.  Both give the same records in the same order.
+        The file must be in the form ``save`` writes (see the class); a
+        record whose key the store already holds must carry an equal value.
 
-        A record whose key the store already holds must carry an equal value.
-
-        Returns the number of records read.  Raises :class:`CacheError` on
-        malformed lines, conflicting duplicates, a value that conflicts with
-        the store's, or an audit mismatch.
+        Returns the number of records read.  Raises :class:`CacheError` at
+        the first line that is not a record as ``save`` writes it or repeats
+        a key, on a value that conflicts with the store's, or on an audit
+        mismatch.
         """
         _require_int("audit_samples", audit_samples)
         if self.path is None:
             raise CacheError("store has no backing file")
         # stat'ed before reading: a newer file read under it only costs a merge
         version = _version(self.path)
-        data = self.path.read_bytes()
-        loaded = _saved_records(data)
-        if loaded is None:
-            loaded = self._read_lines(data)
+        loaded = _saved_records(self.path, self.path.read_bytes())
         if not self._values:  # a fresh store has nothing to conflict with
             self._values = loaded
         else:
@@ -207,43 +198,6 @@ class MemoStore:
         self._seen = version
         self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
         return len(loaded)
-
-    def _read_lines(self, data: bytes) -> dict[HBKey, Fraction | str]:
-        """The records in `data`, the backing file's bytes, read and checked
-        line by line: the one definition of the record format and its errors.
-        Lines are UTF-8 text and end at ``\n``, ``\r\n`` or ``\r``."""
-        try:
-            decoded = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start].decode("utf-8")
-            lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-            raise CacheError(
-                f"{self.path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
-                f"({exc.reason})"
-            ) from exc
-        loaded: dict[HBKey, Fraction | str] = {}
-        for lineno, line in enumerate(io.StringIO(decoded, newline=None), start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise CacheError(f"{self.path}:{lineno}: expected 'N r n num/den'")
-            text = fields[3]
-            try:
-                key = HBKey(*map(_text_int, fields[:3]))
-                check_rational(text)
-            except ValueError as exc:
-                raise CacheError(f"{self.path}:{lineno}: {exc}") from exc
-            known = loaded.setdefault(key, text)
-            if known != text:
-                value = _fraction(text)
-                if _fraction(known) != value:
-                    raise CacheError(
-                        f"{self.path}:{lineno}: duplicate key {_key_text(key)} "
-                        "with conflicting values"
-                    )
-                loaded[key] = value
-        return loaded
 
     def save(self) -> None:
         """Write every entry, sorted by key, if an entry was added or a value
@@ -362,58 +316,63 @@ class MemoStore:
         return found
 
 
-# A whole file in the form `save` writes: one `N r n num/den` record per line,
-# single spaces, ASCII digits, keys without leading zeros (so N, r >= 1) and a
-# denominator with a nonzero digit.  Each record can match in one way only, so
-# a file that fails is not matched again through its earlier records.
-_SAVED_FILE = re.compile(
-    rb"(?:[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) -?[0-9]+/0*[1-9][0-9]*\n)*"
-)
+# One record as `save` writes it: `N r n num/den` and a newline, single
+# spaces, ASCII digits, keys without leading zeros (so N, r >= 1) and a
+# denominator with a nonzero digit.
+_RECORD = rb"[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) -?[0-9]+/0*[1-9][0-9]*\n"
+# Records from the start of a file.  A record can match in one way only, so
+# the longest match ends where the first line that is not a record begins,
+# and a file that fails is not matched again through its earlier records.
+_SAVED_FILE = re.compile(rb"(?:%s)*" % _RECORD)
 
 
-def _saved_records(data: bytes) -> dict[HBKey, Fraction | str] | None:
-    """The records of a file's bytes if they are in the form `save` writes
-    and hold no key twice, read in one pass; None for any other file, which
-    ``MemoStore._read_lines`` reads and checks line by line, and for a file
-    with a key too long for ``int()``.  Each key column costs one ``int()``
-    per distinct text, as a file of a few families repeats its N, r and n
-    texts many times.  Values stay text, so a value of any length stays on
-    this path.  Every file read here holds exactly the
-    records that loop would return."""
-    if _SAVED_FILE.fullmatch(data) is None:
-        return None
+def _saved_records(path: Path, data: bytes) -> dict[HBKey, Fraction | str]:
+    """The records of the file at `path`, whose bytes are `data`, read in
+    one pass; the one reader of the file format, which is the form ``save``
+    writes.  Raises :class:`CacheError` at the first line that is not a
+    record in that form, or that repeats an earlier line's key.
+
+    Each key column costs one conversion per distinct text, as a file of a
+    few families repeats its N, r and n texts many times, and a key of any
+    length converts.  Values stay text, to be decoded when first read."""
+    end = _SAVED_FILE.match(data).end()
+    if end != len(data):
+        lineno = data.count(b"\n", 0, end) + 1
+        raise CacheError(f"{path}:{lineno}: expected a record 'N r n num/den' as save writes it")
     fields = data.decode("ascii").split()
+    key_texts = fields[0::4], fields[1::4], fields[2::4]
     columns = []
-    for texts in (fields[0::4], fields[1::4], fields[2::4]):
+    for texts in key_texts:
         distinct = set(texts)  # a few N and r, and one n per depth, over many records
-        try:
-            ints = dict(zip(distinct, map(int, distinct)))
-        except ValueError:  # int() refuses a key past the int/str digit limit
-            return None
+        ints = dict(zip(distinct, map(_text_int, distinct)))
         columns.append(map(ints.__getitem__, texts))
     # the pattern has checked N, r >= 1 and n >= 0, so keys skip HBKey.__new__
     keys = map(tuple.__new__, repeat(HBKey), zip(*columns))
     records: dict[HBKey, Fraction | str] = dict(zip(keys, fields[3::4]))
-    return records if 4 * len(records) == len(fields) else None
+    if 4 * len(records) != len(fields):
+        # key texts have no leading zeros, so equal keys have equal texts
+        seen = set()
+        for lineno, key in enumerate(zip(*key_texts), start=1):
+            if key in seen:
+                raise CacheError(f"{path}:{lineno}: repeated key {' '.join(key)}")
+            seen.add(key)
+    return records
 
 
 def _key_text(key: HBKey) -> str:
     """``N r n`` as a record starts, at any length."""
-    try:
-        return "%d %d %d" % key
-    except ValueError:  # a field past the int/str digit limit
-        return " ".join(map(_int_text, key))
+    return " ".join(map(_int_text, key))
 
 
 def _fraction(value: Fraction | str) -> Fraction:
     """A stored value, decoding the file's text if it was not read yet.
 
     A text was checked when it was loaded, so it is split at its ``/`` and
-    converted without a second pass of the literal pattern."""
+    converted without a second pass of the record pattern."""
     if not isinstance(value, str):
         return value
     num, _, den = value.partition("/")
-    return Fraction(_text_int(num), _text_int(den) if den else 1)
+    return Fraction(_text_int(num), _text_int(den))
 
 
 def _version(path: Path) -> tuple[int, int, int] | None:

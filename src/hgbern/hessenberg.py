@@ -266,6 +266,8 @@ def inversion_pair_check(
     """
     if len(alphas) != len(rs):
         raise ValueError("sequences must have equal length")
+    _require_rationals(alphas, "alphas")
+    _require_rationals(rs, "rs")
     a, rr = [1, *alphas], [1, *rs]
 
     conv_ok = all(

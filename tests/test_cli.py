@@ -20,7 +20,12 @@ import hgbern
 from hgbern import altforms, cli, hbnum, hessenberg
 from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
-from hgbern.congruence import hb_kummer_corollary, hb_kummer_pair, ord_threshold
+from hgbern.congruence import (
+    CongruenceVerdict,
+    hb_kummer_corollary,
+    hb_kummer_pair,
+    ord_threshold,
+)
 from hgbern.exactnum import format_rational, parse_rational
 from hgbern.hbnum import hb_higher
 
@@ -778,6 +783,19 @@ def test_congruence_factorial(capsys):
     assert code == EXIT_OK and out.startswith("holds")
 
 
+def test_congruence_verdict_lines_for_exact_equality_and_differing_residues(capsys):
+    # at N = 1 = 1 + 3^0 the factorial ladder is an equality, with no residues
+    assert run(capsys, "congruence", "factorial", "-p", "3", "-N", "1", "-n", "6") == (
+        EXIT_OK,
+        "holds; exact equality required; ord_3(lhs-rhs) = inf\n",
+        "",
+    )
+    failing = CongruenceVerdict(
+        holds=False, p=5, modulus_exponent=2, difference_ord=1, lhs_residue=3, rhs_residue=8
+    )
+    assert cli._verdict_line(failing) == "FAILS; lhs ≡ 3, rhs ≡ 8 (mod 25); ord_5(lhs-rhs) = 1"
+
+
 def test_congruence_hypothesis_violation_exit(capsys):
     code, _, err = run(
         capsys, "congruence", "hb-kummer", "-p", "5", "-n", "4", "--nu", "0",
@@ -866,6 +884,25 @@ def test_cache_round_trip_via_cli(tmp_path, capsys):
     cache.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "cache-audit", "--cache", str(cache))
     assert code == EXIT_VERIFY
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"1 1 0 1/1\r\n1 1 1 -1/2\r\n", 1),
+        (b"2 1 0 1/1\n1_0 1 0 1/1\n", 2),
+        ("2 1 0 1/1\n2 1 1 -1/3\n١ 1 1 -1/2\n".encode(), 3),
+        (b"2 1 0 1/1\n2 1 0 1/1\n", 2),
+    ],
+)
+def test_a_cache_file_not_as_save_writes_it_fails_at_its_line(tmp_path, capsys, data, line):
+    cache = tmp_path / "cache.txt"
+    cache.write_bytes(data)
+    for argv in (["cache-audit"], ["compute", "-N", "2", "-n", "3"]):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err.startswith(f"error: {cache}:{line}: ")
+    assert cache.read_bytes() == data
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,9 @@ def test_determinant_matches_cofactor_oracle():
         (lambda: toeplitz_hessenberg_det(1, [1, 2.0]), "entries[1]"),
         (lambda: trudi_expand(1, [0.5]), "entries[0]"),
         (lambda: trudi_expand(0.5, [1]), "a0"),
+        # the inversion check names its own sequences, before any convolution
+        (lambda: inversion_pair_check([1, 0.5], [1, 2]), "alphas[1]"),
+        (lambda: inversion_pair_check([1, 2], [1, "1/5"]), "rs[1]"),
     ],
 )
 def test_kernels_refuse_a_float_and_name_it(call, name):
