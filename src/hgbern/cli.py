@@ -330,13 +330,17 @@ def _verdict_line(verdict: CongruenceVerdict) -> str:
         parts.append("exact equality required")
     else:
         modulus = verdict.p ** int(verdict.modulus_exponent)
-        if verdict.lhs_residue is not None and verdict.lhs_residue == verdict.rhs_residue:
-            parts.append(f"residue {verdict.lhs_residue} (mod {modulus})")
-        elif verdict.lhs_residue is not None or verdict.rhs_residue is not None:
-            parts.append(
-                f"lhs ≡ {verdict.lhs_residue}, rhs ≡ {verdict.rhs_residue} "
-                f"(mod {modulus})"
+        lhs, rhs = verdict.lhs_residue, verdict.rhs_residue
+        if lhs is not None and lhs == rhs:
+            parts.append(f"residue {lhs} (mod {modulus})")
+        elif lhs is not None or rhs is not None:
+            # a side without a residue has p in its reduced denominator
+            sides = (
+                f"{side} ≡ {residue}" if residue is not None
+                else f"{side} has {verdict.p} in its denominator"
+                for side, residue in (("lhs", lhs), ("rhs", rhs))
             )
+            parts.append(f"{', '.join(sides)} (mod {modulus})")
     parts.append(f"ord_{verdict.p}(lhs-rhs) = {verdict.difference_ord}")
     return "; ".join(parts)
 

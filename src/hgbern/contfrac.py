@@ -50,7 +50,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .exactnum import HBKey, _int_text, _require_int, binom, rising
+from .exactnum import HBKey, _int_text, _require_int, _require_rationals, binom, rising
 from .hbnum import MemoStore, hb_higher
 from .hessenberg import CommonDenominator, _over_lcm
 
@@ -76,13 +76,17 @@ class Poly:
     """Immutable dense polynomial over Fraction, coefficients in ascending order.
 
     Trailing zero coefficients are stripped; the zero polynomial has an empty
-    coefficient tuple and degree -1.
+    coefficient tuple and degree -1.  A coefficient that is not rational (a
+    float, say) is refused as ``coefficients[i]``, by the rule stated in
+    :mod:`exactnum`.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = list(coefficients)
+        _require_rationals(coeffs, "coefficients")
+        coeffs = [Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)

@@ -27,7 +27,14 @@ int, or hash equal to an int key and read that key's value.
 A rational value argument must be a ``numbers.Rational`` (int or
 ``Fraction``): ``_rational`` refuses any other, a float say, rather than
 read it as its binary expansion, and ``_require_rationals`` refuses the first
-such entry of a row, naming it by its index.
+such entry of a row, naming it by its index.  A bool is the int 1 or 0, so
+it is accepted as a rational value, where no key reads it, but refused as an
+integer argument.
+
+``tests/test_arguments.py`` checks this rule: one table gives every public
+callable's valid arguments and the kind of each parameter, each kind its bad
+inputs and their messages, and a test fails on a public parameter the table
+does not name.
 
 No floating point anywhere: everything works on ``int`` and ``Fraction``.
 """
@@ -104,7 +111,7 @@ def _require_int(name: str, value: int, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-_RATIONAL_RE = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
+_RATIONAL_RE = re.compile(r"\A([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
 # Python's int <-> str conversion refuses more digits than a per-process limit
 # (4300 by default, where the interpreter has one; never below 640).  Longer
@@ -145,12 +152,13 @@ def _text_int(text: str) -> int:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``num/den`` in lowest terms; ``/1`` stays explicit."""
-    q = Fraction(value)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+    num, den = _rational(value, "value")
+    return f"{_int_text(num)}/{_int_text(den)}"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``num`` or ``num/den`` with an optional sign; denominator must be nonzero."""
+    """Parse ``num`` or ``num/den`` with an optional sign and ASCII digits, as
+    the cache reader does; the denominator must be nonzero."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")

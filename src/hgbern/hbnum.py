@@ -73,6 +73,7 @@ from typing import Callable
 from .exactnum import (
     HBKey,
     _int_text,
+    _rational,
     _require_index,
     _require_int,
     _text_int,
@@ -97,6 +98,11 @@ class CacheError(ValueError):
 
 class MemoStore:
     """Cache of computed values keyed by (N, r, n), optionally file backed.
+
+    ``get``, ``put`` and ``in`` make any key that is not an ``HBKey`` one, so
+    a bool or float key field is refused by the argument rule stated in
+    :mod:`exactnum`, and ``put`` refuses a value that is not rational by the
+    same module's rule.
 
     The file has one format, the one ``save`` writes: a line
     ``N r n num/den`` per record, in any order, with single spaces, ASCII
@@ -139,9 +145,11 @@ class MemoStore:
         return len(self._values)
 
     def __contains__(self, key: HBKey) -> bool:
-        return key in self._values
+        return (key if type(key) is HBKey else HBKey(*key)) in self._values
 
     def get(self, key: HBKey) -> Fraction | None:
+        if type(key) is not HBKey:
+            key = HBKey(*key)
         value = self._values.get(key)
         return self._decode(key) if isinstance(value, str) else value
 
@@ -150,6 +158,10 @@ class MemoStore:
         return value
 
     def put(self, key: HBKey, value: Fraction) -> None:
+        if type(key) is not HBKey:
+            key = HBKey(*key)
+        if type(value) is not Fraction:
+            _rational(value, "value")
         held = key in self._values
         if not held or self._decode(key) != value:
             self._values[key] = value

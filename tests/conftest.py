@@ -22,3 +22,15 @@ def hermetic(monkeypatch):
     yield
     if limit is not None:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def patch_every_binding(monkeypatch):
+    """Rebind a function to a replacement in every hgbern module that binds it, for one test."""
+
+    def patch(function, replacement):
+        for module in [module for name, module in sys.modules.items() if name.startswith("hgbern")]:
+            for attr in [attr for attr, value in vars(module).items() if value is function]:
+                monkeypatch.setattr(module, attr, replacement)
+
+    return patch

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hgbern import altforms, hessenberg
+from hgbern import altforms
 from hgbern.altforms import (
     RoutePreconditionError,
     hb_descent_nested,
@@ -23,7 +23,7 @@ from hgbern.altforms import (
 )
 from hgbern.exactnum import binom, rising
 from hgbern.hbnum import classical, hb, hb_higher
-from hgbern.hessenberg import hb_higher_det, weight_row
+from hgbern.hessenberg import weight_row
 from oracles import (
     naive_hb_descent_nested,
     naive_hb_explicit_comp,
@@ -289,97 +289,6 @@ def test_exponential_routes_refuse_past_their_limit_before_any_work(
         call(limit)
     with pytest.raises(RoutePreconditionError, match=f"^{name} requires n <= {limit}$"):
         call(limit + 1)
-
-
-# every helper a route or weight row starts its work with, by module
-_WORK = {
-    altforms: [
-        "_refuse_past", "_trudi_max_n", "_weight_powers", "enumerate_compositions", "mr",
-        "trudi_expand", "toeplitz_hessenberg_det", "_over_lcm", "_binomial_convolution", "_top",
-    ],
-    hessenberg: ["_weight_powers", "toeplitz_hessenberg_det", "weight_row"],
-}
-
-
-@pytest.mark.parametrize(
-    "function, valid, fields",
-    [
-        pytest.param(function, valid, fields, id=function.__name__)
-        for function, valid, fields in (
-            (mr, (2, 2, 3), "Nrn"),
-            (hb_explicit_comp, (2, 3), "Nn"),
-            (hb_explicit_binom, (2, 3), "Nn"),
-            (hb_higher_explicit, (2, 2, 3), "Nrn"),
-            (hb_trudi, (2, 2, 3), "Nrn"),
-            (hb_higher_det, (2, 2, 3), "Nrn"),
-            (weight_row, (2, 2, 3), "Nrn"),
-            # rows of values (".", not integer arguments), then the integer
-            (hb_higher_convolution, (_values(2, 3), 2), ".r"),
-            (hb_descent_step, (_values(2, 3), _values(3, 2), 3), "..N"),
-            (hb_descent_nested, (_values(2, 3), 3), ".N"),
-        )
-    ],
-)
-@pytest.mark.parametrize("bad", [True, 2.0])
-def test_routes_refuse_a_bool_or_float_index_before_any_work(
-    function, valid, fields, bad, monkeypatch
-):
-    # a bool or a float index would be read as an int; each route checks its
-    # integer arguments first, and names the argument: the depth of mr and
-    # weight_row is the key's n
-    def started(*args):
-        raise _Started
-
-    for module, names in _WORK.items():
-        for name in names:
-            monkeypatch.setattr(module, name, started)
-    for i, field in enumerate(fields):
-        if field == ".":
-            continue
-        args = [*valid[:i], bad, *valid[i + 1 :]]
-        with pytest.raises(ValueError, match=f"^{field} must be an int, got {bad!r}$"):
-            function(*args)
-    monkeypatch.undo()
-    assert function(*valid) == function(*valid)  # the valid indices still compute
-
-
-# values that are not rational, as a row entry: a float would be read
-# through a denominator it does not have, or make the relation's value a float
-_NOT_RATIONAL = (0.2, 1.0, float("nan"), complex(1, 0), "1/5")
-
-
-@pytest.mark.parametrize("x", _NOT_RATIONAL, ids=repr)
-@pytest.mark.parametrize(
-    "function, valid, name",
-    [
-        pytest.param(function, valid, name, id=f"{function.__name__}-{name}")
-        for function, valid, name in (
-            (hb_descent_step, (_values(1, 5), _values(2, 4), 2), "prev"),
-            (hb_descent_step, (_values(1, 5), _values(2, 4), 2), "row"),
-            (hb_descent_nested, (_values(1, 5), 2), "prev"),
-            (hb_higher_convolution, (_values(2, 5), 2), "base"),
-            (reciprocal_binom_inverse, (_values(2, 5),), "row"),
-            (recover_mr_det, (_values(2, 5),), "row"),
-        )
-    ],
-)
-def test_relations_refuse_a_value_that_is_not_rational_before_any_work(
-    function, valid, name, x, monkeypatch
-):
-    # the relation names its row argument and the entry's index
-    def started(*args):
-        raise _Started
-
-    for helper in ("_over_lcm", "_binomial_convolution", "binom", "toeplitz_hessenberg_det"):
-        monkeypatch.setattr(altforms, helper, started)
-    i = list(inspect.signature(function).parameters).index(name)
-    row = valid[i]
-    args = [*valid[:i], [*row[:2], x, *row[3:]], *valid[i + 1 :]]
-    message = rf"^{name}\[2\] must be a rational number \(int or Fraction\), got "
-    with pytest.raises(ValueError, match=message):
-        function(*args)
-    monkeypatch.undo()
-    assert isinstance(function(*valid), Fraction)  # the valid row still computes
 
 
 def test_mr_refuses_past_the_step_budget_before_any_composition(monkeypatch):

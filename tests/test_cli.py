@@ -22,6 +22,7 @@ from hgbern.altforms import RoutePreconditionError
 from hgbern.cli import EXIT_OK, EXIT_ROUTE, EXIT_USAGE, EXIT_VERIFY, main
 from hgbern.congruence import (
     CongruenceVerdict,
+    _verdict,
     hb_kummer_corollary,
     hb_kummer_pair,
     ord_threshold,
@@ -383,42 +384,6 @@ def test_each_route_shares_with_the_oracle_only_what_is_pinned(route):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not named & {"hessenberg", "altforms", "contfrac", "CommonDenominator", "_over_lcm"}
-
-
-# an argument rule's words, restated: the type half, or the bound half for an index
-_RULE_WORDS = re.compile(r"must be an int|(?:\b(?:N|r|n|nu)|\{\}) must be >=")
-# (file, function) where the words name something that is not an integer
-# argument, with the reason
-_RULE_WORDS_ALLOWED = {
-    ("altforms.py", "_top"): "the length of a row of values, which sets its n",
-    ("altforms.py", "hb_higher_convolution"): "an empty base row, which has no n",
-}
-
-
-def test_only_exactnum_states_the_argument_rule():
-    # every integer argument is refused by exactnum's rule; a message that
-    # restates it elsewhere is a second copy that can drift from it
-    found = set()
-
-    def visit(node, owner, path):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
-        if isinstance(node, ast.JoinedStr):
-            parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
-            if _RULE_WORDS.search("".join(parts)):
-                found.add((path.name, owner))
-            return
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if _RULE_WORDS.search(node.value):
-                found.add((path.name, owner))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, path)
-
-    for path in Path(hgbern.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
-    # the scan sees the rule where it is stated, in f-strings too
-    assert {("exactnum.py", "__new__"), ("exactnum.py", "_require_int")} <= found
-    assert {key for key in found if key[0] != "exactnum.py"} == set(_RULE_WORDS_ALLOWED)
 
 
 # public names no module or benchmark file calls yet: paper relations that
@@ -794,6 +759,10 @@ def test_congruence_verdict_lines_for_exact_equality_and_differing_residues(caps
         holds=False, p=5, modulus_exponent=2, difference_ord=1, lhs_residue=3, rhs_residue=8
     )
     assert cli._verdict_line(failing) == "FAILS; lhs ≡ 3, rhs ≡ 8 (mod 25); ord_5(lhs-rhs) = 1"
+    # lhs = 1/5 has no residue mod 25, so its side says why
+    assert cli._verdict_line(_verdict(1, 5, 3, 1, 5, 2)) == (
+        "FAILS; lhs has 5 in its denominator, rhs ≡ 3 (mod 25); ord_5(lhs-rhs) = -1"
+    )
 
 
 def test_congruence_hypothesis_violation_exit(capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import random
 import sys
 from fractions import Fraction
@@ -206,17 +205,6 @@ def test_ordp_rejects_a_composite_modulus():
         ordp(Fraction(1, 5), 6)
 
 
-# A float is not read as its binary expansion: 0.2 is not 1/5 (ord_5 = -1),
-# and its expansion would give ord_5 = 0.
-NOT_RATIONAL = (0.2, 1.0, float("nan"), complex(1, 0), "1/5")
-
-
-@pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
-def test_ordp_rejects_a_value_that_is_not_rational(x):
-    with pytest.raises(ValueError, match=r"^x must be a rational number \(int or Fraction\), got "):
-        ordp(x, 5)
-
-
 def test_rational_values_of_every_kind_are_accepted():
     assert ordp(True, 5) == 0 and ordp(Fraction(2, 25), 5) == -2 and ordp(-50, 5) == 2
 
@@ -384,40 +372,3 @@ def test_hypothesis_violation_texts(statement, args, message):
     with pytest.raises(HypothesisViolation) as raised:
         statement(*args)
     assert str(raised.value) == message
-
-
-# each statement at valid arguments, the integer ones in signature order
-_VALID_STATEMENTS = (
-    (ord_threshold, (5, 2, 1, 22)),
-    (kummer_classical, (5, 22, 2, 1)),
-    (hb_kummer_corollary, (5, 1 + 5**4, 2, 0)),
-    (hb_kummer_pair, (5, 1 + 5**48, 22, 2, 1)),
-    (hb_factorial_congruence, (3, 10, 6)),
-)
-
-
-@pytest.mark.parametrize(
-    "statement, valid, i, bad",
-    [
-        pytest.param(statement, valid, i, bad, id=f"{statement.__name__}-{name}-{bad!r}")
-        for statement, valid in _VALID_STATEMENTS
-        for i, name in enumerate(list(inspect.signature(statement).parameters)[: len(valid)])
-        for bad in ((True, 2.0, 0.5) if name == "nu" else (True, 2.0))
-    ],
-)
-def test_statements_refuse_a_bool_or_float_integer_argument_before_reading_a_value(
-    statement, valid, i, bad, monkeypatch
-):
-    # a bool or a float would be read as an int (kummer_classical(5, 22, 2,
-    # True) would check at nu = 1); it is refused, by its name, before any
-    # Bernoulli value is read
-    def read(*args):
-        raise AssertionError("a value was read before the arguments were checked")
-
-    monkeypatch.setattr(congruence, "hb", read)
-    monkeypatch.setattr(congruence, "classical", read)
-    name = list(inspect.signature(statement).parameters)[i]
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
-        statement(*valid[:i], bad, *valid[i + 1 :])
-    monkeypatch.undo()
-    assert statement(*valid)  # the valid arguments still give a holding verdict

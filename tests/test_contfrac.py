@@ -1,7 +1,4 @@
-import inspect
 import random
-import re
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -21,7 +18,7 @@ from hgbern.contfrac import (
     identity_odd,
 )
 from hgbern import cli, contfrac
-from hgbern.hbnum import CacheError, HBKey, MemoStore, hb, hb_higher
+from hgbern.hbnum import CacheError, HBKey, MemoStore, hb
 from hgbern.hessenberg import CommonDenominator
 from oracles import (
     naive_classical_reduced,
@@ -278,61 +275,6 @@ def test_identity_input_validation():
         identity_odd(1, 2, -1)
     with pytest.raises(ValueError):
         identity_even(0, 2, 1)
-
-
-@pytest.mark.parametrize(
-    "call, args",
-    [
-        (identity_even, (True, 2, 1)),
-        (identity_even, (2, 2, False)),
-        (identity_odd, (2.0, 2, 1)),
-        (identity_odd, (2, 2.0, 1)),
-        (identity_odd, (2, 2, 1.0)),
-        (classical_identity, ("even-reduced", 2, 2.0)),
-        (classical_identity, ("odd-reduced", True, 1)),
-        (classical_identity, ("even", 2.0, 1)),
-        (classical_identity, ("odd", 2, True)),
-        (convergent_rec, (True, 3)),
-        (convergent_rec, (2, 3.0)),
-        (convergent_closed, (2.0, 3)),
-        (convergent_closed, (2, False)),
-        # the oracle and its rows take the same guard, HBKey
-        (hb, (2.0, 3)),
-        (hb, (True, 2)),
-        (hb, (2, 3.5)),
-        (hb_higher, (2, 1.0, 3)),
-        (_series_row, (2.0, 3)),
-        (approximation_defect, (replace(convergent_rec(2, 3), N=2.0),)),
-        # h is named as h, not as the row index it becomes
-        (identity_odd, (2, 2, 1.0)),
-        (identity_odd, (1, 2, -1)),
-        (classical_identity, ("odd", 2, "1")),
-    ],
-)
-def test_checks_refuse_a_bool_or_non_int_index_before_touching_the_store(call, args):
-    # a float or a bool hashes equal to an int key, so it would read that
-    # key's value and kept data; it is refused up front instead, by the name
-    # of the first index that is not an int >= 0
-    if call is approximation_defect:
-        indices = {"N": args[0].N}
-    else:
-        indices = dict(zip(inspect.signature(call).parameters, args))
-        indices.pop("variant", None)
-    name, value = next((k, v) for k, v in indices.items() if type(v) is not int or v < 0)
-    message = f"{name} must be an int, got {value!r}"
-    if type(value) is int:
-        message = f"{name} must be >= 0"
-    store = MemoStore()
-    for h in range(5):
-        identity_even(2, 2, h, store)
-        identity_odd(2, 2, h, store)
-    for h in range(1, 5):
-        classical_identity("odd-reduced", 2, h, store)
-        classical_identity("even-reduced", 2, h, store)
-    before = (store.items(), dict(store._kept))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call(*args) if call in (convergent_rec, convergent_closed) else call(*args, store)
-    assert (store.items(), store._kept) == before
 
 
 def test_lhs_uses_generating_series_values():

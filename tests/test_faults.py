@@ -4,7 +4,6 @@ runs, in-process on a small grid, and returns the failures it reports.  ``CAUGHT
 pins them, leaving out each check that passes; README prints the matrix."""
 
 import io
-import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,13 +20,6 @@ import hgbern
 from hgbern import cli, congruence, contfrac, hessenberg
 from hgbern.cli import EXIT_OK, main
 from hgbern.hbnum import HBKey, MemoStore, hb_higher
-
-
-def _patch_every_binding(monkeypatch, function, replacement):
-    """Rebind `function` to `replacement` in every hgbern module that binds it."""
-    for module in [module for name, module in sys.modules.items() if name.startswith("hgbern")]:
-        for attr in [attr for attr, value in vars(module).items() if value is function]:
-            monkeypatch.setattr(module, attr, replacement)
 
 
 def _fault(bump, when=lambda *args: True):
@@ -227,7 +219,7 @@ WHY = {
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_each_fault_is_caught_by_the_checks_its_row_names(fault, monkeypatch):
+def test_each_fault_is_caught_by_the_checks_its_row_names(fault, monkeypatch, patch_every_binding):
     hits = []
     if FAULTS[fault] is not None:
         *path, attr = fault.split(".")
@@ -235,7 +227,7 @@ def test_each_fault_is_caught_by_the_checks_its_row_names(fault, monkeypatch):
         original = getattr(owner, attr)
         wrong = FAULTS[fault](original, hits)
         monkeypatch.setattr(owner, attr, wrong)
-        _patch_every_binding(monkeypatch, original, wrong)
+        patch_every_binding(original, wrong)
     found = {name: check() for name, check in CHECKS.items()}
     assert {name: count for name, count in found.items() if count} == CAUGHT[fault]
     # the fault ran, so a renamed kernel cannot leave a silent clean row

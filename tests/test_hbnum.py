@@ -266,35 +266,6 @@ def test_input_validation():
         recurrence_residual(2, 1, 0)
 
 
-@pytest.mark.parametrize(
-    "indices, message",
-    [
-        ((0, 1, 0), "N must be >= 1"),
-        ((1, 0, 0), "r must be >= 1"),
-        ((1, 1, -1), "n must be >= 0"),
-        # a float or a bool would hash equal to an int key
-        ((2.0, 1, 3), "N must be an int, got 2.0"),
-        ((True, 1, 3), "N must be an int, got True"),
-        ((2, 1.0, 3), "r must be an int, got 1.0"),
-        ((2, 1, 3.5), "n must be an int, got 3.5"),
-        ((2, 1, False), "n must be an int, got False"),
-        ((2, 1, "3"), "n must be an int, got '3'"),
-        ((0.5, 0, -1), "N must be an int, got 0.5"),  # the type, before any range
-    ],
-)
-def test_hbkey_rejects_bad_indices(indices, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        HBKey(*indices)
-    # the oracle builds its key before it walks, also without a store
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        hb_higher(*indices)
-    # and so does the residual check, in the key's order, with n >= 1
-    if message == "n must be >= 0":
-        message = "n must be >= 1"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        recurrence_residual(*indices)
-
-
 def test_hbkey_is_an_immutable_ordered_triple():
     key = HBKey(2, 3, 4)
     assert repr(key) == "HBKey(N=2, r=3, n=4)"
