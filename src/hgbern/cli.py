@@ -25,19 +25,20 @@ violation.
 
 Values print as exact ``num/den``.  Every subcommand takes ``--cache PATH``;
 without it the ``HGBERN_CACHE`` environment variable names the cache file,
-and with neither everything stays in memory.  ``congruence hb-kummer`` and
-``hb-pair`` take exactly one of ``-N`` and ``--ordp-target T`` (N = 1 + p^T,
-T >= 0).  A congruence statement's hypotheses, their order and its
-threshold on ord_p(N-1) are the library's; the CLI prints the verdict or
-error it gets back.  An option that several subcommands share is declared
-once, in a parent parser.
+and with neither everything stays in memory; ``table`` then keeps no store at
+all, and walks each family storeless.  Its CSV fields hold only digits, ``-``
+and ``/``, which CSV never quotes, so each row is written as plain text.
+``congruence hb-kummer`` and ``hb-pair`` take exactly one of ``-N`` and
+``--ordp-target T`` (N = 1 + p^T, T >= 0).  A congruence statement's
+hypotheses, their order and its threshold on ord_p(N-1) are the library's;
+the CLI prints the verdict or error it gets back.  An option that several
+subcommands share is declared once, in a parent parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -285,10 +286,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     store = _make_store(args)
     HBKey(args.N[0], args.r[0], args.n[0])  # the least indices, as the ranges ascend
+    # a store with no file would only be written: walk storeless instead
+    walked = store if store.path is not None else None
     rows = []
     for N, r in product(args.N, args.r):
         row: list[Fraction] = []
-        hbnum.hb_higher(N, r, max(args.n), store, row)  # one walk to the deepest n
+        hbnum.hb_higher(N, r, max(args.n), walked, row)  # one walk to the deepest n
         rows += [(N, r, n, format_rational(row[n])) for n in args.n]
     with (
         open(args.output, "w", encoding="utf-8", newline="")
@@ -296,9 +299,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         else contextlib.nullcontext(sys.stdout)
     ) as out:
         if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["N", "r", "n", "value"])
-            writer.writerows(rows)
+            # fields of digits, "-" and "/" only, which CSV never quotes
+            out.write("N,r,n,value\n")
+            out.writelines(f"{N},{r},{n},{value}\n" for N, r, n, value in rows)
         else:
             records = [{"N": N, "r": r, "n": n, "value": v} for N, r, n, v in rows]
             json.dump(records, out, indent=2)

@@ -100,6 +100,8 @@ class Poly:
         return len(self._coeffs) - 1
 
     def __getitem__(self, power: int) -> Fraction:
+        """The coefficient of x^power; 0 past the degree or below 0."""
+        _require_int("power", power)
         if 0 <= power < len(self._coeffs):
             return self._coeffs[power]
         return Fraction(0)

@@ -303,7 +303,10 @@ class MemoStore:
         largest.  So the r >= 2 entries call none of ``_row``, ``_weights``
         and ``cauchy_product``: a wrong r-fold weight row in the oracle shows
         here as a mismatch, and so does a wrong r = 1 walk, at every r >= 2
-        entry of that N that reads it."""
+        entry of that N that reads it.  A key that is not an ``HBKey`` is
+        made one first, as ``get`` does, so a float or bool field is refused
+        before any walk."""
+        keys = [key if type(key) is HBKey else HBKey(*key) for key in keys]
         tops: dict[int, int] = {}
         spans: dict[tuple[int, int], tuple[int, int]] = {}
         for N, r, n in keys:

@@ -64,6 +64,11 @@ def fields(**kinds):
     return bad
 
 
+def key_list(name, valid):
+    """A list of keys, refused at its entry 0 by the bad field's name."""
+    return [([key, *valid[1:]], message) for key, message in KEY(name, valid[0])]
+
+
 def exempt(reason):
     """A parameter the rule does not cover, for `reason`."""
     return lambda name, valid: ()
@@ -83,7 +88,8 @@ _B1, _B2 = ([hb(N, n) for n in range(6)] for N in (1, 2))  # rows a relation rea
 _PAIR = convergent_rec(2, 3)
 
 # each public callable's parameters as (valid value, kind); the helpers
-# weight_row and _series_row are the routes' and checks' own guards
+# weight_row and _series_row are the routes' and checks' own guards, and
+# Poly.__getitem__ reads a public class's coefficients
 TABLE = {
     # altforms: mr's weight index is the key's n
     mr: dict(N=(2, KEY_N), r=(2, KEY_R), e=(3, KEY_n)),
@@ -114,6 +120,7 @@ TABLE = {
     ),
     # contfrac: a convergent's indices are refused where approximation_defect reads them
     Poly: dict(coefficients=([1, Fraction(-1, 3)], rationals)),
+    Poly.__getitem__: dict(self=(Poly([1, 2]), exempt("the polynomial")), power=(1, integer())),
     Series: dict(coefficients=((), RESULT)),
     ConvergentPair: dict(n=(3, RESULT), P=(_PAIR.P, RESULT), Q=(_PAIR.Q, RESULT), N=(2, RESULT)),
     convergent_rec: dict(N=(2, KEY_N), n=(3, KEY_n)),
@@ -158,9 +165,9 @@ TABLE = {
     MemoStore.load: dict(self=STORE, audit_samples=(3, integer()), rng=RNG),  # -1: random's text
     MemoStore.save: dict(self=STORE),
     MemoStore.audit: dict(
-        self=STORE, samples=(3, integer()), rng=RNG, keys=(None, exempt("the store's keys"))
+        self=STORE, samples=(3, integer()), rng=RNG, keys=([(2, 1, 3)], key_list)
     ),
-    MemoStore.mismatches: dict(self=STORE, keys=([HBKey(2, 1, 3)], exempt("the store's keys"))),
+    MemoStore.mismatches: dict(self=STORE, keys=([(2, 1, 3), HBKey(2, 1, 4)], key_list)),
     # hessenberg: weight_row's depth is the key's n
     toeplitz_hessenberg_det: dict(
         a0=(1, rational), entries=([Fraction(1, 2), 3], rationals), leading=OUT
@@ -259,7 +266,7 @@ def test_the_table_rows_every_parameter_of_the_public_surface():
             continue  # it takes its message
         name = function.__qualname__
         assert rows.pop(name, None) == set(inspect.signature(function).parameters), name
-    assert set(rows) == {"_series_row", "weight_row"}
+    assert set(rows) == {"Poly.__getitem__", "_series_row", "weight_row"}
 
 
 # an argument rule's words, restated: the type half, or the bound half for an index

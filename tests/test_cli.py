@@ -231,6 +231,48 @@ def test_table_cache_file_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == digest
 
 
+# tables of several families, r >= 2 among them, one at N = 1 + 5^20
+_TABLES = ["table -N 1..3 -r 1..3 -n 0..40", "table -N 95367431640626 -r 1..3 -n 5..25"]
+
+
+@pytest.mark.parametrize("argv", _TABLES)
+def test_table_rows_read_back_as_csv_and_the_file_equals_stdout(argv, tmp_path, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    target = tmp_path / "table.csv"
+    assert run(capsys, *argv.split(), "-o", str(target)) == (EXIT_OK, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
+    args = cli._parser().parse_args(argv.split())
+    store = hbnum.MemoStore()  # the stored walk, against the table's storeless one
+    expected = [["N", "r", "n", "value"]] + [
+        [str(N), str(r), str(n), format_rational(hb_higher(N, r, n, store))]
+        for N, r, n in product(args.N, args.r, args.n)
+    ]
+    assert list(csv.reader(io.StringIO(out))) == expected
+
+
+@pytest.mark.parametrize("argv", _TABLES)
+def test_table_keeps_a_store_only_with_a_cache_file(argv, tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    for method in ("get", "put"):
+        original = getattr(hbnum.MemoStore, method)
+
+        def counting(store, *args, method=method, original=original):
+            calls[method] += 1
+            return original(store, *args)
+
+        monkeypatch.setattr(hbnum.MemoStore, method, counting)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK and calls == {}
+    cache = tmp_path / "c.txt"
+    assert run(capsys, *argv.split(), "--cache", str(cache)) == (EXIT_OK, out, "")
+    assert calls["put"] > 0
+    saved = hbnum.MemoStore(cache)
+    saved.load()
+    for N, r, n, value in csv.reader(io.StringIO(out[len("N,r,n,value\n") :])):
+        assert saved.get((int(N), int(r), int(n))) == parse_rational(value)
+
+
 def test_values_past_the_int_digit_limit_print_and_round_trip(tmp_path, capsys):
     cache = tmp_path / "big.txt"
     N = 10**1000
