@@ -27,17 +27,22 @@ and weight kernel.
 
 The order-r explicit sum and the nested descent walk their index sets depth
 first: the compositions of n, carrying each prefix's product, and the
-decreasing chains from n, carrying the product of each chain's links.  So a
-composition or a chain costs one multiply rather than one per part or link.
-Each walk finishes in the parent frame the one extension that has no
-extension of its own -- the prefix that leaves 1, the step to index 1 --
-which halves the calls to 2^(n-2) and still gives that term its own product.
-Neither walk merges what it visits: prefixes with equal remainders merged
-would be the Cauchy-power sum of ``hb_explicit_binom``, and chains with
-equal ends merged would be the recursion of ``hb_descent_step``.  The Trudi
-sum takes each vector's power product, part count k and multinomial
-k! / prod t_i! (from a factorial table built once per call) in one pass over
-its multiplicities, the plain tuple the partition enumerator yields.
+decreasing chains from n, carrying the product of each chain's links.  A walk
+calls itself only while more than ``_LEAF`` remains to compose, or while the
+chain ends above ``_LEAF``; the rest of each composition or chain comes from
+a table built once per call, one (part or link count, product) entry per
+composition of each remainder R <= _LEAF, or per chain going on from each
+end b <= _LEAF.  So a composition or a chain costs one multiply, its prefix's
+product times its suffix's entry, and one add into its group.  Past n =
+_LEAF the composition walk makes (_LEAF + 2) 2^(n-_LEAF-1) calls and the
+chain walk (_LEAF + 1) 2^(n-_LEAF-1); up to it each makes one.  Neither walk
+merges what it visits, and no sum over suffixes is formed: prefixes with
+equal remainders merged would be the Cauchy-power sum of
+``hb_explicit_binom``, and chains with equal ends merged would be the
+recursion of ``hb_descent_step``.  The Trudi sum takes each vector's power
+product, part count k and multinomial k! / prod t_i! (from a factorial table
+built once per call) in one pass over its multiplicities, the plain tuple
+the partition enumerator yields.
 
 The relations over the numbers themselves (descent, convolution and the two
 inversion checks) take the row of values they read; n is its last index.
@@ -97,9 +102,13 @@ class RoutePreconditionError(ValueError):
     """An alternative route was invoked outside its domain (e.g. descent at N = 1)."""
 
 
-# largest n of the 2^(n-2)-call walks of hb_explicit_comp and hb_descent_nested
+# largest n of the exponential walks of hb_explicit_comp and hb_descent_nested
 _COMP_MAX_N = 22
 _DESCENT_NESTED_MAX_N = 22
+# the largest remainder or chain end those walks read from a per-call table;
+# measured over the default sweep's N and n, 4 and 5 gave less at n = 13-14,
+# and 7 and 8 gave 2-6 % more there but cost 4-8 % more below n = 10
+_LEAF = 6
 # steps one call of trudi or mr may take
 _STEP_BUDGET = 5_000_000
 
@@ -217,34 +226,48 @@ def hb_higher_explicit(N: int, r: int, n: int) -> Fraction:
     _refuse_past("hb_higher_explicit", n, min(_COMP_MAX_N, _trudi_max_n(r)))
     W, w = _over_lcm([mr(N, r, e) for e in range(n + 1)])
     groups = [0] * (n + 1)
-    _composition_products(w, [x * w[1] for x in w], n, 0, 1, groups)
+    _composition_products(w, _composition_table(w, min(_LEAF, n)), n, 0, 1, groups)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction((-1) ** k * groups[k], W**k)
     return factorial(n) * total
 
 
+def _composition_table(w: list[int], top: int) -> list[list[tuple[int, int]]]:
+    """Row R = 0..top holds ``(j, w[i_1] * ... * w[i_j])`` for every positive
+    composition ``i_1 + ... + i_j = R``: 2^(R-1) entries for R >= 1, and the
+    empty composition ``(0, 1)`` for R = 0."""
+    table = [[(0, 1)]]
+    for total in range(1, top + 1):
+        table.append(
+            [(j + 1, w[part] * x) for part in range(1, total + 1) for j, x in table[total - part]]
+        )
+    return table
+
+
 def _composition_products(
-    w: list[int], ends: list[int], remaining: int, k: int, head: int, groups: list[int]
+    w: list[int], leaves: list[list[tuple[int, int]]], remaining: int, k: int, head: int,
+    groups: list[int],
 ) -> None:
     """Add ``head * w[i_1] * ... * w[i_j]`` into ``groups[k + j]`` for every
-    positive composition ``i_1 + ... + i_j = remaining``; ``ends[i]`` is
-    ``w[i] * w[1]``.
+    positive composition ``i_1 + ... + i_j = remaining``.
 
-    One call per proper prefix that leaves at least 2, the empty one
-    included: 2^(n-2) calls for the compositions of n >= 2, each extending
-    its prefix's product by one factor per next part.  The prefix that leaves
-    1 has no extension of its own, so its one composition is finished here,
-    by ``ends``.  Two prefixes with the same remainder stay separate walks:
-    merging them would make this the Cauchy-power sum of the ``binom`` route.
-    (A module-level function: a nested recursive one would be a reference
+    While more than ``_LEAF`` remains, one call per next part, extending the
+    prefix's product by that part; a remainder R <= _LEAF takes its
+    compositions from ``leaves[R]`` (``_composition_table``), each one
+    ``head`` times its entry, added into its own group.  So the compositions
+    of n take one call for n <= _LEAF and (_LEAF + 2) 2^(n-_LEAF-1) above.
+    Two prefixes with the same remainder stay separate walks: merging them
+    would make this the Cauchy-power sum of the ``binom`` route.  (A
+    module-level function: a nested recursive one would be a reference
     cycle.)"""
+    if remaining <= _LEAF:
+        for j, x in leaves[remaining]:
+            groups[k + j] += head * x
+        return
     k += 1
-    groups[k] += head * w[remaining]  # the last part takes all that remains
-    if remaining > 1:
-        groups[k + 1] += head * ends[remaining - 1]  # then a last part of 1
-        for part in range(1, remaining - 1):
-            _composition_products(w, ends, remaining - part, k, head * w[part], groups)
+    for part in range(1, remaining + 1):
+        _composition_products(w, leaves, remaining - part, k, head * w[part], groups)
 
 
 def hb_higher_convolution(base: Sequence[Fraction], r: int) -> Fraction:
@@ -307,34 +330,47 @@ def hb_descent_nested(prev: Sequence[Fraction], N: int) -> Fraction:
         [0, *(p[a - b + 1] * binom(a, a - b + 1) * N * (L // (N + b)) for b in range(1, a))]
         for a in range(n + 1)
     ]
-    for row in f[2:]:
-        row[1] *= p[1]  # f[a][1] also carries p[1]: a chain that steps to 1 ends there
     groups = [0] * n
-    _chain_products(f, p, n, 0, 1, groups)
+    _chain_products(f, p, _chain_table(f, p, min(_LEAF, n)), n, 0, 1, groups)
     total = Fraction(0)
     for m in range(n):
         total += Fraction(groups[m], P ** (m + 1) * L**m)
     return Fraction(N, N + n) * total
 
 
+def _chain_table(f: list[list[int]], p: list[int], top: int) -> list[list[tuple[int, int]]]:
+    """Row b = 1..top holds ``(m, product)`` for every chain that goes on from
+    b: ending at b, ``(0, p[b])``, or a link b -> c < b and a chain from c,
+    ``(1 + m, f[b][c] * product)``; 2^(b-1) entries.  Row 0 is empty."""
+    table: list[list[tuple[int, int]]] = [[]]
+    for b in range(1, top + 1):
+        table.append([(0, p[b]), *((m + 1, f[b][c] * x) for c in range(1, b) for m, x in table[c])])
+    return table
+
+
 def _chain_products(
-    f: list[list[int]], p: list[int], a: int, m: int, head: int, groups: list[int]
+    f: list[list[int]], p: list[int], leaves: list[list[tuple[int, int]]], a: int, m: int,
+    head: int, groups: list[int],
 ) -> None:
     """Add ``head`` times the term of every chain that continues a chain of
     m links ending at ``a`` (itself included) into ``groups`` by length.
 
-    ``f[a][b]`` is the factor of the link a -> b, and ``f[a][1]`` also
-    carries p[1].  One call per chain that does not end at 1: 2^(n-2) calls
-    for the chains from n >= 2, each extending its product by one factor per
-    link.  The step to 1 has no extension of its own, so that chain is
-    finished here.  Chains with the same end stay separate walks: merging
-    them would make this the recursion of the ``descent`` route."""
+    ``f[a][b]`` is the factor of the link a -> b.  While the chain ends
+    above ``_LEAF``, one call per next link, extending the chain's product
+    by that link; an end b <= _LEAF takes its chains from ``leaves[b]``
+    (``_chain_table``), each one ``head`` times its entry, added into its own
+    group.  So the chains from n take one call for n <= _LEAF and
+    (_LEAF + 1) 2^(n-_LEAF-1) above.  Chains with the same end stay separate
+    walks: merging them would make this the recursion of the ``descent``
+    route."""
+    if a <= _LEAF:
+        for j, x in leaves[a]:
+            groups[m + j] += head * x
+        return
     groups[m] += head * p[a]  # the chain ends at a
-    if a > 1:
-        m += 1
-        groups[m] += head * f[a][1]  # the step to 1, where it ends
-        for b in range(2, a):
-            _chain_products(f, p, b, m, head * f[a][b], groups)
+    m += 1
+    for b in range(1, a):
+        _chain_products(f, p, leaves, b, m, head * f[a][b], groups)
 
 
 def hb_trudi(N: int, r: int, n: int) -> Fraction:

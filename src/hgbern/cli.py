@@ -14,8 +14,9 @@ declaration order).  The bounds N, r >= 1 that every route shares are
 work.  The exponential witnesses ``comp``, ``trudi`` and ``descent-nested``
 declare a largest n, given r, as part of their domain.  The O(n^2) routes
 ``recurrence`` and ``det`` also declare a family walk, so a sweep takes each
-(N, r) family's values from one walk on the caller's store to the deepest n;
-the other routes compute each point on a store of the sweep's own.
+(N, r) family's values from one walk to the deepest n, on the cache file's
+store if there is one; the other routes compute each point on a store of the
+sweep's own.
 ``run_sweep`` returns what a sweep found as data (grid points, comparisons,
 mismatches); ``cmd_verify`` prints it and picks the exit code.
 
@@ -25,9 +26,10 @@ violation.
 
 Values print as exact ``num/den``.  Every subcommand takes ``--cache PATH``;
 without it the ``HGBERN_CACHE`` environment variable names the cache file,
-and with neither everything stays in memory; ``table`` then keeps no store at
-all, and walks each family storeless.  Its CSV fields hold only digits, ``-``
-and ``/``, which CSV never quotes, so each row is written as plain text.
+and with neither everything stays in memory; ``table`` and ``verify`` then
+keep no store for their family walks, and walk each family storeless.
+``table``'s CSV fields hold only digits, ``-`` and ``/``, which CSV never
+quotes, so each row is written as plain text.
 ``congruence hb-kummer`` and ``hb-pair`` take exactly one of ``-N`` and
 ``--ordp-target T`` (N = 1 + p^T, T >= 0).  A congruence statement's
 hypotheses, their order and its threshold on ord_p(N-1) are the library's;
@@ -88,7 +90,7 @@ class Route:
     """
 
     compute: Callable[[int, int, int, MemoStore], Fraction]
-    walk: Callable[[int, int, int, MemoStore, list[Fraction]], Fraction] | None = None
+    walk: Callable[[int, int, int, MemoStore | None, list[Fraction]], Fraction] | None = None
     r_one_only: bool = False
     min_N: int = 0
     min_n: int = 0
@@ -156,7 +158,7 @@ Mismatch = tuple[tuple[int, int, int], str, Fraction, str, Fraction]
 
 def run_sweep(
     big_n_values: Sequence[int], r_values: Sequence[int], n_values: Sequence[int],
-    routes: Sequence[str], store: MemoStore,
+    routes: Sequence[str], store: MemoStore | None,
 ) -> tuple[int, int, list[Mismatch]]:
     """Evaluate the named routes on every (N, r, n) grid point and compare.
 
@@ -164,11 +166,12 @@ def run_sweep(
     checked before the plan is built, so an N or r below 1 raises whatever
     the routes; no route's domain holds a negative n.  At each point the first
     applicable route is the reference; a point where fewer than two apply
-    computes nothing.  A route with a ``walk`` is walked on `store` once per
-    (N, r) family, to the deepest n of the grid; every other route computes
-    each point on one store the sweep creates, so a relation checks `store`
-    against rows it did not read from it.  Returns (grid points,
-    comparisons, mismatches), one mismatch per disagreeing route, in order.
+    computes nothing.  A route with a ``walk`` is walked on `store` (None:
+    storeless) once per (N, r) family, to the deepest n of the grid; every
+    other route computes each point on one store the sweep creates, so a
+    relation checks `store` against rows it did not read from it.  Returns
+    (grid points, comparisons, mismatches), one mismatch per disagreeing
+    route, in order.
     """
     if not n_values or not r_values or not big_n_values:
         raise ValueError("sweep ranges must be nonempty")
@@ -262,6 +265,12 @@ def _make_store(args: argparse.Namespace) -> MemoStore:
     return store
 
 
+def _walked(store: MemoStore) -> MemoStore | None:
+    """The store a family walk reads and fills: none if it has no file, as
+    it would only be written."""
+    return store if store.path is not None else None
+
+
 def _save_if_backed(store: MemoStore) -> None:
     if store.path is not None:
         store.save()
@@ -286,8 +295,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     store = _make_store(args)
     HBKey(args.N[0], args.r[0], args.n[0])  # the least indices, as the ranges ascend
-    # a store with no file would only be written: walk storeless instead
-    walked = store if store.path is not None else None
+    walked = _walked(store)
     rows = []
     for N, r in product(args.N, args.r):
         row: list[Fraction] = []
@@ -312,7 +320,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     routes = args.routes.split(",")
-    points, comparisons, mismatches = run_sweep(args.N, args.r, args.n, routes, _make_store(args))
+    points, comparisons, mismatches = run_sweep(
+        args.N, args.r, args.n, routes, _walked(_make_store(args))
+    )
     for (N, r, n), ref_name, ref, name, value in mismatches:
         print(
             f"MISMATCH at N={N} r={r} n={n}: {ref_name} = {format_rational(ref)}, "

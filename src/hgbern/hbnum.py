@@ -197,7 +197,8 @@ class MemoStore:
         # stat'ed before reading: a newer file read under it only costs a merge
         version = _version(self.path)
         loaded = _saved_records(self.path, self.path.read_bytes())
-        if not self._values:  # a fresh store has nothing to conflict with
+        fresh = not self._values  # nothing to conflict with
+        if fresh:
             self._values = loaded
         else:
             key = self._conflict(loaded)
@@ -208,7 +209,8 @@ class MemoStore:
             self._values.update(loaded)
         self._unsaved = len(self._values) > len(loaded)
         self._seen = version
-        self.audit(samples=audit_samples, rng=rng, keys=list(loaded))
+        # a fresh store's keys are the file's, in its order: no key to convert
+        self.audit(samples=audit_samples, rng=rng, keys=None if fresh else list(loaded))
         return len(loaded)
 
     def save(self) -> None:
@@ -276,10 +278,16 @@ class MemoStore:
         Without `rng` the draw comes from ``random.Random(0)``, so the same
         keys in the same order always draw the same entries.  An r >= 2 entry
         is recomputed by order steps from its N's r = 1 row, not by the
-        weight-row recurrence that wrote it.
+        weight-row recurrence that wrote it.  Every key of `keys` is made an
+        ``HBKey`` before the draw, so a float or bool field is refused
+        whichever keys are drawn; without `keys` the pool is the store's own
+        keys, which are ``HBKey``s already.
         """
         _require_int("samples", samples)
-        pool = list(keys) if keys is not None else list(self._values)
+        if keys is None:
+            pool = list(self._values)
+        else:
+            pool = [key if type(key) is HBKey else HBKey(*key) for key in keys]
         rng = rng if rng is not None else random.Random(0)
         chosen = rng.sample(pool, min(samples, len(pool)))
         found = self.mismatches(chosen)

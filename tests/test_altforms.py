@@ -389,45 +389,86 @@ def test_convolution_route_is_polynomial_in_r():
     assert hb_higher_convolution(_values(1, 20), 8) == hb_higher(1, 8, 20)
 
 
-def test_explicit_sum_visits_every_composition(monkeypatch):
-    # one walk call per prefix that leaves at least 2: 2^(n-2) for the
-    # compositions of n >= 2 (the prefix that leaves 1 is finished by its
-    # parent); a walk that merged prefixes with equal remainders would make
-    # about n calls
-    calls = []
-    walk = altforms._composition_products
+class _CountedGroups(list):
+    """A walk's groups that count every add into them."""
+
+    adds = 0
+
+    def __setitem__(self, index, value):
+        self.adds += 1
+        super().__setitem__(index, value)
+
+
+def _counted_walk(monkeypatch, name):
+    """Patch the walk ``altforms.<name>`` to record its calls, and the adds
+    into the groups of each top call; returns the two lists."""
+    walk = getattr(altforms, name)
+    calls, adds = [], []
 
     def counted(*args):
         calls.append(args)
-        return walk(*args)
+        *rest, groups = args
+        if type(groups) is _CountedGroups:
+            return walk(*args)
+        counting = _CountedGroups(groups)  # the route's top call
+        walk(*rest, counting)
+        groups[:] = counting
+        adds.append(counting.adds)
 
-    monkeypatch.setattr(altforms, "_composition_products", counted)
-    for n in range(2, 13):
-        calls.clear()
-        hb_explicit_comp(2, n)
-        assert len(calls) == 2 ** (n - 2)
-        calls.clear()
-        hb_higher_explicit(2, 3, n)
-        assert len(calls) == 2 ** (n - 2)
+    monkeypatch.setattr(altforms, name, counted)
+    return calls, adds
+
+
+def _walk_calls(n, first_calls):
+    """One call up to _LEAF, then `first_calls` at _LEAF + 1, doubling with n."""
+    leaf = altforms._LEAF
+    return 1 if n <= leaf else first_calls * 2 ** (n - leaf - 1)
+
+
+def test_explicit_sum_visits_every_composition(monkeypatch):
+    # each of the 2^(n-1) compositions of n is its own add into its group, a
+    # prefix's product times its remainder's table entry; a walk that merged
+    # prefixes with equal remainders would make about n^2 adds.  The walk
+    # calls itself once per next part while more than _LEAF remains
+    calls, adds = _counted_walk(monkeypatch, "_composition_products")
+    for n in range(1, 17):
+        for r, route in (
+            (1, lambda: hb_explicit_comp(2, n)), (3, lambda: hb_higher_explicit(2, 3, n))
+        ):
+            calls.clear()
+            adds.clear()
+            assert route() == hb_higher(2, r, n)
+            assert len(calls) == _walk_calls(n, altforms._LEAF + 2)
+            assert adds == [2 ** (n - 1)]
 
 
 def test_nested_descent_visits_every_chain(monkeypatch):
-    # one walk call per decreasing chain from n that does not end at 1:
-    # 2^(n-2) for n >= 2 (the step to 1 is finished by its parent); a walk
-    # that merged chains with equal ends would make about n calls
-    calls = []
-    walk = altforms._chain_products
-
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(altforms, "_chain_products", counted)
-    prev = _values(2, 12)
-    for n in range(2, 13):
+    # each of the 2^(n-1) decreasing chains from n is its own add into its
+    # group; a walk that merged chains with equal ends would make about n^2
+    # adds.  The walk calls itself once per next link while the chain ends
+    # above _LEAF
+    calls, adds = _counted_walk(monkeypatch, "_chain_products")
+    prev = _values(2, 16)
+    for n in range(1, 17):
         calls.clear()
-        hb_descent_nested(prev[: n + 1], 3)
-        assert len(calls) == 2 ** (n - 2)
+        adds.clear()
+        assert hb_descent_nested(prev[: n + 1], 3) == hb(3, n)
+        assert len(calls) == _walk_calls(n, altforms._LEAF + 1)
+        assert adds == [2 ** (n - 1)]
+
+
+@pytest.mark.parametrize("N", (1, 2, 1 + 5**48))
+def test_walks_are_exact_around_the_table_size(N):
+    # the walks switch from calls to table entries at _LEAF: up to _LEAF a
+    # walk reads one table row, at _LEAF + 1 one level of calls over the
+    # table, and at 2 _LEAF several levels
+    leaf = altforms._LEAF
+    prev = _values(N - 1, 2 * leaf) if N >= 2 else None
+    for n in (leaf - 1, leaf, leaf + 1, 2 * leaf):
+        for r in (1, 2, 3):
+            assert hb_higher_explicit(N, r, n) == naive_hb_higher_explicit(N, r, n)
+        if prev is not None:
+            assert hb_descent_nested(prev[: n + 1], N) == naive_hb_descent_nested(prev, N, n)
 
 
 def test_higher_explicit_matches_per_term_fraction_loop_at_huge_N():

@@ -188,12 +188,20 @@ _FIRST = [
     for function in (HBKey, hb_higher, recurrence_residual)
 ] + [(binom, {"a": True, "k": -1}, "a must be an int, got True")]
 
+# a bad key among good ones, where the seeded draw takes a good one or none:
+# every key of the pool is refused by name, drawn or not
+_POOL = [
+    (MemoStore.audit, {"samples": samples, "keys": [(2, 1, 9.5), (2, 1, 3), (2, 1, 4)]},
+     "n must be an int, got 9.5")
+    for samples in (0, 1)
+]
+
 _CASES = [
     (function, {name: bad}, message)
     for function, params in TABLE.items()
     for name, (valid, kind) in params.items()
     for bad, message in kind(name, valid)
-] + _FIRST
+] + _FIRST + _POOL
 
 
 def _call(function, store, **changed):

@@ -251,8 +251,8 @@ def test_table_rows_read_back_as_csv_and_the_file_equals_stdout(argv, tmp_path, 
     assert list(csv.reader(io.StringIO(out))) == expected
 
 
-@pytest.mark.parametrize("argv", _TABLES)
-def test_table_keeps_a_store_only_with_a_cache_file(argv, tmp_path, capsys, monkeypatch):
+def _store_calls(monkeypatch):
+    """A counter of the ``get`` and ``put`` calls on every ``MemoStore``."""
     calls = Counter()
     for method in ("get", "put"):
         original = getattr(hbnum.MemoStore, method)
@@ -262,6 +262,12 @@ def test_table_keeps_a_store_only_with_a_cache_file(argv, tmp_path, capsys, monk
             return original(store, *args)
 
         monkeypatch.setattr(hbnum.MemoStore, method, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", _TABLES)
+def test_table_keeps_a_store_only_with_a_cache_file(argv, tmp_path, capsys, monkeypatch):
+    calls = _store_calls(monkeypatch)
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_OK and calls == {}
     cache = tmp_path / "c.txt"
@@ -309,6 +315,20 @@ def test_values_past_the_int_digit_limit_print_and_round_trip(tmp_path, capsys):
 def test_invalid_grids_raise_their_first_error(argv, message, capsys):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_verify_walks_a_store_only_with_a_cache_file(tmp_path, capsys, monkeypatch):
+    # without a cache file the family walks keep no store, which nothing would
+    # read; with one they read the values it holds
+    calls = _store_calls(monkeypatch)
+    argv = "verify -N 1..3 -r 1..2 -n 0..12 --routes recurrence,det".split()
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and calls == {}
+    cache = tmp_path / "c.txt"
+    run(capsys, "table", "-N", "1..3", "-r", "1..2", "-n", "0..12", "--cache", str(cache))
+    calls.clear()
+    assert run(capsys, *argv, "--cache", str(cache)) == (EXIT_OK, out, "")
+    assert calls["get"] > 0
 
 
 def test_verify_skips_negative_indices(capsys):

@@ -41,6 +41,15 @@ def _entry_1(out):
         return out
 
 
+def _top_row(table):
+    """A walk's table with 1 added to the first product of its last row, the
+    row a walk to at most the table's size reads; None if that row is empty."""
+    if table[-1]:
+        parts, product = table[-1][0]
+        table[-1][0] = parts, product + 1
+        return table
+
+
 def _skip_first(items):
     next(items)
     return items
@@ -82,6 +91,8 @@ FAULTS = {
     "exactnum.cauchy_product": _fault(_entry_1),
     "exactnum.enumerate_compositions": _fault(_skip_first),
     "exactnum.enumerate_partition_vectors": _fault(_skip_first),
+    "altforms._composition_table": _fault(_top_row),
+    "altforms._chain_table": _fault(_top_row),
     "hessenberg._convolution": _fault(_entry_1),
     # the table convolves its base row, this same list, into each next power
     "hessenberg._weight_powers": _fault(
@@ -198,6 +209,8 @@ CAUGHT = {
                                 "deep": {"det": 120}, "oracle": 72, "audit r≤3": 41},
     "exactnum.enumerate_compositions": {"sweep": {"comp": 13, "trudi": 45}},
     "exactnum.enumerate_partition_vectors": {"sweep": {"trudi": 48}, "trudi = det": 30},
+    "altforms._composition_table": {"sweep": {"comp": 16}},
+    "altforms._chain_table": {"sweep": {"descent-nested": 8}},
     "hessenberg._convolution": {"sweep": {"binom": 12, "det": 32}, "deep": {"det": 120}},
     "hessenberg._weight_powers": {"sweep": {"comp": 16, "binom": 16, "trudi": 48, "det": 48},
                                   "deep": {"det": 180}},
@@ -214,6 +227,8 @@ CAUGHT = {
 WHY = {
     "hbnum._order_step": "it *is* the r ≥ 2 audit, so its fault shows as a false MISMATCH",
     "exactnum.enumerate_compositions": "only `mr` reads it, and only `comp` and `trudi` read `mr`",
+    "altforms._composition_table": "only `comp`'s walk reads it",
+    "altforms._chain_table": "only `descent-nested`'s walk reads it",
     "congruence.ordp": "only the congruence statements take a valuation",
 }
 

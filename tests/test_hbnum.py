@@ -373,6 +373,9 @@ def test_memostore_audit_draws_the_same_keys_every_time(tmp_path):
     assert loaded.audit(samples=5) == Random(0).sample(keys, 5)
     # an explicit generator wins
     assert loaded.audit(rng=Random(4)) == Random(4).sample(keys, 3)
+    # a caller's plain tuples are made HBKeys before the draw
+    chosen = loaded.audit(keys=[tuple(key) for key in keys])
+    assert chosen == Random(0).sample(keys, 3) and {type(key) for key in chosen} == {HBKey}
     # a count that is not an int is refused, by load and by audit: True
     # audited one entry, and 2.0 raised TypeError from random.sample; the
     # rule is type-only, so a negative count keeps random.sample's words
